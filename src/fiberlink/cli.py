@@ -4,8 +4,9 @@
     fiberlink validate <scenario.json>
     fiberlink compare <a.csv> <b.csv>
 
-Exit codes: 0 success, 1 validation failure, 2 runtime divergence.  The
-default output directory comes from $FIBERLINK_OUT.
+Exit codes: 0 success, 1 validation failure (or any other refused input
+during a run), 2 runtime divergence.  The default output directory comes
+from $FIBERLINK_OUT.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DivergenceError, InvalidInputError, ScenarioValidationError
+from .errors import (DivergenceError, FiberLinkError, InvalidInputError,
+                     ScenarioValidationError)
 from .io import read_adev_csv
 from .scenario import compare_curves, load_scenario, resolve_out_dir, run
 
@@ -59,6 +61,9 @@ def _cmd_run(args):
         print(f"run aborted: {exc}", file=sys.stderr)
         print(f"partial report written to {out_dir}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except FiberLinkError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     print(f"run complete in {report.wall_time_s:.2f} s (seed {report.seed})")
     for name in report.manifest:
         print(f"  wrote {name}")

@@ -282,6 +282,10 @@ def _section_enabled(data, path):
     return True
 
 
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
+
+
 def _validate(data):
     problems = []
 
@@ -289,10 +293,10 @@ def _validate(data):
         node = data
         for part in path.split("."):
             node = node[part]
-        ok = node >= 0 if allow_zero else node > 0
-        if not (isinstance(node, (int, float)) and np.isfinite(node) and ok):
+        ok = _is_real(node) and (node >= 0 if allow_zero else node > 0)
+        if not ok:
             problems.append(f"{path} must be {'non-negative' if allow_zero else 'positive'}, got {node!r}")
-        return node
+        return ok
 
     seed = data.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
@@ -303,48 +307,58 @@ def _validate(data):
                         "(or choose a preset)")
 
     if data["link"]["enabled"]:
-        for p in ("link.length_km", "link.delay_per_km_s", "link.step_s",
-                  "link.carrier_forward_hz", "link.carrier_return_hz",
-                  "link.carrier_probe_hz", "link.noise.diurnal_period_s",
-                  "link.noise.burst_duration_s", "link.detector.measurement_bw_hz",
-                  "run.fullrate_duration_s", "run.decimated_duration_s",
-                  "run.decimated_step_s", "outputs.psd_segment_s"):
-            positive(p)
-        for p in ("link.noise.white_pm_sx_s2_per_hz", "link.noise.diurnal_amplitude_s",
-                  "link.noise.burst_rate_per_s", "link.noise.burst_amp_median_s",
-                  "link.noise.burst_amp_sigma", "link.noise.walk_fm_h",
-                  "link.detector.floor_rad_per_rthz", "controllers.unity_gain_hz",
-                  "controllers.closed_floor_walk_fm_h", "run.transient_discard_s"):
-            positive(p, allow_zero=True)
+        # Which numbers are valid; each cross-field check below needs its inputs valid.
+        ok = {p: positive(p) for p in (
+            "link.length_km", "link.delay_per_km_s", "link.step_s",
+            "link.carrier_forward_hz", "link.carrier_return_hz",
+            "link.carrier_probe_hz", "link.noise.diurnal_period_s",
+            "link.noise.burst_duration_s", "link.detector.measurement_bw_hz",
+            "run.fullrate_duration_s", "run.decimated_duration_s",
+            "run.decimated_step_s", "outputs.psd_segment_s")}
+        ok.update({p: positive(p, allow_zero=True) for p in (
+            "link.noise.white_pm_sx_s2_per_hz", "link.noise.diurnal_amplitude_s",
+            "link.noise.burst_rate_per_s", "link.noise.burst_amp_median_s",
+            "link.noise.burst_amp_sigma", "link.noise.walk_fm_h",
+            "link.detector.floor_rad_per_rthz", "controllers.unity_gain_hz",
+            "controllers.closed_floor_walk_fm_h", "run.transient_discard_s")})
         ratio = data["link"]["noise"]["differential_ratio"]
-        if not 0.0 <= ratio <= 1.0:
-            problems.append(f"link.noise.differential_ratio must be in [0, 1], got {ratio}")
+        if not (_is_real(ratio) and 0.0 <= ratio <= 1.0):
+            problems.append(f"link.noise.differential_ratio must be in [0, 1], got {ratio!r}")
+        overlap = data["outputs"]["psd_overlap"]
+        if not (_is_real(overlap) and 0.0 <= overlap < 1.0):
+            problems.append(f"outputs.psd_overlap must be in [0, 1), got {overlap!r}")
         topo = data["controllers"]["topology"]
         if topo not in ("series", "independent", "off"):
             problems.append(f"controllers.topology must be series|independent|off, got {topo!r}")
-        step = data["link"]["step_s"]
-        one_way = data["link"]["length_km"] * data["link"]["delay_per_km_s"]
-        if step > 0 and int(round(one_way / step)) < 1:
+        run_c = data["run"]
+        if ok["link.step_s"] and ok["link.length_km"] and ok["link.delay_per_km_s"]:
+            step = data["link"]["step_s"]
+            one_way = data["link"]["length_km"] * data["link"]["delay_per_km_s"]
+            if int(round(one_way / step)) < 1:
+                problems.append(
+                    f"link.step_s={step} too coarse to resolve the one-way delay {one_way:g} s")
+        if ok["outputs.psd_segment_s"] and ok["run.fullrate_duration_s"] \
+                and data["outputs"]["psd_segment_s"] > run_c["fullrate_duration_s"]:
             problems.append(
-                f"link.step_s={step} too coarse to resolve the one-way delay {one_way:g} s")
+                f"outputs.psd_segment_s={data['outputs']['psd_segment_s']:g} exceeds "
+                f"run.fullrate_duration_s={run_c['fullrate_duration_s']:g}")
+        if ok["run.transient_discard_s"] and ok["run.fullrate_duration_s"] \
+                and run_c["transient_discard_s"] >= run_c["fullrate_duration_s"]:
+            problems.append(
+                f"run.transient_discard_s={run_c['transient_discard_s']:g} must be shorter "
+                f"than run.fullrate_duration_s={run_c['fullrate_duration_s']:g}")
         for tau_key, dur_key in (("outputs.adev_taus_s", "run.decimated_duration_s"),
                                  ("outputs.fullrate_taus_s", "run.fullrate_duration_s")):
             taus = data["outputs"][tau_key.split(".")[1]]
-            duration = data["run"][dur_key.split(".")[1]]
+            duration = run_c[dur_key.split(".")[1]]
             if not taus:
                 problems.append(f"{tau_key} must not be empty")
-                continue
-            biggest = max(taus)
-            if duration < 4 * biggest:
+            elif not (isinstance(taus, list) and all(_is_real(t) and t > 0 for t in taus)):
+                problems.append(f"{tau_key} must be a list of positive numbers, got {taus!r}")
+            elif ok[dur_key] and duration < 4 * max(taus):
                 problems.append(
                     f"{dur_key}={duration:g} s is shorter than 4 x the largest "
-                    f"requested tau in {tau_key} ({biggest:g} s)")
-        if data["outputs"]["psd_segment_s"] > data["run"]["fullrate_duration_s"]:
-            problems.append(
-                f"outputs.psd_segment_s={data['outputs']['psd_segment_s']:g} exceeds "
-                f"run.fullrate_duration_s={data['run']['fullrate_duration_s']:g}")
-        if not 0.0 <= data["outputs"]["psd_overlap"] < 1.0:
-            problems.append("outputs.psd_overlap must be in [0, 1)")
+                    f"requested tau in {tau_key} ({max(taus):g} s)")
 
     if data["comb"]["enabled"]:
         c = data["comb"]
@@ -361,8 +375,7 @@ def _validate(data):
 
     if data["budget"]["enabled"]:
         b = data["budget"]
-        if b["measured_sigma_1s"] < 0:
-            problems.append("budget.measured_sigma_1s must be non-negative")
+        positive("budget.measured_sigma_1s", allow_zero=True)
         if not isinstance(b["contributions"], list) or not all(
                 isinstance(e, dict) and set(e) == {"label", "sigma_at_1s"}
                 for e in b["contributions"]):
@@ -759,10 +772,10 @@ def _write_budget_csv(path, bud, seed=None):
     budget = bud["budget"]
     lines = fio.metadata_lines(seed)
     lines.append("label,sigma_at_1s")
-    lines.append(f"measured,{format(budget.measured_at_1s, '.17g')}")
+    lines.append(f"measured,{fio._fmt(budget.measured_at_1s)}")
     for e in budget.contributions:
-        lines.append(f"{e.label},{format(e.sigma_at_1s, '.17g')}")
-    lines.append(f"residual_upper_bound,{format(budget.residual_upper_bound, '.17g')}")
+        lines.append(f"{e.label},{fio._fmt(e.sigma_at_1s)}")
+    lines.append(f"residual_upper_bound,{fio._fmt(budget.residual_upper_bound)}")
     lines.append(f"clamped,{int(budget.clamped)}")
     fio.write_lines(path, lines)
 
@@ -771,10 +784,10 @@ def _write_estimate_csv(path, bud, seed=None):
     mean_offset, sigma = bud["estimate"]
     lines = fio.metadata_lines(seed)
     lines.append("quantity,value_hz")
-    lines.append(f"mean_offset,{format(mean_offset, '.17g')}")
-    lines.append(f"sigma_1,{format(sigma, '.17g')}")
+    lines.append(f"mean_offset,{fio._fmt(mean_offset)}")
+    lines.append(f"sigma_1,{fio._fmt(sigma)}")
     for i, rec in enumerate(bud["records"]):
-        lines.append(f"record_{i}_mean_offset,{format(rec.mean_optical_offset_hz(), '.17g')}")
+        lines.append(f"record_{i}_mean_offset,{fio._fmt(rec.mean_optical_offset_hz())}")
     fio.write_lines(path, lines)
 
 

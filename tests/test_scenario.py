@@ -12,6 +12,14 @@ from fiberlink.io import read_adev_csv
 from fiberlink.scenario import compare_curves, load_scenario, run
 
 
+# A short fig1 run: 20 s full rate after a 5 s discard, 4000 s decimated.
+SHORT_FIG1 = {"seed": 3, "preset": "fig1",
+              "run": {"fullrate_duration_s": 20.0, "transient_discard_s": 5.0,
+                      "decimated_duration_s": 4000.0},
+              "outputs": {"adev_taus_s": [1, 2, 5, 10], "fullrate_taus_s": [1, 2],
+                          "psd_segment_s": 5.0}}
+
+
 class TestLoadScenario:
     def test_minimal_preset_expansion(self):
         scn = load_scenario({"seed": 1, "preset": "fig1"})
@@ -51,6 +59,26 @@ class TestLoadScenario:
         assert any("length_km" in p for p in problems)
         assert any("differential_ratio" in p for p in problems)
         assert any("topology" in p for p in problems)
+
+    def test_string_number_is_listed_not_raised(self):
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario({"seed": 1, "preset": "fig1",
+                           "link": {"step_s": "0.1", "noise": {"differential_ratio": "x"}},
+                           "outputs": {"fullrate_taus_s": ["1", 2]},
+                           "budget": {"enabled": True, "measured_sigma_1s": "x"}})
+        problems = err.value.problems
+        for key in ("link.step_s", "differential_ratio", "fullrate_taus_s",
+                    "budget.measured_sigma_1s"):
+            assert any(key in p for p in problems), key
+
+    def test_discard_as_long_as_run_rejected(self):
+        # An invalid number elsewhere does not hide the cross-field problem.
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario({"seed": 1, "preset": "fig1",
+                           "link": {"noise": {"walk_fm_h": "x"}},
+                           "run": {"fullrate_duration_s": 20.0, "transient_discard_s": 20.0}})
+        assert any("run.transient_discard_s=20" in p for p in err.value.problems)
+        assert any("walk_fm_h" in p for p in err.value.problems)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioValidationError) as err:
@@ -169,6 +197,16 @@ class TestDeterminism:
         for name in rep_a.manifest:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_decimated_series_csv_identical_reruns(self, tmp_path):
+        scn = load_scenario(dict(SHORT_FIG1, outputs=dict(
+            SHORT_FIG1["outputs"], write_decimated_series=True)))
+        for sub in ("a", "b"):
+            run(scn, out_dir=tmp_path / sub)
+        name = "closed_rt_series.csv"
+        data = (tmp_path / "a" / name).read_bytes()
+        assert data.count(b"\n") > 4000
+        assert data == (tmp_path / "b" / name).read_bytes()
+
     def test_seed_override_changes_outputs(self, tmp_path):
         scn = load_scenario(self.SCN)
         rep_a = run(scn, out_dir=tmp_path / "a")
@@ -224,6 +262,23 @@ class TestCli:
         assert proc.returncode == 1
         assert "seed" in proc.stderr
 
+    def test_validate_string_number_exit_1(self, tmp_path):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"preset": "fig1", "link": {"step_s": "0.1"}}))
+        proc = run_cli(["validate", str(path)])
+        assert proc.returncode == 1
+        assert "link.step_s must be positive, got '0.1'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_run_refused_input_exit_1(self, tmp_path):
+        # Passes validation; the Allan estimator then refuses tau = 1.5 s.
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(dict(SHORT_FIG1, outputs=dict(
+            SHORT_FIG1["outputs"], fullrate_taus_s=[1.5, 3]))))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == "run failed: tau=1.5 is not an integer multiple of tau0=1.0"
+
     def test_run_writes_outputs(self, tmp_path):
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(self.FAST))
@@ -245,7 +300,7 @@ class TestCli:
         path = tmp_path / "scn.json"
         scn = {"seed": 3, "preset": "fig1",
                "controllers": {"unity_gain_hz": 700.0},
-               "run": {"fullrate_duration_s": 20.0,
+               "run": {"fullrate_duration_s": 20.0, "transient_discard_s": 5.0,
                        "decimated_duration_s": 4000.0},
                "outputs": {"adev_taus_s": [1, 2, 5, 10], "fullrate_taus_s": [1, 2],
                            "psd_segment_s": 5.0}}
