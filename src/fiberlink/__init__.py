@@ -12,15 +12,14 @@ from .stability import (allan_deviation, allan_deviation_phase,
                         fit_power_law, one_way_from_round_trip,
                         phase_to_frac_freq, psd_welch)
 from .noise import (BurstSpec, DiurnalSpec, NoiseSpec, correlated_pair,
-                    gen_bursts, gen_diurnal, gen_noise, gen_power_law_phase,
-                    white_fm_level_for)
+                    fiber_pair, gen_bursts, gen_diurnal, gen_noise,
+                    gen_power_law_phase, white_fm_level_for)
 from .link import (ActuatorState, Carrier, DetectorConfig, FiberPath,
-                   apply_actuator, detect_phase, measurement_lowpass,
-                   propagate, round_trip, sample_every, to_radians)
+                   detect_phase, measurement_lowpass, propagate, round_trip,
+                   sample_every, to_radians)
 from .control import (ControllerConfig, LinkLoopConfig, LoopRunResult,
-                      LoopState, critical_frequency, find_divergence_onset,
+                      critical_frequency, find_divergence_onset,
                       integrator_loop_diverges, loop_suppression,
-                      optical_far_end_step, rf_conjugation_step,
                       run_closed_loop)
 from .comb import (BudgetEntry, BudgetResult, CombParams, CounterChainConfig,
                    FreqSeries, MeasurementRecord, absolute_freq_estimate,

@@ -11,12 +11,22 @@ with kp = 2 pi f_unity and ki = kp * 2 pi f_corner.  The round-trip delay
 tau_rt enters as a transport delay; with a pure integrator the loop turns
 unstable at 1 / (4 tau_rt), which is what limits the usable bandwidth.
 
-Near-end topology ("rf_conjugation_near_end"): the correction is an RF phase
-shift on the transmitted carrier, so only the served carrier is corrected.
-Far-end topology ("optical_far_end"): the correction strains the optical
-path itself (fast piezo stretcher plus slow thermal spool), correcting every
-carrier on the fiber; error content below the crossover frequency is
-offloaded from the piezo to the thermal spool.
+The near-end loop corrects fiber 1 with an RF phase shift on the
+transmitted carrier, so only the served carrier is corrected.  The far-end
+loop strains fiber 2 itself (fast piezo stretcher plus slow thermal spool),
+correcting every carrier on the fiber; error content below the crossover
+frequency is offloaded from the piezo to the thermal spool.
+
+``run_closed_loop`` simulates both loops on full-rate records with one of
+two engines walking the same servo recurrence.  The linear engine
+("lfilter") evaluates it as one IIR filter per loop; it reports, but does
+not enforce, actuator saturation, and it has no offload.  The stepped engine ("stepped") walks it
+per sample and clamps each actuator at its range, with anti-windup and the
+piezo-to-thermal offload.  The run topology (``RUN_TOPOLOGIES``) says what
+the far-end loop sees: "series" feeds it the near-end loop's corrected
+arrival, "independent" only fiber 2's own round trip, and "off" opens both
+loops.  ``loop_suppression`` is the decimated-time model: the closed-loop
+sensitivity applied to slow records in the frequency domain.
 """
 
 from __future__ import annotations
@@ -27,25 +37,21 @@ import numpy as np
 from scipy import signal
 
 from .errors import DivergenceError, InvalidInputError
-from .link import ActuatorState, Carrier, actuator_alpha, apply_actuator, delayed
+from .link import ActuatorState, actuator_alpha, delayed
 from .series import PhaseSeries
 
-TOPOLOGIES = ("rf_conjugation_near_end", "optical_far_end")
 RUN_TOPOLOGIES = ("series", "independent", "off")
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    topology: str = "rf_conjugation_near_end"
     unity_gain_hz: float = 300.0
     integrator_corner_hz: float = 30.0
-    crossover_hz: float = 0.1          # piezo-to-thermal offload (optical topology)
+    crossover_hz: float = 0.1          # piezo-to-thermal offload (far-end loop)
     kp: float | None = None            # 1/s; derived from unity_gain_hz when None
     ki: float | None = None            # 1/s^2; derived from the corner when None
 
     def __post_init__(self):
-        if self.topology not in TOPOLOGIES:
-            raise InvalidInputError(f"unknown controller topology {self.topology!r}")
         if not self.unity_gain_hz > 0:
             raise InvalidInputError("unity-gain target must be positive")
         for name in ("integrator_corner_hz", "crossover_hz"):
@@ -62,82 +68,7 @@ class ControllerConfig:
         return kp, ki
 
 
-@dataclass
-class LoopState:
-    """Mutable servo state for the step-level controller functions."""
-    integrator: float = 0.0
-    command_s: float = 0.0
-    closed: bool = True
-    saturated: bool = False
-    piezo: ActuatorState | None = None
-    thermal: ActuatorState | None = None
-    thermal_cmd_s: float = 0.0
-
-    def applied_s(self):
-        if self.piezo is not None:
-            total = self.piezo.position_s
-            if self.thermal is not None:
-                total += self.thermal.position_s
-            return total
-        return self.command_s
-
-
-def _pi_update(state: LoopState, error_s, cfg: ControllerConfig, dt,
-               freeze_integrator=False):
-    # Conjugation: commanded pre-correction targets minus half the round trip.
-    pe = -0.5 * error_s
-    kp, ki = cfg.gains()
-    if not freeze_integrator:
-        state.integrator += pe * dt
-    state.command_s += (kp * pe + ki * state.integrator) * dt
-    return pe
-
-
-def rf_conjugation_step(round_trip_error_rad, state: LoopState,
-                        cfg: ControllerConfig, carrier: Carrier, dt) -> float:
-    """One near-end servo step; returns the RF pre-correction in seconds.
-
-    The input is the detected round-trip phase error in radians at the
-    served carrier; a static error 2*delta settles the command at -delta,
-    nulling the one-way perturbation.
-    """
-    if not state.closed:
-        raise InvalidInputError("rf_conjugation_step requires a closed loop")
-    _pi_update(state, round_trip_error_rad / (2.0 * np.pi * carrier.frequency_hz), cfg, dt)
-    return state.command_s
-
-
-def optical_far_end_step(arrival_vs_return_error_rad, state: LoopState,
-                         cfg: ControllerConfig, carrier: Carrier, dt):
-    """One far-end servo step; returns (piezo command, thermal command) in s.
-
-    The PI output is the total path correction; the thermal spool integrates
-    the piezo position at the crossover rate so sustained corrections migrate
-    to the slow actuator and the piezo de-saturates.  Anti-windup: the
-    integral path freezes while the piezo is pinned and driven deeper, and
-    the command state back-calculates to what the actuators can deliver.
-    """
-    if not state.closed:
-        raise InvalidInputError("optical_far_end_step requires a closed loop")
-    if state.piezo is None or state.thermal is None:
-        raise InvalidInputError("optical topology needs piezo and thermal actuator states")
-    freeze = state.piezo.saturated and state.piezo.position_s != 0.0
-    error_s = arrival_vs_return_error_rad / (2.0 * np.pi * carrier.frequency_hz)
-    pe = _pi_update(state, error_s, cfg, dt,
-                    freeze_integrator=freeze and np.sign(-0.5 * error_s)
-                    == np.sign(state.piezo.position_s))
-    state.thermal_cmd_s += 2.0 * np.pi * cfg.crossover_hz * state.piezo.position_s * dt
-    state.thermal = apply_actuator(state.thermal, state.thermal_cmd_s, dt)
-    piezo_cmd = state.command_s - state.thermal.position_s
-    achievable = float(np.clip(piezo_cmd, -state.piezo.range_s, state.piezo.range_s))
-    if achievable != piezo_cmd:
-        state.command_s += achievable - piezo_cmd
-    state.piezo = apply_actuator(state.piezo, piezo_cmd, dt)
-    state.saturated = state.piezo.saturated or state.thermal.saturated
-    return piezo_cmd, state.thermal_cmd_s
-
-
-def critical_frequency(round_trip_delay_s, *_ignored) -> float:
+def critical_frequency(round_trip_delay_s) -> float:
     """Instability boundary of a pure-integrator loop under transport delay.
 
     The integrator contributes -90 deg; the delay adds -360 deg * f * delay;
@@ -231,15 +162,6 @@ class LoopRunResult:
     a2_applied: np.ndarray
     warnings: tuple = ()
 
-    def one_way_series(self):
-        return PhaseSeries(self.one_way, self.dt, label="one_way")
-
-    def round_trip_series(self):
-        return PhaseSeries(self.round_trip, self.dt, label="round_trip")
-
-    def probe_series(self):
-        return PhaseSeries(self.probe_rt, self.dt, label="open_loop_probe")
-
 
 def _loop_filter_polys(cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):
     """(b, a) of applied-correction vs -(w/2) for the discrete servo.
@@ -303,16 +225,17 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
         probe_det = np.zeros(n)
     m1, m2 = cfg.m1, cfg.m2
 
+    if engine not in _ENGINES:
+        raise InvalidInputError(f"unknown engine {engine!r}")
     if cfg.topology == "off":
         c1app = np.zeros(n)
         a2app = np.zeros(n)
         warnings = ()
-    elif engine == "lfilter":
-        c1app, a2app, warnings = _run_linear(cfg, n1, n2, d1, d2)
-    elif engine == "stepped":
-        c1app, a2app, warnings = _run_stepped(cfg, n1, n2, d1, d2)
     else:
-        raise InvalidInputError(f"unknown engine {engine!r}")
+        # A correction this far beyond every input record means divergence.
+        limit = cfg.divergence_limit_s + 1e3 * max(
+            float(np.max(np.abs(r))) for r in (n1, n2, d1, d2))
+        c1app, a2app, warnings = _ENGINES[engine](cfg, n1, n2, d1, d2, limit)
 
     arr = delayed(c1app, m1, fill=0.0) + n1
     one_way = arr
@@ -323,12 +246,8 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
                          c1app, a2app, warnings=tuple(warnings))
 
 
-def _run_linear(cfg, n1, n2, d1, d2):
+def _run_linear(cfg, n1, n2, d1, d2, limit):
     m1, m2 = cfg.m1, cfg.m2
-    limit = cfg.divergence_limit_s + 1e3 * max(
-        float(np.max(np.abs(n1))), float(np.max(np.abs(n2))),
-        float(np.max(np.abs(d1))), float(np.max(np.abs(d2))), 0.0)
-
     w1 = delayed(n1, m1) + n1 + d1
     b1, a1 = _loop_filter_polys(cfg.controller1, cfg.rf_shifter.bandwidth_hz,
                                 cfg.dt, m1)
@@ -352,7 +271,7 @@ def _run_linear(cfg, n1, n2, d1, d2):
     return c1app, a2app, warnings
 
 
-def _run_stepped(cfg, n1, n2, d1, d2):
+def _run_stepped(cfg, n1, n2, d1, d2, limit):
     """Per-sample reference engine with actuator clamping and offload."""
     n = n1.size
     m1, m2 = cfg.m1, cfg.m2
@@ -380,9 +299,6 @@ def _run_stepped(cfg, n1, n2, d1, d2):
     pz = th = th_cmd = 0.0
     sat_rf = sat_pz = False
     pinned_rf = pinned_pz = False
-    limit = cfg.divergence_limit_s + 1e3 * max(
-        float(np.max(np.abs(n1))), float(np.max(np.abs(n2))),
-        float(np.max(np.abs(d1))), float(np.max(np.abs(d2))), 0.0)
 
     for k in range(n):
         k2m1 = k - 2 * m1
@@ -434,6 +350,9 @@ def _run_stepped(cfg, n1, n2, d1, d2):
     if sat_pz:
         warnings.append("piezo_stretcher saturated (offload engaged)")
     return np.array(c1app), np.array(a2app), warnings
+
+
+_ENGINES = {"lfilter": _run_linear, "stepped": _run_stepped}
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,14 @@
 detection, actuators, and the counting-style measurement chain.
 
 Signals travel as phase-time (seconds).  A fiber adds its delay-fluctuation
-record and any actuator offsets; the base propagation delay is quantized to
-whole simulation steps, with the sub-step remainder carried as a static
-phase-time offset.  Radian phase only appears at a detection carrier:
-phi = 2 pi f_c x.
+record; the base propagation delay is quantized to whole simulation steps,
+with the sub-step remainder carried as a static phase-time offset.  Radian
+phase only appears at a detection carrier: phi = 2 pi f_c x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -34,26 +33,16 @@ class Carrier:
 
 @dataclass(frozen=True)
 class FiberPath:
-    """One fiber: length, base delay and its delay-fluctuation record.
-
-    ``actuator_offsets`` holds a per-sample correction applied in the path
-    (seconds); None means no actuator installed.
-    """
+    """One fiber: length, base delay and its delay-fluctuation record."""
     length_km: float
     noise: PhaseSeries
     base_delay_s: float | None = None
-    actuator_offsets: np.ndarray | None = None
 
     def __post_init__(self):
         if self.base_delay_s is None:
             object.__setattr__(self, "base_delay_s", self.length_km * SECONDS_PER_KM)
         if not self.base_delay_s > 0:
             raise InvalidInputError("base delay must be positive")
-        if self.actuator_offsets is not None:
-            off = np.asarray(self.actuator_offsets, dtype=float)
-            if off.shape != self.noise.samples.shape:
-                raise InvalidInputError("actuator offsets must align with the noise record")
-            object.__setattr__(self, "actuator_offsets", off)
 
     def delay_steps(self):
         """(whole-step delay, sub-step remainder in seconds)."""
@@ -81,39 +70,17 @@ class ActuatorState:
     kind: str
     range_s: float
     bandwidth_hz: float
-    command_s: float = 0.0
-    position_s: float = 0.0
-    saturated: bool = False
 
     def __post_init__(self):
         if self.kind not in ACTUATOR_KINDS:
             raise InvalidInputError(f"unknown actuator kind {self.kind!r}")
         if not (self.range_s > 0 and self.bandwidth_hz > 0):
             raise InvalidInputError("actuator range and bandwidth must be positive")
-        if abs(self.command_s) > self.range_s * (1 + 1e-12):
-            raise InvalidInputError("stored actuator command exceeds its range")
 
 
 def actuator_alpha(bandwidth_hz, dt):
     """Per-step first-order smoothing coefficient for a given corner."""
     return 1.0 - np.exp(-2.0 * np.pi * bandwidth_hz * dt)
-
-
-def apply_actuator(state: ActuatorState, command_s, dt) -> ActuatorState:
-    """Advance an actuator one step toward ``command_s``.
-
-    The position lags the (range-clamped) command with the actuator's
-    first-order corner.  Saturation is reported on the returned state, not
-    raised.
-    """
-    if not dt > 0:
-        raise InvalidInputError("dt must be positive")
-    saturated = abs(command_s) > state.range_s
-    target = float(np.clip(command_s, -state.range_s, state.range_s))
-    alpha = actuator_alpha(state.bandwidth_hz, dt)
-    position = state.position_s + alpha * (target - state.position_s)
-    position = float(np.clip(position, -state.range_s, state.range_s))
-    return replace(state, command_s=target, position_s=position, saturated=saturated)
 
 
 def to_radians(x: PhaseSeries, carrier: Carrier) -> PhaseSeries:
@@ -135,12 +102,12 @@ def delayed(samples, steps, fill=None):
     return np.concatenate((np.full(steps, pad), samples[:-steps]))
 
 
-def propagate(input_phase: PhaseSeries, path: FiberPath, carrier: Carrier) -> PhaseSeries:
+def propagate(input_phase: PhaseSeries, path: FiberPath) -> PhaseSeries:
     """One pass through a fiber.
 
     Output phase-time = input delayed by the whole-step part of base_delay,
     minus the sub-step remainder (the received time scale lags), plus the
-    fiber's delay fluctuation and actuator offsets.
+    fiber's delay fluctuation.
     """
     if not np.isclose(input_phase.tau0, path.noise.tau0, rtol=1e-9):
         raise InvalidInputError(
@@ -149,16 +116,14 @@ def propagate(input_phase: PhaseSeries, path: FiberPath, carrier: Carrier) -> Ph
         raise InvalidInputError("input and path noise must have equal length")
     steps, remainder = path.delay_steps()
     out = delayed(input_phase.samples, steps) - remainder + path.noise.samples
-    if path.actuator_offsets is not None:
-        out = out + path.actuator_offsets
     return PhaseSeries(out, input_phase.tau0,
                        label=f"{input_phase.label}>{path.length_km:g}km")
 
 
-def round_trip(input_phase: PhaseSeries, path_out: FiberPath, path_back: FiberPath,
-               carrier: Carrier) -> PhaseSeries:
+def round_trip(input_phase: PhaseSeries, path_out: FiberPath,
+               path_back: FiberPath) -> PhaseSeries:
     """Two composed passes; ``path_out is path_back`` models a same-fiber loop."""
-    return propagate(propagate(input_phase, path_out, carrier), path_back, carrier)
+    return propagate(propagate(input_phase, path_out), path_back)
 
 
 def detector_noise(cfg: DetectorConfig, carrier: Carrier, n, tau0, rng):

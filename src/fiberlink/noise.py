@@ -192,39 +192,43 @@ def gen_noise(spec: NoiseSpec, n, tau0, seed) -> PhaseSeries:
     return PhaseSeries(x, tau0, label="noise")
 
 
-def correlated_pair(spec: NoiseSpec, differential_ratio, n, tau0, seed):
-    """Two fiber noise records sharing a common mode.
+def fiber_pair(ratio, draw):
+    """Two fiber records sharing a common mode, from unit realizations.
 
-    The stochastic parts are combined as
+    ``draw(j)`` returns realization j: 0 is the common mode, 1 and 2 the
+    fibers' own parts.  They are combined as
 
-        fiber_i = sqrt(1 - r^2/2) * u_common  +  (r / sqrt(2)) * u_i
+        fiber_i = sqrt(1 - r^2/2) * u_0  +  (r / sqrt(2)) * u_i
 
-    with independent unit realizations u, which preserves the single-fiber
-    level and makes RMS(fiber1 - fiber2) / RMS(fiber1) equal the requested
-    ratio r -- so the Allan deviation of the fiber difference is r times the
-    single-fiber Allan deviation.  The deterministic diurnal term is purely
-    common mode.  r = 0 yields identical records; full independence would
+    which preserves the single-fiber level and makes RMS(fiber1 - fiber2) /
+    RMS(fiber1) equal the ratio r -- so the Allan deviation of the fiber
+    difference is r times the single-fiber Allan deviation.  r = 0 yields
+    identical records without drawing u_1 or u_2.  Full independence would
     require r = sqrt(2), outside the accepted [0, 1] range, so the residual
     inter-fiber correlation at r = 1 is 0.5.
     """
+    x1 = np.sqrt(1.0 - 0.5 * ratio * ratio) * draw(0)
+    x2 = x1.copy()
+    if ratio > 0.0:
+        d = ratio / np.sqrt(2.0)
+        x1 += d * draw(1)
+        x2 += d * draw(2)
+    return x1, x2
+
+
+def correlated_pair(spec: NoiseSpec, differential_ratio, n, tau0, seed):
+    """Two fiber noise records: the spec's stochastic parts combined by
+    ``fiber_pair``, plus its diurnal term as pure common mode."""
     r = float(differential_ratio)
     if not 0.0 <= r <= 1.0:
         raise InvalidInputError(f"differential_ratio must be in [0, 1], got {r}")
     stoch = NoiseSpec(powerlaw=spec.powerlaw, bursts=spec.bursts)
-    c = np.sqrt(1.0 - 0.5 * r * r)
-    d = r / np.sqrt(2.0)
-    common = gen_noise(stoch, n, tau0, component_rng(seed, "pair", 0).integers(2 ** 63))
-    x1 = c * common.samples
-    x2 = x1.copy()
-    if r > 0.0:
-        u1 = gen_noise(stoch, n, tau0, component_rng(seed, "pair", 1).integers(2 ** 63))
-        u2 = gen_noise(stoch, n, tau0, component_rng(seed, "pair", 2).integers(2 ** 63))
-        x1 = x1 + d * u1.samples
-        x2 = x2 + d * u2.samples
+    x1, x2 = fiber_pair(r, lambda j: gen_noise(
+        stoch, n, tau0, component_rng(seed, "pair", j).integers(2 ** 63)).samples)
     if spec.diurnal is not None:
         diurnal = gen_diurnal(spec.diurnal.amplitude_s, spec.diurnal.period_s,
                               spec.diurnal.phase_rad, n, tau0).samples
-        x1 = x1 + diurnal
-        x2 = x2 + diurnal
+        x1 += diurnal
+        x2 += diurnal
     return (PhaseSeries(x1, tau0, label="fiber1"),
             PhaseSeries(x2, tau0, label="fiber2"))

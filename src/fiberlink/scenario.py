@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -28,17 +29,20 @@ from . import io as fio
 from .comb import (BudgetEntry, CombParams, CounterChainConfig,
                    absolute_freq_estimate, as_fraction, count_chain,
                    rep_rate_lock, stability_budget)
-from .control import (ControllerConfig, LinkLoopConfig, loop_suppression,
-                      run_closed_loop)
+from .control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig,
+                      loop_suppression, run_closed_loop)
 from .errors import DivergenceError, InvalidInputError, ScenarioValidationError
 from .link import (ActuatorState, Carrier, measurement_lowpass,
                    sample_every, to_radians)
-from .noise import (BurstSpec, NoiseSpec, component_rng, gen_bursts,
-                    gen_diurnal, gen_power_law_phase, white_fm_level_for)
+from .noise import (BurstSpec, NoiseSpec, component_rng, fiber_pair,
+                    gen_bursts, gen_diurnal, gen_power_law_phase,
+                    white_fm_level_for)
 from .series import AdevCurve, FracFreqSeries, PhaseSeries
-from .stability import allan_deviation, allan_deviation_phase, psd_welch
+from .stability import (_tau_multiple, allan_deviation, allan_deviation_phase,
+                        psd_welch)
 
 PRESETS = ("fig1", "fig4", "budget")
+_GATE_S = 1.0       # counting gate of the full-rate measurement chain
 
 # Defaults; leaves marked in _ASSUMED are calibration assumptions (the
 # measured record reports outcomes, not these inputs).
@@ -200,21 +204,22 @@ class RunReport:
         return path
 
 
-def _deep_merge(base, override, path="", provenance=None, problems=None):
-    """Merge override into a copy of base, flagging unknown keys."""
+def _deep_merge(base, override, problems, provenance=None, path=""):
+    """Merge override into a copy of base, listing unknown keys and tables
+    overridden with a non-object (which keep their defaults)."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
-            if problems is not None:
-                problems.append(f"unknown key {here!r}")
-            continue
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _deep_merge(base[key], value, here, provenance, problems)
-        else:
+            problems.append(f"unknown key {here!r}")
+        elif not isinstance(base[key], dict):
             out[key] = copy.deepcopy(value)
             if provenance is not None:
                 provenance.add(here)
+        elif isinstance(value, dict):
+            out[key] = _deep_merge(base[key], value, problems, provenance, here)
+        else:
+            problems.append(f"{here} must be an object, got {value!r}")
     return out
 
 
@@ -256,10 +261,10 @@ def load_scenario(path_or_dict) -> Scenario:
         if preset not in PRESETS:
             raise ScenarioValidationError(
                 [f"unknown preset {preset!r}; available: {', '.join(PRESETS)}"])
-        base = _deep_merge(_DEFAULTS, _PRESET_OVERRIDES[preset])
+        base = _deep_merge(_DEFAULTS, _PRESET_OVERRIDES[preset], problems)
         base["preset"] = preset
     user_paths = set()
-    data = _deep_merge(base, raw, provenance=user_paths, problems=problems)
+    data = _deep_merge(base, raw, problems, provenance=user_paths)
 
     problems.extend(_validate(data))
     if problems:
@@ -282,8 +287,25 @@ def _section_enabled(data, path):
     return True
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_real(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:          # an integer beyond the float range
+        return False
+
+
+def _is_multiple(tau, tau0):
+    try:
+        _tau_multiple(tau, tau0)
+    except InvalidInputError:
+        return False
+    return True
 
 
 def _validate(data):
@@ -299,9 +321,14 @@ def _validate(data):
         return ok
 
     seed = data.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
+    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
         problems.append(f"seed must be a 64-bit non-negative integer, got {seed!r}")
 
+    for flag in ("link.enabled", "comb.enabled", "budget.enabled",
+                 "outputs.write_decimated_series"):
+        section, key = flag.split(".")
+        if not isinstance(data[section][key], bool):
+            problems.append(f"{flag} must be true or false, got {data[section][key]!r}")
     if not any(data[s]["enabled"] for s in ("link", "comb", "budget")):
         problems.append("nothing to run: enable at least one of link, comb, budget "
                         "(or choose a preset)")
@@ -328,13 +355,14 @@ def _validate(data):
         if not (_is_real(overlap) and 0.0 <= overlap < 1.0):
             problems.append(f"outputs.psd_overlap must be in [0, 1), got {overlap!r}")
         topo = data["controllers"]["topology"]
-        if topo not in ("series", "independent", "off"):
-            problems.append(f"controllers.topology must be series|independent|off, got {topo!r}")
+        if topo not in RUN_TOPOLOGIES:
+            problems.append(f"controllers.topology must be {'|'.join(RUN_TOPOLOGIES)}, "
+                            f"got {topo!r}")
         run_c = data["run"]
         if ok["link.step_s"] and ok["link.length_km"] and ok["link.delay_per_km_s"]:
             step = data["link"]["step_s"]
             one_way = data["link"]["length_km"] * data["link"]["delay_per_km_s"]
-            if int(round(one_way / step)) < 1:
+            if not one_way / step > 0.5:       # rounds to zero delay steps
                 problems.append(
                     f"link.step_s={step} too coarse to resolve the one-way delay {one_way:g} s")
         if ok["outputs.psd_segment_s"] and ok["run.fullrate_duration_s"] \
@@ -347,30 +375,41 @@ def _validate(data):
             problems.append(
                 f"run.transient_discard_s={run_c['transient_discard_s']:g} must be shorter "
                 f"than run.fullrate_duration_s={run_c['fullrate_duration_s']:g}")
-        for tau_key, dur_key in (("outputs.adev_taus_s", "run.decimated_duration_s"),
-                                 ("outputs.fullrate_taus_s", "run.fullrate_duration_s")):
+        # Each Allan tau is a whole number of its record's samples: decimated
+        # steps, or the 1 s counting gates of the full-rate chain.
+        for tau_key, dur_key, tau0_name, tau0, tau0_ok in (
+                ("outputs.adev_taus_s", "run.decimated_duration_s", "run.decimated_step_s",
+                 run_c["decimated_step_s"], ok["run.decimated_step_s"]),
+                ("outputs.fullrate_taus_s", "run.fullrate_duration_s", "the counting gate",
+                 _GATE_S, True)):
             taus = data["outputs"][tau_key.split(".")[1]]
             duration = run_c[dur_key.split(".")[1]]
-            if not taus:
-                problems.append(f"{tau_key} must not be empty")
-            elif not (isinstance(taus, list) and all(_is_real(t) and t > 0 for t in taus)):
+            if not isinstance(taus, list) or not taus:
+                problems.append(f"{tau_key} must be a non-empty list, got {taus!r}")
+                continue
+            if not all(_is_real(t) and t > 0 for t in taus):
                 problems.append(f"{tau_key} must be a list of positive numbers, got {taus!r}")
-            elif ok[dur_key] and duration < 4 * max(taus):
+                continue
+            if ok[dur_key] and duration < 4 * max(taus):
                 problems.append(
                     f"{dur_key}={duration:g} s is shorter than 4 x the largest "
                     f"requested tau in {tau_key} ({max(taus):g} s)")
+            off_grid = [t for t in taus if not _is_multiple(t, tau0)] if tau0_ok else []
+            if off_grid:
+                problems.append(f"{tau_key} entries {off_grid} are not integer multiples "
+                                f"of {tau0_name} ({tau0:g} s)")
 
     if data["comb"]["enabled"]:
         c = data["comb"]
-        if not (isinstance(c["q"], int) and c["q"] > 0):
+        if not (_is_int(c["q"]) and c["q"] > 0):
             problems.append(f"comb.q must be a positive integer, got {c['q']!r}")
         for p in ("comb.if_target_hz", "comb.final_shift_target_hz",
                   "comb.filter_bw_hz", "comb.gate_s", "comb.optical_sigma_1s",
                   "comb.reference_sigma_1s", "comb.link_sigma_1s"):
             positive(p)
-        if not (isinstance(c["n_gates"], int) and c["n_gates"] >= 8):
+        if not (_is_int(c["n_gates"]) and c["n_gates"] >= 8):
             problems.append(f"comb.n_gates must be an integer >= 8, got {c['n_gates']!r}")
-        if c["sign"] not in (1, -1):
+        if not (_is_int(c["sign"]) and c["sign"] in (1, -1)):
             problems.append(f"comb.sign must be 1 or -1, got {c['sign']!r}")
 
     if data["budget"]["enabled"]:
@@ -381,10 +420,10 @@ def _validate(data):
                 for e in b["contributions"]):
             problems.append("budget.contributions must be a list of "
                             "{label, sigma_at_1s} objects")
-        if not (isinstance(b["records"], int) and b["records"] >= 2):
+        if not (_is_int(b["records"]) and b["records"] >= 2):
             problems.append("budget.records must be an integer >= 2")
         positive("budget.record_sigma_hz")
-        if not (isinstance(b["record_gates"], int) and b["record_gates"] >= 1):
+        if not (_is_int(b["record_gates"]) and b["record_gates"] >= 1):
             problems.append("budget.record_gates must be an integer >= 1")
 
     return problems
@@ -399,10 +438,31 @@ def _chain_enbw_hz(measurement_bw_hz):
     return 0.5 * np.pi * measurement_bw_hz
 
 
-def _correlation_coeffs(ratio):
-    # fiber_i = c*common + d*u_i keeps the single-fiber level and makes the
-    # fiber difference carry exactly `ratio` times the single-fiber noise.
-    return np.sqrt(1.0 - 0.5 * ratio * ratio), ratio / np.sqrt(2.0)
+def _sub_seed(seed, *tags):
+    return int(component_rng(seed, *tags).integers(2 ** 63))
+
+
+def _diurnal(noise, n, step):
+    return gen_diurnal(noise["diurnal_amplitude_s"], noise["diurnal_period_s"],
+                       noise["diurnal_phase_rad"], n, step).samples
+
+
+def _burst_spec(noise):
+    return BurstSpec(noise["burst_rate_per_s"], noise["burst_amp_median_s"],
+                     noise["burst_amp_sigma"], noise["burst_duration_s"])
+
+
+def _walk(level, n, step, seed, *tags):
+    """Random-walk FM phase record at ``level`` with its own sub-seed."""
+    return gen_power_law_phase(NoiseSpec(powerlaw=((-2, level),)), n, step,
+                               _sub_seed(seed, *tags)).samples
+
+
+def _add_pair(x1, x2, ratio, draw):
+    """Add a ``fiber_pair`` onto two fiber records in place."""
+    p1, p2 = fiber_pair(ratio, draw)
+    x1 += p1
+    x2 += p2
 
 
 def _counted_series(x: PhaseSeries, measurement_bw_hz, gate_s) -> PhaseSeries:
@@ -420,39 +480,21 @@ def _run_fullrate(scn, seed, report):
     one_way_delay = link["length_km"] * link["delay_per_km_s"]
     m = int(round(one_way_delay / dt))
 
-    # Per-fiber noise: white PM (flat S_x) + common diurnal + bursts + walk.
-    sigma_w = np.sqrt(link["noise"]["white_pm_sx_s2_per_hz"] * fs / 2.0)
-    c, d = _correlation_coeffs(link["noise"]["differential_ratio"])
-    u = [component_rng(seed, "fullrate-white", j).standard_normal(n) * sigma_w
-         for j in range(3)]
-    n1 = c * u[0] + d * u[1]
-    n2 = c * u[0] + d * u[2]
-    del u
-    diurnal = gen_diurnal(link["noise"]["diurnal_amplitude_s"],
-                          link["noise"]["diurnal_period_s"],
-                          link["noise"]["diurnal_phase_rad"], n, dt).samples
-    n1 = n1 + diurnal
-    n2 = n2 + diurnal
+    # Per-fiber noise: white PM (flat S_x) + common diurnal + walk + bursts.
+    noise = link["noise"]
+    ratio = noise["differential_ratio"]
+    sigma_w = np.sqrt(noise["white_pm_sx_s2_per_hz"] * fs / 2.0)
+    n1, n2 = fiber_pair(ratio, lambda j: component_rng(
+        seed, "fullrate-white", j).standard_normal(n) * sigma_w)
+    diurnal = _diurnal(noise, n, dt)
+    n1 += diurnal
+    n2 += diurnal
     del diurnal
-    if link["noise"]["walk_fm_h"] > 0:
-        spec = NoiseSpec(powerlaw=((-2, link["noise"]["walk_fm_h"]),))
-        w = [gen_power_law_phase(
-                spec, n, dt,
-                int(component_rng(seed, "fullrate-walk", j).integers(2 ** 63))).samples
-             for j in range(3)]
-        n1 = n1 + c * w[0] + d * w[1]
-        n2 = n2 + c * w[0] + d * w[2]
-        del w
-    burst_spec = BurstSpec(link["noise"]["burst_rate_per_s"],
-                           link["noise"]["burst_amp_median_s"],
-                           link["noise"]["burst_amp_sigma"],
-                           link["noise"]["burst_duration_s"])
-    bu = [gen_bursts(burst_spec, n, dt,
-                     int(component_rng(seed, "fullrate-bursts", j).integers(2 ** 63))).samples
-          for j in range(3)]
-    n1 = n1 + c * bu[0] + d * bu[1]
-    n2 = n2 + c * bu[0] + d * bu[2]
-    del bu
+    if noise["walk_fm_h"] > 0:
+        _add_pair(n1, n2, ratio, lambda j: _walk(noise["walk_fm_h"], n, dt, seed,
+                                                 "fullrate-walk", j))
+    _add_pair(n1, n2, ratio, lambda j: gen_bursts(
+        _burst_spec(noise), n, dt, _sub_seed(seed, "fullrate-bursts", j)).samples)
 
     floor = link["detector"]["floor_rad_per_rthz"]
     f_ret = link["carrier_return_hz"]
@@ -478,7 +520,7 @@ def _run_fullrate(scn, seed, report):
     probe = settled(result.probe_rt, "open_probe_rt")
 
     taus = scn["outputs"]["fullrate_taus_s"]
-    counted = {name: _counted_series(series, bw, 1.0)
+    counted = {name: _counted_series(series, bw, _GATE_S)
                for name, series in (("closed_rt", rt), ("closed_one_way", ow),
                                     ("open_rt", probe))}
     curves = {name: allan_deviation_phase(series, taus, estimator="overlapping")
@@ -493,18 +535,18 @@ def _run_fullrate(scn, seed, report):
             "m": m, "dt": dt}
 
 
+def _controller(ctl):
+    # Both loops share the gains; only the far-end loop reads the crossover.
+    return ControllerConfig(unity_gain_hz=ctl["unity_gain_hz"],
+                            integrator_corner_hz=ctl["integrator_corner_hz"],
+                            crossover_hz=ctl["crossover_hz"])
+
+
 def _loop_config(scn, m):
     ctl = scn["controllers"]
-    c1 = ControllerConfig(topology="rf_conjugation_near_end",
-                          unity_gain_hz=ctl["unity_gain_hz"],
-                          integrator_corner_hz=ctl["integrator_corner_hz"])
-    c2 = ControllerConfig(topology="optical_far_end",
-                          unity_gain_hz=ctl["unity_gain_hz"],
-                          integrator_corner_hz=ctl["integrator_corner_hz"],
-                          crossover_hz=ctl["crossover_hz"])
     return LinkLoopConfig(
         dt=scn["link"]["step_s"], m1=m, m2=m,
-        controller1=c1, controller2=c2,
+        controller1=_controller(ctl), controller2=_controller(ctl),
         rf_shifter=ActuatorState("rf_phase_shifter", ctl["rf_shifter_range_s"],
                                  ctl["rf_shifter_bandwidth_hz"]),
         piezo=ActuatorState("piezo_stretcher", ctl["piezo_range_s"],
@@ -527,38 +569,22 @@ def _run_decimated(scn, seed, report):
     enbw = _chain_enbw_hz(link["detector"]["measurement_bw_hz"])
 
     # Slow per-fiber records (diurnal common; bursts and walk split).
-    c, d = _correlation_coeffs(link["noise"]["differential_ratio"])
-    diurnal = gen_diurnal(link["noise"]["diurnal_amplitude_s"],
-                          link["noise"]["diurnal_period_s"],
-                          link["noise"]["diurnal_phase_rad"], n, step).samples
-    slow1 = diurnal.copy()
-    slow2 = diurnal.copy()
-    burst_spec = BurstSpec(link["noise"]["burst_rate_per_s"],
-                           link["noise"]["burst_amp_median_s"],
-                           link["noise"]["burst_amp_sigma"],
-                           link["noise"]["burst_duration_s"])
-    bu = [gen_bursts(burst_spec, n, step,
-                     int(component_rng(seed, "dec-bursts", j).integers(2 ** 63))).samples
-          for j in range(3)]
-    slow1 += c * bu[0] + d * bu[1]
-    slow2 += c * bu[0] + d * bu[2]
-    del bu
-    if link["noise"]["walk_fm_h"] > 0:
-        spec = NoiseSpec(powerlaw=((-2, link["noise"]["walk_fm_h"]),))
-        w = [gen_power_law_phase(
-                spec, n, step,
-                int(component_rng(seed, "dec-walk", j).integers(2 ** 63))).samples
-             for j in range(3)]
-        slow1 += c * w[0] + d * w[1]
-        slow2 += c * w[0] + d * w[2]
-        del w
+    noise = link["noise"]
+    ratio = noise["differential_ratio"]
+    slow1, slow2 = fiber_pair(ratio, lambda j: gen_bursts(
+        _burst_spec(noise), n, step, _sub_seed(seed, "dec-bursts", j)).samples)
+    diurnal = _diurnal(noise, n, step)
+    slow1 += diurnal
+    slow2 += diurnal
+    del diurnal
+    if noise["walk_fm_h"] > 0:
+        _add_pair(slow1, slow2, ratio, lambda j: _walk(noise["walk_fm_h"], n, step,
+                                                       seed, "dec-walk", j))
 
     # Measurement-band white content of each 1 s sample.
-    sigma_fiber = np.sqrt(link["noise"]["white_pm_sx_s2_per_hz"] * enbw)
-    u = [component_rng(seed, "dec-white", j).standard_normal(n) * sigma_fiber
-         for j in range(3)]
-    white1 = c * u[0] + d * u[1]
-    del u
+    sigma_fiber = np.sqrt(noise["white_pm_sx_s2_per_hz"] * enbw)
+    white1, _ = fiber_pair(ratio, lambda j: component_rng(
+        seed, "dec-white", j).standard_normal(n) * sigma_fiber)
 
     open_rt = PhaseSeries(2.0 * (slow1 + white1), step, label="open_rt_decimated")
     del white1
@@ -568,10 +594,8 @@ def _run_decimated(scn, seed, report):
     one_way_delay = link["length_km"] * link["delay_per_km_s"]
     m = max(int(round(one_way_delay / link["step_s"])), 1)
     rt_delay = 2.0 * m * link["step_s"]
-    c2cfg = ControllerConfig(unity_gain_hz=ctl["unity_gain_hz"],
-                             integrator_corner_hz=ctl["integrator_corner_hz"])
-    sup1 = loop_suppression(PhaseSeries(slow1, step), c2cfg, rt_delay).samples
-    sup2 = loop_suppression(PhaseSeries(slow2, step), c2cfg, rt_delay).samples
+    sup1 = loop_suppression(PhaseSeries(slow1, step), _controller(ctl), rt_delay).samples
+    sup2 = loop_suppression(PhaseSeries(slow2, step), _controller(ctl), rt_delay).samples
     del slow1, slow2
 
     s_det_x = (link["detector"]["floor_rad_per_rthz"] ** 2
@@ -581,10 +605,8 @@ def _run_decimated(scn, seed, report):
     closed = sup1 + sup2 + det
     del sup1, sup2, det
     if ctl["closed_floor_walk_fm_h"] > 0:
-        spec = NoiseSpec(powerlaw=((-2, ctl["closed_floor_walk_fm_h"]),))
-        closed = closed + gen_power_law_phase(
-            spec, n, step,
-            int(component_rng(seed, "dec-closed-floor").integers(2 ** 63))).samples
+        closed = closed + _walk(ctl["closed_floor_walk_fm_h"], n, step, seed,
+                                "dec-closed-floor")
     closed_rt = PhaseSeries(closed, step, label="closed_rt_decimated")
 
     # Thermal authority check for the slow correction the loops must absorb.
@@ -615,13 +637,11 @@ def _reference_model_curves(scn, seed):
     white_pm = component_rng(seed, "cso-white").standard_normal(n) * sigma_x
     flicker = gen_power_law_phase(
         NoiseSpec(powerlaw=((-1, (1.5e-15) ** 2 / (2.0 * np.log(2.0))),)),
-        n, step, int(component_rng(seed, "cso-flicker").integers(2 ** 63))).samples
+        n, step, _sub_seed(seed, "cso-flicker")).samples
     cso = PhaseSeries(white_pm + flicker, step, label="cso_model")
 
     fountain_spec = NoiseSpec(powerlaw=((0, white_fm_level_for(1.6e-14)),))
-    fountain = gen_power_law_phase(
-        fountain_spec, n, step,
-        int(component_rng(seed, "fountain").integers(2 ** 63)))
+    fountain = gen_power_law_phase(fountain_spec, n, step, _sub_seed(seed, "fountain"))
 
     return {
         "cso_reference": allan_deviation_phase(cso, taus, estimator="overlapping"),

@@ -36,7 +36,7 @@ def phase_to_frac_freq(x: PhaseSeries) -> FracFreqSeries:
 
 def _tau_multiple(tau, tau0):
     m = tau / tau0
-    mi = int(round(m))
+    mi = int(round(m)) if np.isfinite(m) else 0
     if mi < 1 or abs(m - mi) > 1e-6 * max(abs(m), 1.0):
         raise InvalidInputError(
             f"tau={tau} is not an integer multiple of tau0={tau0}")

@@ -3,36 +3,51 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
-from fiberlink.control import (ControllerConfig, LinkLoopConfig, LoopState,
+from fiberlink.control import (ControllerConfig, LinkLoopConfig,
                                critical_frequency, find_divergence_onset,
                                integrator_loop_diverges, loop_gain,
-                               loop_suppression, optical_far_end_step,
-                               rf_conjugation_step, run_closed_loop)
+                               loop_suppression, run_closed_loop)
 from fiberlink.errors import DivergenceError, InvalidInputError
-from fiberlink.link import ActuatorState, Carrier, FiberPath, propagate
+from fiberlink.link import ActuatorState, FiberPath, propagate
 from fiberlink.series import PhaseSeries
 
-CARRIER = Carrier(1e8)
+ENGINES = ("lfilter", "stepped")
 CFG = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0)
-CFG_OPT = ControllerConfig(topology="optical_far_end", unity_gain_hz=300.0,
-                           integrator_corner_hz=30.0, crossover_hz=0.1)
+CFG_OPT = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0,
+                           crossover_hz=0.1)
 
 
 def make_link(dt=1e-4, m=2, topology="series", c2=CFG_OPT,
-              rf_range=1e-6, pz_range=1e-6, th_range=1e-5):
+              rf_range=1e-6, pz_range=1e-6, th_range=1e-5,
+              pz_bw=5e3, th_bw=0.3):
     return LinkLoopConfig(
         dt=dt, m1=m, m2=m, controller1=CFG, controller2=c2,
         rf_shifter=ActuatorState("rf_phase_shifter", rf_range, 5e4),
-        piezo=ActuatorState("piezo_stretcher", pz_range, 5e3),
-        thermal=ActuatorState("thermal_spool", th_range, 0.3),
+        piezo=ActuatorState("piezo_stretcher", pz_range, pz_bw),
+        thermal=ActuatorState("thermal_spool", th_range, th_bw),
         topology=topology)
 
 
 class TestCriticalFrequency:
     def test_reported_delay(self):
-        # 0.4 ms round trip puts the instability boundary at 625 Hz; the
-        # 300 Hz operating point sits near half of it with ~45 deg margin.
+        # 0.4 ms round trip puts the instability boundary at 625 Hz.
         assert critical_frequency(0.4e-3) == pytest.approx(625.0)
+
+    def test_default_margin_from_loop_gain(self):
+        # |kp/s + ki/s^2| = 1 solves in closed form for the unity-gain
+        # frequency; the phase there is -90 deg - atan(ki/(kp w)) - w tau.
+        tau = 0.4e-3
+        cfg = ControllerConfig()
+        kp, ki = cfg.gains()
+        w_u = np.sqrt((kp ** 2 + np.sqrt(kp ** 4 + 4 * ki ** 2)) / 2)
+        f_u = w_u / (2 * np.pi)
+        L = loop_gain([f_u], cfg, tau)[0]
+        assert abs(L) == pytest.approx(1.0, rel=1e-12)
+        margin = 180.0 + np.degrees(np.angle(L))
+        analytic = 90.0 - np.degrees(np.arctan(ki / (kp * w_u)) + w_u * tau)
+        assert margin == pytest.approx(analytic, abs=1e-9)
+        assert margin == pytest.approx(40.90, abs=0.005)
+        assert f_u / critical_frequency(tau) == pytest.approx(0.482, abs=5e-4)
 
     def test_inverse_proportionality(self):
         assert critical_frequency(0.8e-3) == pytest.approx(312.5)
@@ -49,59 +64,64 @@ class TestCriticalFrequency:
 
 
 class TestStepControllers:
+    """Servo behaviours at the controller level, through ``run_closed_loop``.
+
+    Clamping, anti-windup and offload exist only in the stepped engine.
+    """
+
     def test_zero_error_zero_command(self):
-        state = LoopState()
-        cmd = rf_conjugation_step(0.0, state, CFG, CARRIER, 1e-4)
-        assert cmd == 0.0
-
-    def test_open_loop_rejected(self):
-        state = LoopState(closed=False)
-        with pytest.raises(InvalidInputError):
-            rf_conjugation_step(0.0, state, CFG, CARRIER, 1e-4)
-
-    def test_static_conjugation_identity(self):
-        # Static round-trip perturbation 2*delta: the pre-correction settles
-        # at -delta and the one-way residual vanishes.
-        dt = 1e-4
-        delta = 3e-12
-        state = LoopState()
-        cmd_hist = [0.0] * 4
-        cmd = 0.0
-        for _ in range(40_000):
-            rt_error_s = 2 * cmd_hist[-4] + 2 * delta
-            cmd = rf_conjugation_step(rt_error_s * 2 * np.pi * 1e8,
-                                      state, CFG, CARRIER, dt)
-            cmd_hist.append(cmd)
-        assert cmd == pytest.approx(-delta, rel=1e-3)
-        assert cmd + delta == pytest.approx(0.0, abs=1e-17)
+        z = np.zeros(5000)
+        res = run_closed_loop(make_link(), z, z, z, z, engine="stepped")
+        assert np.all(res.c1_applied == 0.0)
+        assert res.warnings == ()
 
     def test_optical_far_end_zero(self):
-        state = LoopState(piezo=ActuatorState("piezo_stretcher", 1e-11, 5e3),
-                          thermal=ActuatorState("thermal_spool", 1e-9, 0.3))
-        pz, th = optical_far_end_step(0.0, state, CFG_OPT, CARRIER, 1e-4)
-        assert pz == 0.0 and th == 0.0
+        # The far-end loop alone, offload on: piezo and thermal stay at rest.
+        z = np.zeros(5000)
+        res = run_closed_loop(make_link(topology="independent", pz_range=1e-11,
+                                        th_range=1e-9),
+                              z, z, z, z, engine="stepped")
+        assert np.all(res.a2_applied == 0.0)
+        assert res.warnings == ()
+
+    def test_static_conjugation_identity(self):
+        # A static delay delta on fiber 1 is a round-trip error 2*delta: the
+        # pre-correction settles at -delta and the one-way residual vanishes.
+        delta = 3e-12
+        n = 40_000
+        z = np.zeros(n)
+        for engine in ENGINES:
+            res = run_closed_loop(make_link(), np.full(n, delta), z, z, z,
+                                  engine=engine)
+            assert res.c1_applied[-1] == pytest.approx(-delta, rel=1e-3), engine
+            assert res.one_way[-1] == pytest.approx(0.0, abs=1e-17), engine
 
     def test_offload_desaturates_piezo(self):
-        # A drift beyond the piezo range saturates it; the thermal spool
-        # absorbs the DC and the piezo comes back off its stop.
+        # An 80 ps drift on fiber 2 exceeds the 30 ps piezo range.  With
+        # offload the thermal spool absorbs it and the correction reaches
+        # -80 ps; without, it stays pinned at the piezo's range.
         dt = 1e-2
-        cfg = ControllerConfig(topology="optical_far_end", unity_gain_hz=3.0,
-                               integrator_corner_hz=0.3, crossover_hz=0.01)
-        state = LoopState(piezo=ActuatorState("piezo_stretcher", 3e-11, 50.0),
-                          thermal=ActuatorState("thermal_spool", 1e-8, 0.2))
-        hist = [0.0]
-        saturated_seen = False
         n = 30_000
-        for k in range(n):
-            drift = min(k * dt / 30.0, 1.0) * 8e-11    # 80 ps in 30 s, then hold
-            idx = max(len(hist) - 3, 0)
-            err_s = 2 * hist[idx] + 2 * drift
-            optical_far_end_step(err_s * 2 * np.pi * 1e8, state, cfg, CARRIER, dt)
-            hist.append(state.applied_s())
-            saturated_seen = saturated_seen or state.piezo.saturated
-        assert saturated_seen
-        assert abs(state.piezo.position_s) < 0.9 * state.piezo.range_s
-        assert state.applied_s() == pytest.approx(-8e-11, rel=0.05)
+        drift = np.minimum(np.arange(n) * dt / 30.0, 1.0) * 8e-11
+        z = np.zeros(n)
+        for crossover_hz, settled in ((0.01, -8e-11), (0.0, -3e-11)):
+            c2 = ControllerConfig(unity_gain_hz=3.0, integrator_corner_hz=0.3,
+                                  crossover_hz=crossover_hz)
+            cfg = make_link(dt=dt, m=1, topology="independent", c2=c2,
+                            pz_range=3e-11, th_range=1e-8, pz_bw=50.0, th_bw=0.2)
+            res = run_closed_loop(cfg, z, drift, z, z, engine="stepped")
+            assert "piezo_stretcher saturated (offload engaged)" in res.warnings
+            assert res.a2_applied[-1] == pytest.approx(settled, rel=0.05)
+
+    def test_rf_clamp(self):
+        # A 3 ps drift against a 1 ps RF shifter: the stepped engine clamps
+        # the correction at the range and flags it.
+        n = 20_000
+        z = np.zeros(n)
+        res = run_closed_loop(make_link(rf_range=1e-12), np.full(n, 3e-12), z, z, z,
+                              engine="stepped")
+        assert np.max(np.abs(res.c1_applied)) == pytest.approx(1e-12, rel=1e-9)
+        assert "rf_phase_shifter saturated" in res.warnings
 
 
 class TestClosedLoopRun:
@@ -125,8 +145,8 @@ class TestClosedLoopRun:
         zeros = PhaseSeries(np.zeros(n), dt)
         path1 = FiberPath(length_km=2 * dt / 5e-6, noise=PhaseSeries(n1, dt))
         path2 = FiberPath(length_km=2 * dt / 5e-6, noise=PhaseSeries(n2, dt))
-        one_way = propagate(zeros, path1, CARRIER)
-        rt = propagate(one_way, path2, CARRIER)
+        one_way = propagate(zeros, path1)
+        rt = propagate(one_way, path2)
         assert np.array_equal(res.one_way, one_way.samples)
         assert np.array_equal(res.round_trip, rt.samples)
 
@@ -137,8 +157,8 @@ class TestClosedLoopRun:
         n2 = rng.standard_normal(n) * 1.5e-13
         d1 = rng.standard_normal(n) * 1.7e-13
         d2 = rng.standard_normal(n) * 1.7e-13
-        c2 = ControllerConfig(topology="optical_far_end", unity_gain_hz=300.0,
-                              integrator_corner_hz=30.0, crossover_hz=0.0)
+        c2 = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0,
+                              crossover_hz=0.0)
         cfg = make_link(c2=c2)
         ra = run_closed_loop(cfg, n1, n2, d1, d2, engine="lfilter")
         rb = run_closed_loop(cfg, n1, n2, d1, d2, engine="stepped")

@@ -4,8 +4,9 @@ import pytest
 import fiberlink as fl
 from fiberlink.errors import InvalidInputError
 from fiberlink.noise import (BurstSpec, DiurnalSpec, NoiseSpec, burst_pulse,
-                             component_rng, correlated_pair, gen_bursts,
-                             gen_diurnal, gen_noise, gen_power_law_phase)
+                             component_rng, correlated_pair, fiber_pair,
+                             gen_bursts, gen_diurnal, gen_noise,
+                             gen_power_law_phase)
 from fiberlink.series import PhaseSeries
 from fiberlink.stability import allan_deviation_phase, fit_power_law
 
@@ -173,6 +174,19 @@ class TestCorrelatedPair:
     def test_ratio_zero_identical(self):
         f1, f2 = correlated_pair(self.spec, 0.0, 2000, 1.0, 7)
         assert np.array_equal(f1.samples, f2.samples)
+
+    def test_fiber_pair_mix(self):
+        # fiber_i = c u_0 + d u_i exactly; r = 0 never draws u_1 or u_2.
+        u = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-4.0, 0.25])]
+        r = 0.3
+        c, d = np.sqrt(1.0 - 0.5 * r * r), r / np.sqrt(2.0)
+        x1, x2 = fiber_pair(r, lambda j: u[j])
+        assert np.array_equal(x1, c * u[0] + d * u[1])
+        assert np.array_equal(x2, c * u[0] + d * u[2])
+        drawn = []
+        x1, x2 = fiber_pair(0.0, lambda j: drawn.append(j) or u[j])
+        assert drawn == [0]
+        assert np.array_equal(x1, u[0]) and np.array_equal(x2, u[0])
 
     def test_ratio_out_of_range(self):
         with pytest.raises(InvalidInputError):

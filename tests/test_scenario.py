@@ -5,11 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
 from fiberlink.errors import ScenarioValidationError
 from fiberlink.io import read_adev_csv
-from fiberlink.scenario import compare_curves, load_scenario, run
+from fiberlink.scenario import PRESETS, Scenario, compare_curves, load_scenario, run
 
 
 # A short fig1 run: 20 s full rate after a 5 s discard, 4000 s decimated.
@@ -80,6 +81,55 @@ class TestLoadScenario:
         assert any("run.transient_discard_s=20" in p for p in err.value.problems)
         assert any("walk_fm_h" in p for p in err.value.problems)
 
+    def test_table_overridden_with_non_object_listed(self):
+        problems = _problems({"seed": 1, "preset": "fig1", "link": 5})
+        assert problems == ["link must be an object, got 5"]
+        problems = _problems({"seed": 1, "preset": "fig1", "link": {"noise": []}})
+        assert problems == ["link.noise must be an object, got []"]
+
+    def test_every_table_refuses_a_non_object(self):
+        tables = []
+
+        def walk(tree, path):
+            for key, value in tree.items():
+                if isinstance(value, dict):
+                    tables.append(path + (key,))
+                    walk(value, path + (key,))
+        walk(load_scenario({"seed": 1, "preset": "fig1"}).data, ())
+        assert len(tables) == 8
+        for table in tables:
+            override = leaf = {}
+            for key in table[:-1]:
+                leaf[key] = {}
+                leaf = leaf[key]
+            leaf[table[-1]] = "x"
+            problems = _problems({"seed": 1, "preset": "fig1", **override})
+            assert f"{'.'.join(table)} must be an object, got 'x'" in problems
+
+    def test_non_boolean_flags_listed(self):
+        problems = _problems({"seed": 1, "preset": "fig1",
+                              "link": {"enabled": "yes"}, "comb": {"enabled": 1},
+                              "budget": {"enabled": None},
+                              "outputs": {"write_decimated_series": "no"}})
+        for flag in ("link.enabled", "comb.enabled", "budget.enabled",
+                     "outputs.write_decimated_series"):
+            assert any(p.startswith(f"{flag} must be true or false") for p in problems), flag
+
+    def test_taus_off_their_sample_grid_listed(self):
+        # Refused at load, not by the Allan estimator during the run.
+        problems = _problems({"seed": 1, "preset": "fig1",
+                              "outputs": {"adev_taus_s": [1.5, 3],
+                                          "fullrate_taus_s": [0.5, 2]}})
+        assert problems == [
+            "outputs.adev_taus_s entries [1.5] are not integer multiples of "
+            "run.decimated_step_s (1 s)",
+            "outputs.fullrate_taus_s entries [0.5] are not integer multiples of "
+            "the counting gate (1 s)"]
+        problems = _problems({"seed": 1, "preset": "fig1",
+                              "run": {"decimated_step_s": 10.0}})
+        assert any(p.startswith("outputs.adev_taus_s entries [1, 2, 5] ")
+                   for p in problems)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario({"seed": 1, "preset": "fig1", "links": {}})
@@ -100,6 +150,43 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario({"seed": 1})
         assert any("nothing to run" in p for p in err.value.problems)
+
+
+def _problems(override):
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(override)
+    return err.value.problems
+
+
+def _override_trees():
+    """Override trees over the real key paths, with mixed-type leaves."""
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+        st.sampled_from([0, 1, -1, 0.5, 1.5, 3, 1e-300, 1e300, 10 ** 400, "fig1"]))
+    values = st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=2)), max_leaves=4)
+
+    def tree(template):
+        return st.fixed_dictionaries({}, optional={
+            key: st.one_of(st.just(default), tree(default), values)
+            if isinstance(default, dict) else st.one_of(st.just(default), values)
+            for key, default in template.items()})
+    template = load_scenario({"seed": 1, "preset": "fig1"}).data
+    return st.tuples(st.sampled_from(PRESETS + (None,)), tree(template)).map(
+        lambda pair: {**pair[1], "preset": pair[0]} if pair[0] else pair[1])
+
+
+class TestLoadProperty:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_override_trees())
+    def test_loads_or_lists_problems(self, override):
+        try:
+            scn = load_scenario(override)
+        except ScenarioValidationError as exc:
+            assert exc.problems
+        else:
+            assert isinstance(scn, Scenario)
 
 
 class TestRunOutputs:
@@ -271,13 +358,13 @@ class TestCli:
         assert "Traceback" not in proc.stderr
 
     def test_run_refused_input_exit_1(self, tmp_path):
-        # Passes validation; the Allan estimator then refuses tau = 1.5 s.
+        # Passes validation; Welch then refuses a one-sample PSD segment.
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(dict(SHORT_FIG1, outputs=dict(
-            SHORT_FIG1["outputs"], fullrate_taus_s=[1.5, 3]))))
+            SHORT_FIG1["outputs"], psd_segment_s=1e-4))))
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
-        assert proc.stderr.strip() == "run failed: tau=1.5 is not an integer multiple of tau0=1.0"
+        assert proc.stderr.strip() == "run failed: segment length 1 must be in [2, 150000]"
 
     def test_run_writes_outputs(self, tmp_path):
         path = tmp_path / "scn.json"
