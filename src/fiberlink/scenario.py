@@ -20,6 +20,7 @@ import copy
 import json
 import math
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -300,6 +301,9 @@ def _is_real(x):
         return False
 
 
+_LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9][0-9_]{3,}")
+
+
 def _is_multiple(tau, tau0):
     try:
         _tau_multiple(tau, tau0)
@@ -319,6 +323,23 @@ def _validate(data):
         if not ok:
             problems.append(f"{path} must be {'non-negative' if allow_zero else 'positive'}, got {node!r}")
         return ok
+
+    def exact(path):
+        # Parsed as comb.as_fraction will parse it during the run.  A string
+        # with an exponent of 1000 or more is refused before parsing: Fraction
+        # would build that power of ten exactly, which takes seconds at 1e10000000.
+        section, key = path.split(".")
+        value = data[section][key]
+        try:
+            ok = (not isinstance(value, bool)
+                  and not (isinstance(value, str) and _LONG_EXPONENT.search(value))
+                  and math.isfinite(as_fraction(value)))
+        except (InvalidInputError, ValueError, TypeError, OverflowError,
+                ZeroDivisionError):
+            ok = False
+        if not ok:
+            problems.append(f"{path} must be a finite number or decimal string, "
+                            f"got {value!r}")
 
     seed = data.get("seed")
     if not (_is_int(seed) and 0 <= seed < 2 ** 64):
@@ -359,12 +380,20 @@ def _validate(data):
             problems.append(f"controllers.topology must be {'|'.join(RUN_TOPOLOGIES)}, "
                             f"got {topo!r}")
         run_c = data["run"]
-        if ok["link.step_s"] and ok["link.length_km"] and ok["link.delay_per_km_s"]:
+        if ok["link.length_km"] and ok["link.delay_per_km_s"]:
             step = data["link"]["step_s"]
             one_way = data["link"]["length_km"] * data["link"]["delay_per_km_s"]
-            if not one_way / step > 0.5:       # rounds to zero delay steps
+            if ok["link.step_s"] and not one_way / step > 0.5:   # zero delay steps
                 problems.append(
                     f"link.step_s={step} too coarse to resolve the one-way delay {one_way:g} s")
+            # Checked from the numbers alone: the servo's delay line would
+            # otherwise be allocated (or refused by numpy) during the run.
+            for dur_key in ("run.fullrate_duration_s", "run.decimated_duration_s"):
+                duration = run_c[dur_key.split(".")[1]]
+                if ok[dur_key] and not 2 * one_way < duration:
+                    problems.append(
+                        f"round-trip delay 2 x link.length_km x link.delay_per_km_s = "
+                        f"{2 * one_way:g} s must be shorter than {dur_key}={duration:g}")
         if ok["outputs.psd_segment_s"] and ok["run.fullrate_duration_s"] \
                 and data["outputs"]["psd_segment_s"] > run_c["fullrate_duration_s"]:
             problems.append(
@@ -399,7 +428,8 @@ def _validate(data):
                 problems.append(f"{tau_key} entries {off_grid} are not integer multiples "
                                 f"of {tau0_name} ({tau0:g} s)")
 
-    if data["comb"]["enabled"]:
+    if data["comb"]["enabled"] or data["budget"]["enabled"]:
+        # The budget's measurement records run through the comb chain too.
         c = data["comb"]
         if not (_is_int(c["q"]) and c["q"] > 0):
             problems.append(f"comb.q must be a positive integer, got {c['q']!r}")
@@ -411,15 +441,27 @@ def _validate(data):
             problems.append(f"comb.n_gates must be an integer >= 8, got {c['n_gates']!r}")
         if not (_is_int(c["sign"]) and c["sign"] in (1, -1)):
             problems.append(f"comb.sign must be 1 or -1, got {c['sign']!r}")
+        for p in ("comb.f_rep_nominal_hz", "comb.delta_hz", "comb.lo_freq_hz"):
+            exact(p)
 
     if data["budget"]["enabled"]:
         b = data["budget"]
         positive("budget.measured_sigma_1s", allow_zero=True)
-        if not isinstance(b["contributions"], list) or not all(
+        entries = b["contributions"]
+        if not isinstance(entries, list) or not all(
                 isinstance(e, dict) and set(e) == {"label", "sigma_at_1s"}
-                for e in b["contributions"]):
+                for e in entries):
             problems.append("budget.contributions must be a list of "
                             "{label, sigma_at_1s} objects")
+        else:
+            for i, e in enumerate(entries):
+                here = f"budget.contributions[{i}]"
+                if not isinstance(e["label"], str):
+                    problems.append(f"{here}.label must be a string, got {e['label']!r}")
+                if not (_is_real(e["sigma_at_1s"]) and e["sigma_at_1s"] >= 0):
+                    problems.append(f"{here}.sigma_at_1s must be non-negative, "
+                                    f"got {e['sigma_at_1s']!r}")
+        exact("budget.nu_ref_offset_hz")
         if not (_is_int(b["records"]) and b["records"] >= 2):
             problems.append("budget.records must be an integer >= 2")
         positive("budget.record_sigma_hz")

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+
+# scipy.signal (~0.9 s and ~75 MB to import) is imported inside the functions
+# that filter, so loading, validating and the comb chain never pay for it.
 
 from .errors import InvalidInputError
 from .series import AdevCurve, FracFreqSeries, PhaseSeries, PsdEstimate
@@ -110,6 +112,8 @@ def psd_welch(x: PhaseSeries, segment: int, overlap=0.5, window="hann",
             f"segment length {segment} must be in [2, {len(x)}]")
     if not 0.0 <= overlap < 1.0:
         raise InvalidInputError("overlap fraction must be in [0, 1)")
+    from scipy import signal
+
     fs = 1.0 / x.tau0
     freqs, values = signal.welch(
         x.samples, fs=fs, window=window, nperseg=segment,

@@ -1,0 +1,80 @@
+"""Which commands load scipy.signal.
+
+Importing scipy.signal takes about 0.9 s and 75 MB, so only the functions
+that filter (the servo, the counting low-pass and Welch) import it.  Loading,
+validating, the comb chain, the budget and ``compare`` must not.  Each case
+runs in a fresh interpreter and reports whether the module was loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import fiberlink as fl
+from fiberlink.io import write_adev_csv
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fl.__file__)))
+
+SHORT_LINK = {"seed": 3, "preset": "fig1",
+              "run": {"fullrate_duration_s": 10.0, "transient_discard_s": 2.0,
+                      "decimated_duration_s": 400.0},
+              "outputs": {"adev_taus_s": [1, 2, 5, 10], "fullrate_taus_s": [1, 2],
+                          "psd_segment_s": 5.0}}
+
+
+def loads_scipy_signal(code):
+    """Run ``code`` in a fresh interpreter; True if scipy.signal got imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print('scipy.signal loaded:', 'scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.strip().splitlines()[-1]
+    assert last.startswith("scipy.signal loaded: "), proc.stdout
+    return last.endswith("True")
+
+
+def cli(*argv):
+    return f"from fiberlink.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+@pytest.fixture
+def files(tmp_path):
+    def scenario(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+    curve = fl.AdevCurve([1.0, 10.0], [2e-14, 2e-15], [9, 9], "standard")
+    write_adev_csv(tmp_path / "a.csv", curve, seed=1)
+    return {
+        "fig1": scenario("fig1.json", {"seed": 1, "preset": "fig1"}),
+        "fig4_budget": scenario("fig4.json", {"seed": 1, "preset": "fig4",
+                                              "budget": {"enabled": True}}),
+        "short_link": scenario("link.json", SHORT_LINK),
+        "adev": str(tmp_path / "a.csv"),
+        "out": str(tmp_path / "out"),
+    }
+
+
+class TestScipySignalImport:
+    def test_import_and_load(self):
+        assert not loads_scipy_signal(
+            "import fiberlink\nfiberlink.load_scenario({'seed': 1, 'preset': 'fig1'})")
+
+    def test_validate(self, files):
+        assert not loads_scipy_signal(cli("validate", files["fig1"]))
+
+    def test_comb_and_budget_run(self, files):
+        assert not loads_scipy_signal(cli("run", files["fig4_budget"], "--out", files["out"]))
+
+    def test_compare(self, files):
+        assert not loads_scipy_signal(cli("compare", files["adev"], files["adev"]))
+
+    def test_link_run_loads_it(self, files):
+        # The probe itself works: a full-rate link run filters.
+        assert loads_scipy_signal(cli("run", files["short_link"], "--out", files["out"]))

@@ -130,6 +130,62 @@ class TestLoadScenario:
         assert any(p.startswith("outputs.adev_taus_s entries [1, 2, 5] ")
                    for p in problems)
 
+    def test_budget_contributions_typed(self):
+        problems = _problems({"seed": 1, "preset": "budget", "budget": {"contributions": [
+            {"label": "a", "sigma_at_1s": "x"}, {"label": 5, "sigma_at_1s": -1e-15},
+            {"label": "c", "sigma_at_1s": float("nan")}]}})
+        assert problems == [
+            "budget.contributions[0].sigma_at_1s must be non-negative, got 'x'",
+            "budget.contributions[1].label must be a string, got 5",
+            "budget.contributions[1].sigma_at_1s must be non-negative, got -1e-15",
+            "budget.contributions[2].sigma_at_1s must be non-negative, got nan"]
+
+    def test_exact_decimal_keys_parsed_at_load(self):
+        bad = {"comb": {"f_rep_nominal_hz": float("inf"), "delta_hz": "abc",
+                        "lo_freq_hz": "1/0"},
+               "budget": {"nu_ref_offset_hz": [0]}}
+        problems = _problems({"seed": 1, "preset": "budget", **bad})
+        assert problems == [
+            "comb.f_rep_nominal_hz must be a finite number or decimal string, got inf",
+            "comb.delta_hz must be a finite number or decimal string, got 'abc'",
+            "comb.lo_freq_hz must be a finite number or decimal string, got '1/0'",
+            "budget.nu_ref_offset_hz must be a finite number or decimal string, got [0]"]
+        problems = _problems({"seed": 1, "preset": "fig4", "comb": {"delta_hz": True}})
+        assert problems == [
+            "comb.delta_hz must be a finite number or decimal string, got True"]
+        # Refused without expanding the power of ten (hours for these).
+        problems = _problems({"seed": 1, "preset": "fig4", "comb": {
+            "delta_hz": "1e-999999999", "lo_freq_hz": "1E+00_1_000_000_000"}})
+        assert problems == [
+            "comb.delta_hz must be a finite number or decimal string, got '1e-999999999'",
+            "comb.lo_freq_hz must be a finite number or decimal string, "
+            "got '1E+00_1_000_000_000'"]
+        scn = load_scenario({"seed": 1, "preset": "fig4",
+                             "comb": {"delta_hz": "-40000000.5", "lo_freq_hz": 10 ** 9}})
+        assert scn["comb"]["delta_hz"] == "-40000000.5"
+
+    def test_comb_table_checked_for_the_budget(self):
+        # The budget's records run through the comb chain.
+        problems = _problems({"seed": 1, "preset": "budget", "comb": {"if_target_hz": "x"}})
+        assert problems == ["comb.if_target_hz must be positive, got 'x'"]
+
+    def test_round_trip_longer_than_run_refused(self):
+        # Decided from the numbers alone; nothing is allocated.
+        problems = _problems({"seed": 1, "preset": "fig1", "link": {"length_km": 1e300}})
+        assert problems == [
+            "round-trip delay 2 x link.length_km x link.delay_per_km_s = 1e+295 s "
+            "must be shorter than run.fullrate_duration_s=240",
+            "round-trip delay 2 x link.length_km x link.delay_per_km_s = 1e+295 s "
+            "must be shorter than run.decimated_duration_s=172800"]
+        problems = _problems({"seed": 1, "preset": "fig1",
+                              "link": {"length_km": 1e200, "delay_per_km_s": 1e200}})
+        assert len(problems) == 2 and all("= inf s" in p for p in problems)
+        problems = _problems({"seed": 1, "preset": "fig1", "link": {"length_km": 2.4e7}})
+        assert problems == [
+            "round-trip delay 2 x link.length_km x link.delay_per_km_s = 240 s "
+            "must be shorter than run.fullrate_duration_s=240"]
+        load_scenario({"seed": 1, "preset": "fig1", "link": {"length_km": 2.39e7}})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario({"seed": 1, "preset": "fig1", "links": {}})
@@ -365,6 +421,22 @@ class TestCli:
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
         assert proc.stderr.strip() == "run failed: segment length 1 must be in [2, 150000]"
+
+    @pytest.mark.parametrize("override", [
+        {"preset": "budget", "budget": {"contributions": [{"label": "a", "sigma_at_1s": "x"}]}},
+        {"preset": "fig4", "comb": {"delta_hz": "abc"}},
+        {"preset": "budget", "budget": {"nu_ref_offset_hz": "abc"}},
+        {"preset": "fig1", "link": {"length_km": 1e300}},
+    ])
+    def test_run_refuses_at_load_exit_1(self, tmp_path, override):
+        # Each of these once passed validation and ended the run in a traceback.
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"seed": 1, **override}))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("scenario validation failed:\n  - ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_run_writes_outputs(self, tmp_path):
         path = tmp_path / "scn.json"
