@@ -17,11 +17,14 @@ their overlap in the test suite.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
+import operator
 import os
 import re
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,116 +48,176 @@ from .stability import (_tau_multiple, allan_deviation, allan_deviation_phase,
 PRESETS = ("fig1", "fig4", "budget")
 _GATE_S = 1.0       # counting gate of the full-rate measurement chain
 
-# Defaults; leaves marked in _ASSUMED are calibration assumptions (the
-# measured record reports outcomes, not these inputs).
-_DEFAULTS = {
-    "seed": None,
-    "preset": None,
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:          # an integer beyond the float range
+        return False
+
+
+_LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9][0-9_]{3,}")
+
+
+def _is_exact(value):
+    # Parsed as comb.as_fraction will parse it during the run.  A string
+    # with an exponent of 1000 or more is refused before parsing: Fraction
+    # would build that power of ten exactly, which takes seconds at 1e10000000.
+    try:
+        return (not isinstance(value, bool)
+                and not (isinstance(value, str) and _LONG_EXPONENT.search(value))
+                and math.isfinite(as_fraction(value)))
+    except (InvalidInputError, ValueError, TypeError, OverflowError,
+            ZeroDivisionError):
+        return False
+
+
+# A check is a predicate and the phrase of its message: a value that fails
+# it is listed as "<path> must be <phrase>, got <value>".  A key's checks
+# run in order and the first that fails is listed.
+_POSITIVE = ((lambda v: _is_real(v) and v > 0, "positive"),)
+_NON_NEGATIVE = ((lambda v: _is_real(v) and v >= 0, "non-negative"),)
+_FINITE = ((_is_real, "a finite number"),)
+_FLAG = ((lambda v: isinstance(v, bool), "true or false"),)
+_EXACT = ((_is_exact, "a finite number or decimal string"),)
+_LABEL = ((lambda v: isinstance(v, str), "a string"),)
+# A fractional frequency deviation; comb.stability_budget squares it.
+_DEVIATION = _NON_NEGATIVE + ((lambda v: v < 1, "below 1"),)
+_TAUS = ((lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list"),
+         (lambda v: all(_is_real(t) and t > 0 for t in v), "a list of positive numbers"))
+
+
+def _int_at_least(low):
+    return ((lambda v: _is_int(v) and v >= low, f"an integer >= {low}"),)
+
+
+# One leaf per scenario key: its default, its checks, and whether the default
+# is a calibration assumption (the measured record reports outcomes, not
+# these inputs).
+_Key = namedtuple("_Key", "default checks assumed", defaults=(False,))
+
+_SCHEMA = {
+    "seed": _Key(None, ((lambda v: _is_int(v) and 0 <= v < 2 ** 64,
+                         "a 64-bit non-negative integer"),)),
+    "preset": _Key(None, ((lambda v: v is None or v in PRESETS,
+                           f"null or {'|'.join(PRESETS)}"),)),
     "link": {
-        "enabled": False,
-        "length_km": 43.0,
-        "delay_per_km_s": 5e-6,
-        "step_s": 1e-4,
-        "carrier_forward_hz": 1.0e9,
-        "carrier_return_hz": 1.0e8,
-        "carrier_probe_hz": 2.7e8,
+        "enabled": _Key(False, _FLAG),
+        "length_km": _Key(43.0, _POSITIVE),
+        "delay_per_km_s": _Key(5e-6, _POSITIVE),
+        "step_s": _Key(1e-4, _POSITIVE),
+        "carrier_forward_hz": _Key(1.0e9, _POSITIVE),
+        "carrier_return_hz": _Key(1.0e8, _POSITIVE),
+        "carrier_probe_hz": _Key(2.7e8, _POSITIVE),
         "noise": {
-            "white_pm_sx_s2_per_hz": 4.775e-30,
-            "diurnal_amplitude_s": 4.3e-11,
-            "diurnal_period_s": 86400.0,
-            "diurnal_phase_rad": 0.0,
-            "burst_rate_per_s": 2.3148e-5,      # about two events per day
-            "burst_amp_median_s": 5e-12,
-            "burst_amp_sigma": 0.5,
-            "burst_duration_s": 30.0,
-            "walk_fm_h": 0.0,
-            "differential_ratio": 0.1,
+            "white_pm_sx_s2_per_hz": _Key(4.775e-30, _NON_NEGATIVE, assumed=True),
+            "diurnal_amplitude_s": _Key(4.3e-11, _NON_NEGATIVE, assumed=True),
+            "diurnal_period_s": _Key(86400.0, _POSITIVE),
+            "diurnal_phase_rad": _Key(0.0, _FINITE),
+            # about two events per day
+            "burst_rate_per_s": _Key(2.3148e-5, _NON_NEGATIVE, assumed=True),
+            "burst_amp_median_s": _Key(5e-12, _NON_NEGATIVE, assumed=True),
+            "burst_amp_sigma": _Key(0.5, _NON_NEGATIVE, assumed=True),
+            "burst_duration_s": _Key(30.0, _POSITIVE, assumed=True),
+            "walk_fm_h": _Key(0.0, _NON_NEGATIVE),
+            "differential_ratio": _Key(0.1, ((lambda v: _is_real(v) and 0 <= v <= 1,
+                                              "in [0, 1]"),), assumed=True),
         },
         "detector": {
-            "floor_rad_per_rthz": 1.4142135623730952e-6,   # -117 dB per loop
-            "measurement_bw_hz": 10.0,
+            # -117 dB per loop
+            "floor_rad_per_rthz": _Key(1.4142135623730952e-6, _NON_NEGATIVE, assumed=True),
+            "measurement_bw_hz": _Key(10.0, _POSITIVE),
         },
     },
     "controllers": {
-        "topology": "series",            # series | independent | off
-        "unity_gain_hz": 300.0,
-        "integrator_corner_hz": 30.0,
-        "crossover_hz": 0.1,
-        "rf_shifter_range_s": 1e-9,
-        "rf_shifter_bandwidth_hz": 5e4,
-        "piezo_range_s": 5e-11,
-        "piezo_bandwidth_hz": 5e3,
-        "thermal_range_s": 1e-8,
-        "thermal_bandwidth_hz": 0.3,
-        "closed_floor_walk_fm_h": 1.759e-40,   # 1e-17 at one day
+        "topology": _Key("series", ((lambda v: v in RUN_TOPOLOGIES,
+                                     "|".join(RUN_TOPOLOGIES)),)),
+        "unity_gain_hz": _Key(300.0, _POSITIVE),
+        "integrator_corner_hz": _Key(30.0, _NON_NEGATIVE, assumed=True),
+        "crossover_hz": _Key(0.1, _NON_NEGATIVE, assumed=True),
+        "rf_shifter_range_s": _Key(1e-9, _POSITIVE, assumed=True),
+        "rf_shifter_bandwidth_hz": _Key(5e4, _POSITIVE, assumed=True),
+        "piezo_range_s": _Key(5e-11, _POSITIVE, assumed=True),
+        "piezo_bandwidth_hz": _Key(5e3, _POSITIVE, assumed=True),
+        "thermal_range_s": _Key(1e-8, _POSITIVE, assumed=True),
+        "thermal_bandwidth_hz": _Key(0.3, _POSITIVE, assumed=True),
+        # 1e-17 at one day
+        "closed_floor_walk_fm_h": _Key(1.759e-40, _NON_NEGATIVE, assumed=True),
     },
     "comb": {
-        "enabled": False,
-        "q": 29100,
-        "f_rep_nominal_hz": "995000000",
-        "delta_hz": "40000000",
-        "sign": 1,
-        "lo_freq_hz": "1000000000",
-        "if_target_hz": 5e6,
-        "final_shift_target_hz": 68.0,
-        "filter_bw_hz": 10.0,
-        "gate_s": 1.0,
-        "n_gates": 4000,
-        "optical_sigma_1s": 3e-14,
-        "reference_sigma_1s": 8e-15,
-        "link_sigma_1s": 8e-15,
+        "enabled": _Key(False, _FLAG),
+        "q": _Key(29100, ((lambda v: _is_int(v) and v > 0, "a positive integer"),)),
+        "f_rep_nominal_hz": _Key("995000000", _EXACT + (
+            (lambda v: as_fraction(v) > 0, "positive"),), assumed=True),
+        "delta_hz": _Key("40000000", _EXACT, assumed=True),
+        "sign": _Key(1, ((lambda v: _is_int(v) and v in (1, -1), "1 or -1"),),
+                     assumed=True),
+        "lo_freq_hz": _Key("1000000000", _EXACT),
+        "if_target_hz": _Key(5e6, _POSITIVE),
+        "final_shift_target_hz": _Key(68.0, _POSITIVE),
+        "filter_bw_hz": _Key(10.0, _POSITIVE),
+        "gate_s": _Key(1.0, _POSITIVE),
+        "n_gates": _Key(4000, _int_at_least(8)),
+        "optical_sigma_1s": _Key(3e-14, _POSITIVE),
+        "reference_sigma_1s": _Key(8e-15, _POSITIVE),
+        "link_sigma_1s": _Key(8e-15, _POSITIVE),
     },
     "budget": {
-        "enabled": False,
-        "measured_sigma_1s": 3e-14,
-        "contributions": [
-            {"label": "optical_link", "sigma_at_1s": 8e-15},
-            {"label": "reference_100mhz", "sigma_at_1s": 8e-15},
-        ],
-        "records": 10,
-        "record_mean_offset_hz": 3.9,
-        "record_sigma_hz": 10.0,
-        "record_gates": 20,
-        "nu_ref_offset_hz": 0.0,
+        "enabled": _Key(False, _FLAG),
+        "measured_sigma_1s": _Key(3e-14, _DEVIATION),
+        # Each entry's label and sigma_at_1s are checked in _validate.
+        "contributions": _Key(
+            [{"label": "optical_link", "sigma_at_1s": 8e-15},
+             {"label": "reference_100mhz", "sigma_at_1s": 8e-15}],
+            ((lambda v: isinstance(v, list) and all(
+                isinstance(e, dict) and set(e) == {"label", "sigma_at_1s"} for e in v),
+              "a list of {label, sigma_at_1s} objects"),)),
+        "records": _Key(10, _int_at_least(2)),
+        "record_mean_offset_hz": _Key(3.9, _FINITE),
+        "record_sigma_hz": _Key(10.0, _POSITIVE),
+        "record_gates": _Key(20, _int_at_least(1)),
+        "nu_ref_offset_hz": _Key(0.0, _EXACT),
     },
     "run": {
-        "fullrate_duration_s": 240.0,
-        "decimated_duration_s": 172800.0,
-        "decimated_step_s": 1.0,
-        "transient_discard_s": 20.0,
+        "fullrate_duration_s": _Key(240.0, _POSITIVE),
+        "decimated_duration_s": _Key(172800.0, _POSITIVE),
+        "decimated_step_s": _Key(1.0, _POSITIVE),
+        "transient_discard_s": _Key(20.0, _NON_NEGATIVE),
     },
     "outputs": {
-        "adev_taus_s": [1, 2, 5, 10, 20, 50, 100, 200, 500,
-                        1000, 2000, 5000, 10000, 20000, 40000, 43200],
-        "fullrate_taus_s": [1, 2, 4, 8, 16, 32],
-        "psd_segment_s": 60.0,
-        "psd_overlap": 0.5,
-        "write_decimated_series": False,
+        "adev_taus_s": _Key([1, 2, 5, 10, 20, 50, 100, 200, 500,
+                             1000, 2000, 5000, 10000, 20000, 40000, 43200], _TAUS),
+        "fullrate_taus_s": _Key([1, 2, 4, 8, 16, 32], _TAUS),
+        "psd_segment_s": _Key(60.0, _POSITIVE),
+        "psd_overlap": _Key(0.5, ((lambda v: _is_real(v) and 0 <= v < 1, "in [0, 1)"),)),
+        "write_decimated_series": _Key(False, _FLAG),
     },
 }
 
-_ASSUMED = {
-    "link.noise.white_pm_sx_s2_per_hz",
-    "link.noise.diurnal_amplitude_s",
-    "link.noise.burst_rate_per_s",
-    "link.noise.burst_amp_median_s",
-    "link.noise.burst_amp_sigma",
-    "link.noise.burst_duration_s",
-    "link.noise.differential_ratio",
-    "link.detector.floor_rad_per_rthz",
-    "controllers.integrator_corner_hz",
-    "controllers.crossover_hz",
-    "controllers.rf_shifter_range_s",
-    "controllers.rf_shifter_bandwidth_hz",
-    "controllers.piezo_range_s",
-    "controllers.piezo_bandwidth_hz",
-    "controllers.thermal_range_s",
-    "controllers.thermal_bandwidth_hz",
-    "controllers.closed_floor_walk_fm_h",
-    "comb.f_rep_nominal_hz",
-    "comb.delta_hz",
-    "comb.sign",
-}
+
+def _leaves(tree, path=""):
+    """(dotted path, leaf) for every leaf of a nested table."""
+    for name, node in tree.items():
+        here = f"{path}.{name}" if path else name
+        if isinstance(node, dict):
+            yield from _leaves(node, here)
+        else:
+            yield here, node
+
+
+def _defaults(tree):
+    return {name: _defaults(node) if isinstance(node, dict) else node.default
+            for name, node in tree.items()}
+
+
+_LEAVES = tuple(_leaves(_SCHEMA))
+_DEFAULTS = _defaults(_SCHEMA)
 
 _PRESET_OVERRIDES = {
     "fig1": {"link": {"enabled": True}},
@@ -224,15 +287,6 @@ def _deep_merge(base, override, problems, provenance=None, path=""):
     return out
 
 
-def _leaf_paths(tree, path=""):
-    for key, value in tree.items():
-        here = f"{path}.{key}" if path else key
-        if isinstance(value, dict):
-            yield from _leaf_paths(value, here)
-        else:
-            yield here
-
-
 def load_scenario(path_or_dict) -> Scenario:
     """Load, expand and validate a scenario.
 
@@ -250,7 +304,9 @@ def load_scenario(path_or_dict) -> Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioValidationError(
                 [f"{source}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"])
-        except OSError as exc:
+        # ValueError: an integer beyond the digit limit, or bytes that are not
+        # UTF-8; RecursionError: arrays or objects nested too deep.
+        except (OSError, ValueError, RecursionError) as exc:
             raise ScenarioValidationError([f"{source}: {exc}"])
     if not isinstance(raw, dict):
         raise ScenarioValidationError([f"{source}: scenario must be a JSON object"])
@@ -267,41 +323,34 @@ def load_scenario(path_or_dict) -> Scenario:
     user_paths = set()
     data = _deep_merge(base, raw, problems, provenance=user_paths)
 
-    problems.extend(_validate(data))
+    read = _tables_read(data)
+    problems.extend(_validate(data, read))
     if problems:
         raise ScenarioValidationError(problems)
 
-    assumed = tuple(sorted(p for p in _ASSUMED
-                           if p not in user_paths and _section_enabled(data, p)))
+    assumed = tuple(sorted(path for path, key in _LEAVES if key.assumed
+                           and path.split(".")[0] in read and path not in user_paths))
     return Scenario(data=data, assumed=assumed, source=source)
 
 
-def _section_enabled(data, path):
-    head = path.split(".")[0]
-    if head == "comb":
-        # budget record synthesis also rides on the comb parameters
-        return bool(data["comb"]["enabled"] or data["budget"]["enabled"])
-    if head in ("link", "budget"):
-        return bool(data[head]["enabled"])
-    if head == "controllers":
-        return bool(data["link"]["enabled"])
+def _tables_read(data):
+    """The top-level keys a run of ``data`` reads."""
+    read = {"seed", "preset"}
+    if data["link"]["enabled"]:
+        read |= {"link", "controllers", "run", "outputs"}
+    if data["comb"]["enabled"] or data["budget"]["enabled"]:
+        read.add("comb")    # the budget's records run through the comb chain too
+    if data["budget"]["enabled"]:
+        read.add("budget")
+    return read
+
+
+def _passes(path, value, checks, problems):
+    for predicate, phrase in checks:
+        if not predicate(value):
+            problems.append(f"{path} must be {phrase}, got {value!r}")
+            return False
     return True
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x):
-    if not (_is_int(x) or isinstance(x, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:          # an integer beyond the float range
-        return False
-
-
-_LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9][0-9_]{3,}")
 
 
 def _is_multiple(tau, tau0):
@@ -312,162 +361,75 @@ def _is_multiple(tau, tau0):
     return True
 
 
-def _validate(data):
+def _validate(data, read):
     problems = []
-
-    def positive(path, allow_zero=False):
-        node = data
-        for part in path.split("."):
-            node = node[part]
-        ok = _is_real(node) and (node >= 0 if allow_zero else node > 0)
-        if not ok:
-            problems.append(f"{path} must be {'non-negative' if allow_zero else 'positive'}, got {node!r}")
-        return ok
-
-    def exact(path):
-        # Parsed as comb.as_fraction will parse it during the run.  A string
-        # with an exponent of 1000 or more is refused before parsing: Fraction
-        # would build that power of ten exactly, which takes seconds at 1e10000000.
-        section, key = path.split(".")
-        value = data[section][key]
-        try:
-            ok = (not isinstance(value, bool)
-                  and not (isinstance(value, str) and _LONG_EXPONENT.search(value))
-                  and math.isfinite(as_fraction(value)))
-        except (InvalidInputError, ValueError, TypeError, OverflowError,
-                ZeroDivisionError):
-            ok = False
-        if not ok:
-            problems.append(f"{path} must be a finite number or decimal string, "
-                            f"got {value!r}")
-
-    seed = data.get("seed")
-    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
-        problems.append(f"seed must be a 64-bit non-negative integer, got {seed!r}")
-
-    for flag in ("link.enabled", "comb.enabled", "budget.enabled",
-                 "outputs.write_decimated_series"):
-        section, key = flag.split(".")
-        if not isinstance(data[section][key], bool):
-            problems.append(f"{flag} must be true or false, got {data[section][key]!r}")
+    # Every leaf of a table the run reads, and every enabled flag (they
+    # decide what is read); a leaf that is not read is not valid input to
+    # any cross-field check below.
+    ok = {}
+    for path, key in _LEAVES:
+        parts = path.split(".")
+        ok[path] = (parts[0] in read or parts[-1] == "enabled") and _passes(
+            path, functools.reduce(operator.getitem, parts, data), key.checks, problems)
     if not any(data[s]["enabled"] for s in ("link", "comb", "budget")):
         problems.append("nothing to run: enable at least one of link, comb, budget "
                         "(or choose a preset)")
 
-    if data["link"]["enabled"]:
-        # Which numbers are valid; each cross-field check below needs its inputs valid.
-        ok = {p: positive(p) for p in (
-            "link.length_km", "link.delay_per_km_s", "link.step_s",
-            "link.carrier_forward_hz", "link.carrier_return_hz",
-            "link.carrier_probe_hz", "link.noise.diurnal_period_s",
-            "link.noise.burst_duration_s", "link.detector.measurement_bw_hz",
-            "run.fullrate_duration_s", "run.decimated_duration_s",
-            "run.decimated_step_s", "outputs.psd_segment_s")}
-        ok.update({p: positive(p, allow_zero=True) for p in (
-            "link.noise.white_pm_sx_s2_per_hz", "link.noise.diurnal_amplitude_s",
-            "link.noise.burst_rate_per_s", "link.noise.burst_amp_median_s",
-            "link.noise.burst_amp_sigma", "link.noise.walk_fm_h",
-            "link.detector.floor_rad_per_rthz", "controllers.unity_gain_hz",
-            "controllers.closed_floor_walk_fm_h", "run.transient_discard_s")})
-        ratio = data["link"]["noise"]["differential_ratio"]
-        if not (_is_real(ratio) and 0.0 <= ratio <= 1.0):
-            problems.append(f"link.noise.differential_ratio must be in [0, 1], got {ratio!r}")
-        overlap = data["outputs"]["psd_overlap"]
-        if not (_is_real(overlap) and 0.0 <= overlap < 1.0):
-            problems.append(f"outputs.psd_overlap must be in [0, 1), got {overlap!r}")
-        topo = data["controllers"]["topology"]
-        if topo not in RUN_TOPOLOGIES:
-            problems.append(f"controllers.topology must be {'|'.join(RUN_TOPOLOGIES)}, "
-                            f"got {topo!r}")
-        run_c = data["run"]
-        if ok["link.length_km"] and ok["link.delay_per_km_s"]:
-            step = data["link"]["step_s"]
-            one_way = data["link"]["length_km"] * data["link"]["delay_per_km_s"]
-            if ok["link.step_s"] and not one_way / step > 0.5:   # zero delay steps
-                problems.append(
-                    f"link.step_s={step} too coarse to resolve the one-way delay {one_way:g} s")
-            # Checked from the numbers alone: the servo's delay line would
-            # otherwise be allocated (or refused by numpy) during the run.
-            for dur_key in ("run.fullrate_duration_s", "run.decimated_duration_s"):
-                duration = run_c[dur_key.split(".")[1]]
-                if ok[dur_key] and not 2 * one_way < duration:
-                    problems.append(
-                        f"round-trip delay 2 x link.length_km x link.delay_per_km_s = "
-                        f"{2 * one_way:g} s must be shorter than {dur_key}={duration:g}")
-        if ok["outputs.psd_segment_s"] and ok["run.fullrate_duration_s"] \
-                and data["outputs"]["psd_segment_s"] > run_c["fullrate_duration_s"]:
+    # Each cross-field check runs when its own inputs are valid.
+    run_c = data["run"]
+    if ok["link.length_km"] and ok["link.delay_per_km_s"]:
+        step = data["link"]["step_s"]
+        one_way = data["link"]["length_km"] * data["link"]["delay_per_km_s"]
+        if ok["link.step_s"] and not one_way / step > 0.5:   # zero delay steps
             problems.append(
-                f"outputs.psd_segment_s={data['outputs']['psd_segment_s']:g} exceeds "
-                f"run.fullrate_duration_s={run_c['fullrate_duration_s']:g}")
-        if ok["run.transient_discard_s"] and ok["run.fullrate_duration_s"] \
-                and run_c["transient_discard_s"] >= run_c["fullrate_duration_s"]:
-            problems.append(
-                f"run.transient_discard_s={run_c['transient_discard_s']:g} must be shorter "
-                f"than run.fullrate_duration_s={run_c['fullrate_duration_s']:g}")
-        # Each Allan tau is a whole number of its record's samples: decimated
-        # steps, or the 1 s counting gates of the full-rate chain.
-        for tau_key, dur_key, tau0_name, tau0, tau0_ok in (
-                ("outputs.adev_taus_s", "run.decimated_duration_s", "run.decimated_step_s",
-                 run_c["decimated_step_s"], ok["run.decimated_step_s"]),
-                ("outputs.fullrate_taus_s", "run.fullrate_duration_s", "the counting gate",
-                 _GATE_S, True)):
-            taus = data["outputs"][tau_key.split(".")[1]]
+                f"link.step_s={step} too coarse to resolve the one-way delay {one_way:g} s")
+        # Checked from the numbers alone: the servo's delay line would
+        # otherwise be allocated (or refused by numpy) during the run.
+        for dur_key in ("run.fullrate_duration_s", "run.decimated_duration_s"):
             duration = run_c[dur_key.split(".")[1]]
-            if not isinstance(taus, list) or not taus:
-                problems.append(f"{tau_key} must be a non-empty list, got {taus!r}")
-                continue
-            if not all(_is_real(t) and t > 0 for t in taus):
-                problems.append(f"{tau_key} must be a list of positive numbers, got {taus!r}")
-                continue
-            if ok[dur_key] and duration < 4 * max(taus):
+            if ok[dur_key] and not 2 * one_way < duration:
                 problems.append(
-                    f"{dur_key}={duration:g} s is shorter than 4 x the largest "
-                    f"requested tau in {tau_key} ({max(taus):g} s)")
-            off_grid = [t for t in taus if not _is_multiple(t, tau0)] if tau0_ok else []
-            if off_grid:
-                problems.append(f"{tau_key} entries {off_grid} are not integer multiples "
-                                f"of {tau0_name} ({tau0:g} s)")
+                    f"round-trip delay 2 x link.length_km x link.delay_per_km_s = "
+                    f"{2 * one_way:g} s must be shorter than {dur_key}={duration:g}")
+    if ok["outputs.psd_segment_s"] and ok["run.fullrate_duration_s"] \
+            and data["outputs"]["psd_segment_s"] > run_c["fullrate_duration_s"]:
+        problems.append(
+            f"outputs.psd_segment_s={data['outputs']['psd_segment_s']:g} exceeds "
+            f"run.fullrate_duration_s={run_c['fullrate_duration_s']:g}")
+    if ok["run.transient_discard_s"] and ok["run.fullrate_duration_s"] \
+            and run_c["transient_discard_s"] >= run_c["fullrate_duration_s"]:
+        problems.append(
+            f"run.transient_discard_s={run_c['transient_discard_s']:g} must be shorter "
+            f"than run.fullrate_duration_s={run_c['fullrate_duration_s']:g}")
+    # Each Allan tau is a whole number of its record's samples: decimated
+    # steps, or the 1 s counting gates of the full-rate chain.
+    for tau_key, dur_key, tau0_name, tau0, tau0_ok in (
+            ("outputs.adev_taus_s", "run.decimated_duration_s", "run.decimated_step_s",
+             run_c["decimated_step_s"], ok["run.decimated_step_s"]),
+            ("outputs.fullrate_taus_s", "run.fullrate_duration_s", "the counting gate",
+             _GATE_S, True)):
+        if not ok[tau_key]:
+            continue
+        taus = data["outputs"][tau_key.split(".")[1]]
+        duration = run_c[dur_key.split(".")[1]]
+        if ok[dur_key] and duration < 4 * max(taus):
+            problems.append(
+                f"{dur_key}={duration:g} s is shorter than 4 x the largest "
+                f"requested tau in {tau_key} ({max(taus):g} s)")
+        off_grid = [t for t in taus if not _is_multiple(t, tau0)] if tau0_ok else []
+        if off_grid:
+            problems.append(f"{tau_key} entries {off_grid} are not integer multiples "
+                            f"of {tau0_name} ({tau0:g} s)")
 
-    if data["comb"]["enabled"] or data["budget"]["enabled"]:
-        # The budget's measurement records run through the comb chain too.
-        c = data["comb"]
-        if not (_is_int(c["q"]) and c["q"] > 0):
-            problems.append(f"comb.q must be a positive integer, got {c['q']!r}")
-        for p in ("comb.if_target_hz", "comb.final_shift_target_hz",
-                  "comb.filter_bw_hz", "comb.gate_s", "comb.optical_sigma_1s",
-                  "comb.reference_sigma_1s", "comb.link_sigma_1s"):
-            positive(p)
-        if not (_is_int(c["n_gates"]) and c["n_gates"] >= 8):
-            problems.append(f"comb.n_gates must be an integer >= 8, got {c['n_gates']!r}")
-        if not (_is_int(c["sign"]) and c["sign"] in (1, -1)):
-            problems.append(f"comb.sign must be 1 or -1, got {c['sign']!r}")
-        for p in ("comb.f_rep_nominal_hz", "comb.delta_hz", "comb.lo_freq_hz"):
-            exact(p)
-
-    if data["budget"]["enabled"]:
-        b = data["budget"]
-        positive("budget.measured_sigma_1s", allow_zero=True)
-        entries = b["contributions"]
-        if not isinstance(entries, list) or not all(
-                isinstance(e, dict) and set(e) == {"label", "sigma_at_1s"}
-                for e in entries):
-            problems.append("budget.contributions must be a list of "
-                            "{label, sigma_at_1s} objects")
-        else:
-            for i, e in enumerate(entries):
-                here = f"budget.contributions[{i}]"
-                if not isinstance(e["label"], str):
-                    problems.append(f"{here}.label must be a string, got {e['label']!r}")
-                if not (_is_real(e["sigma_at_1s"]) and e["sigma_at_1s"] >= 0):
-                    problems.append(f"{here}.sigma_at_1s must be non-negative, "
-                                    f"got {e['sigma_at_1s']!r}")
-        exact("budget.nu_ref_offset_hz")
-        if not (_is_int(b["records"]) and b["records"] >= 2):
-            problems.append("budget.records must be an integer >= 2")
-        positive("budget.record_sigma_hz")
-        if not (_is_int(b["record_gates"]) and b["record_gates"] >= 1):
-            problems.append("budget.record_gates must be an integer >= 1")
-
+    c = data["comb"]
+    if ok["comb.filter_bw_hz"] and ok["comb.if_target_hz"] \
+            and c["filter_bw_hz"] >= c["if_target_hz"]:
+        problems.append(f"comb.filter_bw_hz={c['filter_bw_hz']:g} must be below "
+                        f"comb.if_target_hz={c['if_target_hz']:g}")
+    if ok["budget.contributions"]:
+        for i, entry in enumerate(data["budget"]["contributions"]):
+            for name, checks in (("label", _LABEL), ("sigma_at_1s", _DEVIATION)):
+                _passes(f"budget.contributions[{i}].{name}", entry[name], checks, problems)
     return problems
 
 

@@ -10,8 +10,20 @@ from hypothesis import given, settings, strategies as st
 import fiberlink as fl
 from fiberlink.errors import ScenarioValidationError
 from fiberlink.io import read_adev_csv
-from fiberlink.scenario import PRESETS, Scenario, compare_curves, load_scenario, run
+from fiberlink.scenario import (PRESETS, Scenario, _comb_objects, _loop_config,
+                                compare_curves, load_scenario, run)
 
+
+def _leaf_paths(tree, path=""):
+    for key, value in tree.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, here)
+        else:
+            yield here
+
+
+LEAF_PATHS = list(_leaf_paths(load_scenario({"seed": 1, "preset": "fig1"}).data))
 
 # A short fig1 run: 20 s full rate after a 5 s discard, 4000 s decimated.
 SHORT_FIG1 = {"seed": 3, "preset": "fig1",
@@ -35,6 +47,24 @@ class TestLoadScenario:
         scn = load_scenario({"seed": 1, "preset": "fig1",
                              "link": {"noise": {"diurnal_amplitude_s": 1e-11}}})
         assert "link.noise.diurnal_amplitude_s" not in scn.assumed
+
+    def test_assumed_defaults_of_the_tables_read(self):
+        link = ("controllers.closed_floor_walk_fm_h", "controllers.crossover_hz",
+                "controllers.integrator_corner_hz", "controllers.piezo_bandwidth_hz",
+                "controllers.piezo_range_s", "controllers.rf_shifter_bandwidth_hz",
+                "controllers.rf_shifter_range_s", "controllers.thermal_bandwidth_hz",
+                "controllers.thermal_range_s", "link.detector.floor_rad_per_rthz",
+                "link.noise.burst_amp_median_s", "link.noise.burst_amp_sigma",
+                "link.noise.burst_duration_s", "link.noise.burst_rate_per_s",
+                "link.noise.differential_ratio", "link.noise.diurnal_amplitude_s",
+                "link.noise.white_pm_sx_s2_per_hz")
+        comb = ("comb.delta_hz", "comb.f_rep_nominal_hz", "comb.sign")
+        assert load_scenario({"seed": 1, "preset": "fig1"}).assumed == link
+        assert load_scenario({"seed": 1, "preset": "fig4"}).assumed == comb
+        assert load_scenario({"seed": 1, "preset": "budget"}).assumed == comb
+        everything = load_scenario({"seed": 1, "preset": "fig1", "comb": {"enabled": True},
+                                    "budget": {"enabled": True}})
+        assert everything.assumed == comb + link
 
     def test_resolved_round_trip_delay_from_86km(self):
         scn = load_scenario({"seed": 1, "preset": "fig1"})
@@ -186,6 +216,46 @@ class TestLoadScenario:
             "must be shorter than run.fullrate_duration_s=240"]
         load_scenario({"seed": 1, "preset": "fig1", "link": {"length_km": 2.39e7}})
 
+    @pytest.mark.parametrize("path", [p for p in LEAF_PATHS if p != "preset"])
+    def test_every_leaf_refuses_a_string(self, path):
+        # Under a preset that reads the key (an unknown preset has its own test).
+        parts = path.split(".")
+        override = {"seed": 1,
+                    "preset": {"comb": "fig4", "budget": "budget"}.get(parts[0], "fig1")}
+        node = override
+        for table in parts[:-1]:
+            node = node.setdefault(table, {})
+        node[parts[-1]] = "x"
+        problems = _problems(override)
+        assert any(p.startswith(f"{path} must be ") for p in problems), problems
+
+    def test_controller_values_refused_at_load(self):
+        # ControllerConfig and ActuatorState would refuse these during the run.
+        problems = _problems({"seed": 1, "preset": "fig1", "controllers": {
+            "unity_gain_hz": 0, "integrator_corner_hz": -1.0, "piezo_range_s": -5e-11}})
+        assert problems == [
+            "controllers.unity_gain_hz must be positive, got 0",
+            "controllers.integrator_corner_hz must be non-negative, got -1.0",
+            "controllers.piezo_range_s must be positive, got -5e-11"]
+
+    def test_comb_constructor_limits_refused_at_load(self):
+        problems = _problems({"seed": 1, "preset": "fig4",
+                              "comb": {"f_rep_nominal_hz": "0", "filter_bw_hz": 5e6}})
+        assert problems == [
+            "comb.f_rep_nominal_hz must be positive, got '0'",
+            "comb.filter_bw_hz=5e+06 must be below comb.if_target_hz=5e+06"]
+
+    def test_fractional_deviations_below_one(self):
+        # stability_budget squares them; 1e300 overflowed there.
+        problems = _problems({"seed": 1, "preset": "budget", "budget": {
+            "measured_sigma_1s": 1e300,
+            "contributions": [{"label": "a", "sigma_at_1s": 1.0}]}})
+        assert problems == [
+            "budget.measured_sigma_1s must be below 1, got 1e+300",
+            "budget.contributions[0].sigma_at_1s must be below 1, got 1.0"]
+        load_scenario({"seed": 1, "preset": "budget", "budget": {
+            "measured_sigma_1s": 0.999, "contributions": [{"label": "a", "sigma_at_1s": 0.5}]}})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario({"seed": 1, "preset": "fig1", "links": {}})
@@ -243,6 +313,13 @@ class TestLoadProperty:
             assert exc.problems
         else:
             assert isinstance(scn, Scenario)
+            # What loads, the run's constructors accept.
+            if scn["link"]["enabled"]:
+                link = scn["link"]
+                _loop_config(scn, int(round(
+                    link["length_km"] * link["delay_per_km_s"] / link["step_s"])))
+            if scn["comb"]["enabled"] or scn["budget"]["enabled"]:
+                _comb_objects(scn)
 
 
 class TestRunOutputs:
@@ -413,6 +490,19 @@ class TestCli:
         assert "link.step_s must be positive, got '0.1'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("text", [
+        '{"preset": "fig1", "seed": ' + "1" * 5000 + "}",      # beyond the digit limit
+        '{"seed": 1, "preset": "fig1", "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["digit_limit", "nesting"])
+    def test_validate_unreadable_json_exit_1(self, tmp_path, text):
+        # json.load raises ValueError and RecursionError here, not JSONDecodeError.
+        path = tmp_path / "scn.json"
+        path.write_text(text)
+        proc = run_cli(["validate", str(path)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"invalid scenario:\n  - {path}: ")
+        assert "Traceback" not in proc.stderr
+
     def test_run_refused_input_exit_1(self, tmp_path):
         # Passes validation; Welch then refuses a one-sample PSD segment.
         path = tmp_path / "scn.json"
@@ -427,9 +517,17 @@ class TestCli:
         {"preset": "fig4", "comb": {"delta_hz": "abc"}},
         {"preset": "budget", "budget": {"nu_ref_offset_hz": "abc"}},
         {"preset": "fig1", "link": {"length_km": 1e300}},
+        {"preset": "fig1", "controllers": {"crossover_hz": "x"}},
+        {"preset": "fig1", "link": {"noise": {"diurnal_phase_rad": "x"}}},
+        {"preset": "budget", "budget": {"record_mean_offset_hz": "x"}},
+        {"preset": "fig1", "controllers": {"thermal_range_s": -1e-8}},
+        {"preset": "fig1", "controllers": {"unity_gain_hz": 0}},
+        {"preset": "budget", "budget": {"measured_sigma_1s": 1e300}},
+        {"preset": "budget", "budget": {"contributions": [{"label": "a", "sigma_at_1s": 1e300}]}},
     ])
     def test_run_refuses_at_load_exit_1(self, tmp_path, override):
-        # Each of these once passed validation and ended the run in a traceback.
+        # Each of these once passed validation and ended the run in a traceback
+        # or in a run-time refusal.
         path = tmp_path / "scn.json"
         path.write_text(json.dumps({"seed": 1, **override}))
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
