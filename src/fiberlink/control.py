@@ -20,13 +20,22 @@ frequency is offloaded from the piezo to the thermal spool.
 ``run_closed_loop`` simulates both loops on full-rate records with one of
 two engines walking the same servo recurrence.  The linear engine
 ("lfilter") evaluates it as one IIR filter per loop; it reports, but does
-not enforce, actuator saturation, and it has no offload.  The stepped engine ("stepped") walks it
-per sample and clamps each actuator at its range, with anti-windup and the
-piezo-to-thermal offload.  The run topology (``RUN_TOPOLOGIES``) says what
-the far-end loop sees: "series" feeds it the near-end loop's corrected
-arrival, "independent" only fiber 2's own round trip, and "off" opens both
-loops.  ``loop_suppression`` is the decimated-time model: the closed-loop
-sensitivity applied to slow records in the frequency domain.
+not enforce, actuator saturation, and it has no offload.  It runs a long
+record as consecutive chunks, carrying a ``LoopState`` (the filter states
+and the last 2 max(m1, m2) samples of each delayed record) from one chunk
+to the next, so memory does not grow with the record and the outputs are
+those of one pass over the whole record, byte for byte.  The stepped engine
+("stepped") walks the recurrence per sample over a whole record and clamps
+each actuator at its range, with anti-windup and the piezo-to-thermal
+offload; it is the nonlinear reference.  Both engines call a loop divergent
+when a correction exceeds ``LinkLoopConfig.divergence_limit_s`` plus 1e3 x
+the largest |input| seen up to that step: a running maximum, since a
+chunked run cannot know the inputs still to come.  The run topology
+(``RUN_TOPOLOGIES``) says what the far-end loop sees: "series" feeds it the
+near-end loop's corrected arrival, "independent" only fiber 2's own round
+trip, and "off" opens both loops.  ``loop_suppression`` is the
+decimated-time model: the closed-loop sensitivity applied to slow records
+in the frequency domain.
 """
 
 from __future__ import annotations
@@ -156,8 +165,25 @@ class LinkLoopConfig:
 
 
 @dataclass(frozen=True)
+class LoopState:
+    """What the linear engine carries from one chunk of a run to the next.
+
+    ``history`` holds the last ``2 * max(m1, m2)`` samples of the records
+    the delayed terms read; ``zi`` the two loop filters' states.
+    """
+    start: int                    # run index of the next chunk's first sample
+    input_peak: float             # largest |input| of the run so far
+    history: dict
+    zi: tuple
+    beyond_range: tuple = (False, False)   # rf shifter, optical actuators
+
+
+@dataclass(frozen=True)
 class LoopRunResult:
-    """Full-rate outputs of a closed-loop run (phase-time, seconds)."""
+    """Full-rate outputs of a closed-loop run (phase-time, seconds).
+
+    ``state`` continues the run with the next chunk (linear engine only).
+    """
     dt: float
     one_way: np.ndarray           # corrected arrival at the far end
     round_trip: np.ndarray        # evaluation comparison after both fibers
@@ -165,6 +191,7 @@ class LoopRunResult:
     c1_applied: np.ndarray
     a2_applied: np.ndarray
     warnings: tuple = ()
+    state: LoopState | None = None
 
 
 def _loop_filter_polys(cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):
@@ -186,24 +213,65 @@ def _loop_filter_polys(cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):
     return b, a
 
 
-def _check_divergence(arr, limit, label):
-    bad = ~np.isfinite(arr)
-    if np.any(bad):
-        step = int(np.argmax(bad))
+def _at_rest(cfg, n1, n2):
+    """State before a run's first sample: noise pre-history held at the
+    records' first values, corrections at zero, both loops at rest."""
+    h = 2 * max(cfg.m1, cfg.m2)
+    zeros = np.zeros(h)
+    history = {"n1": np.full(h, n1[0]), "n2": np.full(h, n2[0]),
+               "c1": zeros, "a2": zeros, "arr": zeros}
+    zi = tuple(np.zeros(2 * m + 1) for m in (cfg.m1, cfg.m2))
+    return LoopState(0, 0.0, history, zi)
+
+
+def _running_limit(cfg, state, inputs):
+    """Divergence limit at each step: the configured floor plus 1e3 x the
+    largest |input| up to that step.  The correction at step k depends only
+    on inputs up to k, so the limit is causal and does not depend on how a
+    run is chunked."""
+    peak = np.maximum.reduce([np.abs(r) for r in inputs])
+    return cfg.divergence_limit_s + 1e3 * np.maximum.accumulate(
+        np.maximum(peak, state.input_peak))
+
+
+def _first_divergent(corr, cfg, state, inputs):
+    """Index of the first step whose correction is non-finite or beyond the
+    running limit, or None."""
+    mag = np.abs(corr)
+    # The limit never falls during a run, so a chunk below its first
+    # step's limit needs no per-step check.
+    if np.max(mag) <= cfg.divergence_limit_s + 1e3 * state.input_peak:
+        return None
+    over = ~(mag <= _running_limit(cfg, state, inputs))
+    return int(np.argmax(over)) if np.any(over) else None
+
+
+def _check_divergence(corrections, cfg, state, inputs):
+    """Raise DivergenceError at the earliest divergent step of either loop,
+    so the step does not depend on how the run is chunked."""
+    found = []
+    for label, corr in corrections:
+        k = _first_divergent(corr, cfg, state, inputs)
+        if k is not None:
+            found.append((k, label, corr))
+    if not found:
+        return
+    k, label, corr = min(found, key=lambda f: f[0])
+    step = state.start + k
+    if not np.isfinite(corr[k]):
         raise DivergenceError(
             f"{label} correction became non-finite at step {step}; "
             "the loop is unstable at these settings", step=step)
-    peak = float(np.max(np.abs(arr)))
-    if peak > limit:
-        step = int(np.argmax(np.abs(arr) > limit))
-        raise DivergenceError(
-            f"{label} correction exceeded {limit:g} s at step {step} "
-            f"(peak {peak:g} s); the loop is unstable at these settings",
-            step=step, magnitude=peak)
+    limit = float(_running_limit(cfg, state, inputs)[k])
+    magnitude = float(abs(corr[k]))
+    raise DivergenceError(
+        f"{label} correction reached {magnitude:g} s at step {step}, beyond the "
+        f"limit {limit:g} s; the loop is unstable at these settings",
+        step=step, magnitude=magnitude)
 
 
 def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
-                    engine="lfilter") -> LoopRunResult:
+                    engine="lfilter", state=None) -> LoopRunResult:
     """Simulate the compensated dual-fiber link.
 
     ``n1``/``n2`` are the per-fiber delay-fluctuation records, ``d1``/``d2``
@@ -217,6 +285,13 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
     IIR filtering and reports (not enforces) actuator saturation; the stepped
     engine walks the same equations per sample and honors actuator clamping
     and piezo-to-thermal offload.
+
+    The linear engine runs a long record as consecutive chunks: pass the
+    ``state`` of the previous chunk's result and the outputs continue it
+    exactly, byte for byte.  ``state=None`` starts a run at rest.  A
+    correction beyond ``cfg.divergence_limit_s`` plus 1e3 x the largest
+    |input| so far raises ``DivergenceError`` with the step's index in the
+    run.
     """
     n1 = np.asarray(n1, dtype=float)
     n2 = np.asarray(n2, dtype=float)
@@ -231,54 +306,74 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
 
     if engine not in _ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
+    if state is None:
+        state = _at_rest(cfg, n1, n2)
+    elif engine != "lfilter":
+        raise InvalidInputError("only the linear engine continues a run from a state")
+    inputs = (n1, n2, d1, d2)
     if cfg.topology == "off":
         c1app = np.zeros(n)
         a2app = np.zeros(n)
-        warnings = ()
+        zi, warnings, beyond = state.zi, (), state.beyond_range
     else:
-        # A correction this far beyond every input record means divergence.
-        limit = cfg.divergence_limit_s + 1e3 * max(
-            float(np.max(np.abs(r))) for r in (n1, n2, d1, d2))
-        c1app, a2app, warnings = _ENGINES[engine](cfg, n1, n2, d1, d2, limit)
+        c1app, a2app, zi, warnings, beyond = _ENGINES[engine](cfg, inputs, state)
 
-    arr = delayed(c1app, m1, fill=0.0) + n1
+    hist = state.history
+    arr = delayed(c1app, m1, hist["c1"]) + n1
     one_way = arr
-    round_trip = (delayed(c1app, m1 + m2, fill=0.0) + delayed(n1, m2)
-                  + delayed(a2app, m2, fill=0.0) + n2)
-    probe_rt = delayed(n1, m1) + n1 + probe_det
+    round_trip = (delayed(c1app, m1 + m2, hist["c1"]) + delayed(n1, m2, hist["n1"])
+                  + delayed(a2app, m2, hist["a2"]) + n2)
+    probe_rt = delayed(n1, m1, hist["n1"]) + n1 + probe_det
+    next_state = None
+    if engine == "lfilter":
+        records = {"n1": n1, "n2": n2, "c1": c1app, "a2": a2app, "arr": arr}
+        next_state = LoopState(
+            state.start + n,
+            max(state.input_peak, *(float(np.max(np.abs(r))) for r in inputs)),
+            {name: np.concatenate((hist[name], rec))[-hist[name].size:].copy()
+             for name, rec in records.items()}, zi, beyond)
     return LoopRunResult(cfg.dt, one_way, round_trip, probe_rt,
-                         c1app, a2app, warnings=tuple(warnings))
+                         c1app, a2app, warnings=tuple(warnings), state=next_state)
 
 
-def _run_linear(cfg, n1, n2, d1, d2, limit):
+_BEYOND_RANGE = (
+    "rf_phase_shifter commanded beyond its range (not clamped by linear engine)",
+    "optical actuators commanded beyond combined range (not clamped by linear engine)")
+
+
+def _run_linear(cfg, inputs, state):
     from scipy import signal
 
+    n1, n2, d1, d2 = inputs
     m1, m2 = cfg.m1, cfg.m2
-    w1 = delayed(n1, m1) + n1 + d1
+    hist = state.history
+    w1 = delayed(n1, m1, hist["n1"]) + n1 + d1
     b1, a1 = _loop_filter_polys(cfg.controller1, cfg.rf_shifter.bandwidth_hz,
                                 cfg.dt, m1)
-    c1app = signal.lfilter(b1, a1, -0.5 * w1)
-    _check_divergence(c1app, limit, "near-end")
+    c1app, zi1 = signal.lfilter(b1, a1, -0.5 * w1, zi=state.zi[0])
 
-    arr = delayed(c1app, m1, fill=0.0) + n1
-    w2 = delayed(n2, m2) + n2 + d2
-    if cfg.topology == "series":
-        w2 = w2 + delayed(arr, 2 * m2, fill=0.0) - arr
-    b2, a2 = _loop_filter_polys(cfg.controller2, cfg.piezo.bandwidth_hz,
-                                cfg.dt, m2)
-    a2app = signal.lfilter(b2, a2, -0.5 * w2)
-    _check_divergence(a2app, limit, "far-end")
+    # A diverged near-end loop drives the far-end one with overflowing input.
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = delayed(c1app, m1, hist["c1"]) + n1
+        w2 = delayed(n2, m2, hist["n2"]) + n2 + d2
+        if cfg.topology == "series":
+            w2 = w2 + delayed(arr, 2 * m2, hist["arr"]) - arr
+        b2, a2 = _loop_filter_polys(cfg.controller2, cfg.piezo.bandwidth_hz,
+                                    cfg.dt, m2)
+        a2app, zi2 = signal.lfilter(b2, a2, -0.5 * w2, zi=state.zi[1])
+    _check_divergence((("near-end", c1app), ("far-end", a2app)), cfg, state, inputs)
 
-    warnings = []
-    if np.max(np.abs(c1app)) > cfg.rf_shifter.range_s:
-        warnings.append("rf_phase_shifter commanded beyond its range (not clamped by linear engine)")
-    if np.max(np.abs(a2app)) > cfg.piezo.range_s + cfg.thermal.range_s:
-        warnings.append("optical actuators commanded beyond combined range (not clamped by linear engine)")
-    return c1app, a2app, warnings
+    rf, optical = state.beyond_range
+    beyond = (rf or np.max(np.abs(c1app)) > cfg.rf_shifter.range_s,
+              optical or np.max(np.abs(a2app)) > cfg.piezo.range_s + cfg.thermal.range_s)
+    warnings = [text for text, flag in zip(_BEYOND_RANGE, beyond) if flag]
+    return c1app, a2app, (zi1, zi2), warnings, beyond
 
 
-def _run_stepped(cfg, n1, n2, d1, d2, limit):
+def _run_stepped(cfg, inputs, state):
     """Per-sample reference engine with actuator clamping and offload."""
+    n1, n2, d1, d2 = inputs
+    limit = _running_limit(cfg, state, inputs)
     n = n1.size
     m1, m2 = cfg.m1, cfg.m2
     dt = cfg.dt
@@ -345,9 +440,9 @@ def _run_stepped(cfg, n1, n2, d1, d2, limit):
         pz += a_pz * (t_pz - pz)
         a2app[k] = pz + th
 
-        if k % 4096 == 0 and (abs(c1) > limit or abs(u2) > limit):
+        if k % 4096 == 0 and (abs(c1) > limit[k] or abs(u2) > limit[k]):
             raise DivergenceError(
-                f"stepped engine correction exceeded {limit:g} s at step {k}",
+                f"stepped engine correction exceeded {limit[k]:g} s at step {k}",
                 step=k, magnitude=max(abs(c1), abs(u2)))
 
     warnings = []
@@ -356,7 +451,7 @@ def _run_stepped(cfg, n1, n2, d1, d2, limit):
     if sat_pz:
         warnings.append("piezo_stretcher saturated"
                         + (" (offload engaged)" if k_off > 0 else ""))
-    return np.array(c1app), np.array(a2app), warnings
+    return np.array(c1app), np.array(a2app), state.zi, warnings, state.beyond_range
 
 
 _ENGINES = {"lfilter": _run_linear, "stepped": _run_stepped}

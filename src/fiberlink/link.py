@@ -32,6 +32,10 @@ class Carrier:
         if not self.frequency_hz > 0:
             raise InvalidInputError("carrier frequency must be positive")
 
+    def radians(self, seconds):
+        """Phase-time samples as radians of phase at this carrier."""
+        return seconds * (2.0 * np.pi * self.frequency_hz)
+
 
 @dataclass(frozen=True)
 class FiberPath:
@@ -87,21 +91,21 @@ def actuator_alpha(bandwidth_hz, dt):
 
 def to_radians(x: PhaseSeries, carrier: Carrier) -> PhaseSeries:
     """Phase-time record scaled to radians at the detection carrier."""
-    scale = 2.0 * np.pi * carrier.frequency_hz
-    return PhaseSeries(x.samples * scale, x.tau0,
+    return PhaseSeries(carrier.radians(x.samples), x.tau0,
                        label=f"{x.label}@{carrier.frequency_hz:g}Hz[rad]")
 
 
-def delayed(samples, steps, fill=None):
+def delayed(samples, steps, history=None):
     """Shift a record right by whole steps.
 
-    Pre-history is held at the first value (natural for noise records) or at
-    ``fill`` when given (0.0 for corrections: servos start at rest).
+    ``history`` holds the samples just before the record, at least
+    ``steps`` of them; without it, pre-history is held at the first value
+    (natural for noise records).
     """
-    if steps <= 0:
-        return samples.copy()
-    pad = samples[0] if fill is None else fill
-    return np.concatenate((np.full(steps, pad), samples[:-steps]))
+    if history is None:
+        history = np.full(steps, samples[0])
+    h = history.size
+    return np.concatenate((history, samples))[h - steps: h - steps + samples.size]
 
 
 def propagate(input_phase: PhaseSeries, path: FiberPath) -> PhaseSeries:
@@ -134,7 +138,7 @@ def detector_noise(cfg: DetectorConfig, carrier: Carrier, n, tau0, rng):
         return np.zeros(n)
     fs = 1.0 / tau0
     sigma_rad = cfg.floor_rad_per_rthz * np.sqrt(fs / 2.0)
-    return rng.standard_normal(n) * sigma_rad / (2.0 * np.pi * carrier.frequency_hz)
+    return rng.standard_normal(n) * (sigma_rad / (2.0 * np.pi * carrier.frequency_hz))
 
 
 def detect_phase(a: PhaseSeries, b: PhaseSeries, cfg: DetectorConfig,
@@ -155,22 +159,64 @@ def detect_phase(a: PhaseSeries, b: PhaseSeries, cfg: DetectorConfig,
     return PhaseSeries(diff, a.tau0, label="detected")
 
 
+class Lowpass:
+    """Single-pole low-pass modeling the counting measurement bandwidth,
+    started at rest and run over consecutive chunks of one record."""
+
+    def __init__(self, bandwidth_hz, tau0):
+        if not bandwidth_hz > 0:
+            raise InvalidInputError("measurement bandwidth must be positive")
+        alpha = actuator_alpha(bandwidth_hz, tau0)
+        self._b, self._a = [alpha], [1.0, -(1.0 - alpha)]
+        self._zi = np.zeros(1)
+
+    def __call__(self, samples):
+        from scipy import signal
+
+        y, self._zi = signal.lfilter(self._b, self._a, samples, zi=self._zi)
+        return y
+
+
 def measurement_lowpass(x: PhaseSeries, bandwidth_hz) -> PhaseSeries:
     """Single-pole low-pass modeling the counting measurement bandwidth."""
-    if not bandwidth_hz > 0:
-        raise InvalidInputError("measurement bandwidth must be positive")
-    from scipy import signal
-
-    alpha = actuator_alpha(bandwidth_hz, x.tau0)
-    y = signal.lfilter([alpha], [1.0, -(1.0 - alpha)], x.samples)
+    y = Lowpass(bandwidth_hz, x.tau0)(x.samples)
     return PhaseSeries(y, x.tau0, label=f"{x.label}|lp{bandwidth_hz:g}Hz")
 
 
-def sample_every(x: PhaseSeries, step_s) -> PhaseSeries:
-    """Decimate by point sampling at the new step (gate instants)."""
-    m = int(round(step_s / x.tau0))
-    if m < 1 or abs(step_s - m * x.tau0) > 1e-9 * step_s:
+def _decimation(step_s, tau0, n):
+    m = int(round(step_s / tau0))
+    if m < 1 or abs(step_s - m * tau0) > 1e-9 * step_s:
         raise InvalidInputError("decimation step must be an integer multiple of tau0")
-    if x.samples.size // m < 2:
+    if n // m < 2:
         raise InvalidInputError("record too short to decimate at this step")
-    return PhaseSeries(x.samples[::m], step_s, label=x.label)
+    return m
+
+
+def sample_every(x: PhaseSeries, step_s) -> PhaseSeries:
+    """Decimate by point sampling at the new step (gate instants).
+
+    The points are a copy, so they do not keep the full record alive.
+    """
+    m = _decimation(step_s, x.tau0, x.samples.size)
+    return PhaseSeries(x.samples[::m].copy(), step_s, label=x.label)
+
+
+class CountingChain:
+    """``sample_every(measurement_lowpass(x, bandwidth_hz), gate_s)`` of an
+    ``n``-sample record x fed in consecutive chunks; holds only the points."""
+
+    def __init__(self, n, tau0, bandwidth_hz, gate_s):
+        self._lowpass = Lowpass(bandwidth_hz, tau0)
+        self._every = _decimation(gate_s, tau0, n)
+        self._gate_s, self._bandwidth_hz = gate_s, bandwidth_hz
+        self._seen = 0
+        self._points = []
+
+    def push(self, samples):
+        y = self._lowpass(samples)
+        self._points.append(y[-self._seen % self._every:: self._every].copy())
+        self._seen += samples.size
+
+    def series(self, label) -> PhaseSeries:
+        return PhaseSeries(np.concatenate(self._points), self._gate_s,
+                           label=f"{label}|lp{self._bandwidth_hz:g}Hz")

@@ -140,20 +140,63 @@ def gen_power_law_phase(spec: NoiseSpec, n: int, tau0: float, seed) -> PhaseSeri
     return PhaseSeries(total, tau0, label="powerlaw")
 
 
+def diurnal_samples(amplitude_s, period_s, phase_rad, start, stop, tau0):
+    """Samples ``start`` to ``stop - 1`` of x(t) = A sin(2 pi t / T + phase)."""
+    t = np.arange(start, stop) * tau0
+    return amplitude_s * np.sin(2.0 * np.pi * t / period_s + phase_rad)
+
+
 def gen_diurnal(amplitude_s, period_s, phase_rad, n, tau0) -> PhaseSeries:
     """Deterministic sinusoidal delay drift x(t) = A sin(2 pi t / T + phase)."""
     if not period_s > 0:
         raise InvalidInputError("period must be positive")
-    t = np.arange(n) * tau0
-    x = amplitude_s * np.sin(2.0 * np.pi * t / period_s + phase_rad)
-    return PhaseSeries(x, tau0, label="diurnal")
+    return PhaseSeries(diurnal_samples(amplitude_s, period_s, phase_rad, 0, n, tau0),
+                       tau0, label="diurnal")
+
+
+def _pulse_piece(amplitude_s, duration_s, tau0, lo, hi):
+    # Samples lo to hi - 1 of the raised-cosine pulse.
+    t = np.arange(lo, hi) * tau0
+    return amplitude_s * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / duration_s))
+
+
+def _pulse_len(duration_s, tau0):
+    return max(int(round(duration_s / tau0)), 2) + 1
 
 
 def burst_pulse(amplitude_s, duration_s, tau0):
     """Raised-cosine pulse samples; peak value equals the amplitude."""
-    n = max(int(round(duration_s / tau0)), 2)
-    t = np.arange(n + 1) * tau0
-    return amplitude_s * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / duration_s))
+    return _pulse_piece(amplitude_s, duration_s, tau0, 0, _pulse_len(duration_s, tau0))
+
+
+class BurstTrain:
+    """The pulses of one ``gen_bursts`` record, drawn once and evaluated over
+    any range of its samples, so a record can be built chunk by chunk."""
+
+    def __init__(self, spec: BurstSpec, n, tau0, seed):
+        duration = n * tau0
+        expected = spec.rate_per_s * duration
+        if not np.isfinite(expected):
+            raise InvalidInputError("burst rate times duration must be finite")
+        self._n, self._tau0, self._duration_s = n, tau0, spec.duration_s
+        self._pulses = []           # (first sample, amplitude), in arrival order
+        if expected > 0:
+            rng = component_rng(seed, "bursts")
+            count = rng.poisson(expected)
+            starts = np.sort(rng.uniform(0.0, duration, size=count))
+            amps = spec.amp_median_s * np.exp(spec.amp_sigma * rng.standard_normal(count))
+            self._pulses = [(int(round(t0 / tau0)), amp) for t0, amp in zip(starts, amps)]
+
+    def samples(self, start, stop):
+        """Samples ``start`` to ``stop - 1`` of the record."""
+        x = np.zeros(stop - start)
+        size = _pulse_len(self._duration_s, self._tau0)
+        for i0, amp in self._pulses:
+            lo, hi = max(i0, start), min(i0 + size, stop, self._n)
+            if lo < hi:
+                x[lo - start: hi - start] += _pulse_piece(amp, self._duration_s,
+                                                          self._tau0, lo - i0, hi - i0)
+        return x
 
 
 def gen_bursts(spec: BurstSpec, n, tau0, seed) -> PhaseSeries:
@@ -162,23 +205,7 @@ def gen_bursts(spec: BurstSpec, n, tau0, seed) -> PhaseSeries:
     Arrival count is Poisson(rate * n * tau0); arrivals are uniform over the
     record and pulses overhanging the end are truncated.
     """
-    x = np.zeros(n)
-    duration = n * tau0
-    expected = spec.rate_per_s * duration
-    if not np.isfinite(expected):
-        raise InvalidInputError("burst rate times duration must be finite")
-    if expected > 0:
-        rng = component_rng(seed, "bursts")
-        count = rng.poisson(expected)
-        starts = np.sort(rng.uniform(0.0, duration, size=count))
-        amps = spec.amp_median_s * np.exp(spec.amp_sigma * rng.standard_normal(count))
-        for t0, amp in zip(starts, amps):
-            pulse = burst_pulse(amp, spec.duration_s, tau0)
-            i0 = int(round(t0 / tau0))
-            i1 = min(i0 + pulse.size, n)
-            if i0 < n:
-                x[i0:i1] += pulse[: i1 - i0]
-    return PhaseSeries(x, tau0, label="bursts")
+    return PhaseSeries(BurstTrain(spec, n, tau0, seed).samples(0, n), tau0, label="bursts")
 
 
 def gen_noise(spec: NoiseSpec, n, tau0, seed) -> PhaseSeries:

@@ -12,6 +12,17 @@ band (default 0.1 ms step), while day-scale statistics come from a 1 s step
 model in which the loops act through their low-frequency suppression
 function.  The decimated model is validated against the full-rate one over
 their overlap in the test suite.
+
+The full-rate simulation is one pipeline over chunks of ``_CHUNK`` samples:
+each chunk's noise is drawn, run through both servo loops (which carry
+their state to the next chunk), the counting low-pass and 1 s point
+sampling, and into a Welch accumulator that holds one PSD segment.  No
+full-rate record is held whole (walk FM, still synthesized by FFT, aside),
+so memory does not grow with the full-rate duration, and every output has
+the bytes of one pass over the whole record.  A loop diverges when a
+correction exceeds a limit set by the largest input seen so far (see
+``fiberlink.control``).  Caps on the sample counts a scenario asks for are
+checked at load.
 """
 
 from __future__ import annotations
@@ -36,17 +47,38 @@ from .comb import (BudgetEntry, CombParams, CounterChainConfig,
 from .control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig,
                       loop_suppression, run_closed_loop)
 from .errors import DivergenceError, InvalidInputError, ScenarioValidationError
-from .link import (ActuatorState, Carrier, measurement_lowpass,
-                   sample_every, to_radians)
-from .noise import (BurstSpec, NoiseSpec, component_rng, fiber_pair,
-                    gen_bursts, gen_diurnal, gen_power_law_phase,
-                    white_fm_level_for)
+from .link import (ActuatorState, Carrier, CountingChain, DetectorConfig,
+                   detector_noise)
+from .noise import (BurstSpec, BurstTrain, NoiseSpec, component_rng,
+                    diurnal_samples, fiber_pair, gen_bursts, gen_diurnal,
+                    gen_power_law_phase, white_fm_level_for)
 from .series import AdevCurve, FracFreqSeries, PhaseSeries
-from .stability import (_tau_multiple, allan_deviation, allan_deviation_phase,
-                        psd_welch)
+from .stability import (WelchAccumulator, _tau_multiple, allan_deviation,
+                        allan_deviation_phase)
+# The one-chunk forms of the streamed full-rate stages; perfbench's tracer
+# wraps them under these names.
+from .link import measurement_lowpass, sample_every, to_radians  # noqa: F401
+from .stability import psd_welch  # noqa: F401
 
 PRESETS = ("fig1", "fig4", "budget")
 _GATE_S = 1.0       # counting gate of the full-rate measurement chain
+_CHUNK = 2 ** 16    # samples per chunk of the full-rate pipeline
+
+# Caps on the samples a scenario asks for, checked at load from the numbers
+# alone, so an oversized run is refused as a listed problem instead of
+# failing in the allocator.  Sizes are for a 2-vCPU host.
+# Full-rate samples run in chunks, so this bounds run time (~0.45 us a
+# sample at the default delay, under a minute) and the walk FM pair that is
+# still synthesized whole (8 B a sample per fiber, ~64 B a sample while it
+# is built): 1.9 h at the 0.1 ms step.
+_MAX_FULLRATE_SAMPLES = 2 ** 26
+# The decimated model holds about 150 B a sample: ~1.3 GB; 97 days at 1 s.
+_MAX_DECIMATED_SAMPLES = 2 ** 23
+# Comb gates: exact arithmetic and the gate CSV, ~2 us and ~120 B a gate.
+_MAX_COMB_GATES = 2 ** 22
+# Budget records x gates per record; a record costs ~0.17 ms and ~0.7 kB,
+# so even one gate a record stays under 3 minutes and 0.7 GB.
+_MAX_BUDGET_GATES = 2 ** 20
 
 
 def _is_int(x):
@@ -421,6 +453,26 @@ def _validate(data, read):
             problems.append(f"{tau_key} entries {off_grid} are not integer multiples "
                             f"of {tau0_name} ({tau0:g} s)")
 
+    # Each sample cap is checked when its inputs are valid.
+    link_c, comb_c, budget_c = data["link"], data["comb"], data["budget"]
+    counts = []
+    if ok["run.fullrate_duration_s"] and ok["link.step_s"]:
+        counts.append(("full-rate samples (run.fullrate_duration_s / link.step_s)",
+                       run_c["fullrate_duration_s"] / link_c["step_s"], _MAX_FULLRATE_SAMPLES))
+    if ok["run.decimated_duration_s"] and ok["run.decimated_step_s"]:
+        counts.append(("decimated samples (run.decimated_duration_s / run.decimated_step_s + 1)",
+                       run_c["decimated_duration_s"] / run_c["decimated_step_s"] + 1,
+                       _MAX_DECIMATED_SAMPLES))
+    if ok["comb.n_gates"] and comb_c["enabled"]:
+        counts.append(("comb.n_gates", comb_c["n_gates"], _MAX_COMB_GATES))
+    if ok["budget.records"] and ok["budget.record_gates"]:
+        counts.append(("budget gates (budget.records x budget.record_gates)",
+                       budget_c["records"] * budget_c["record_gates"], _MAX_BUDGET_GATES))
+    for what, count, cap in counts:
+        if not count <= cap:
+            shown = f"{count:g}" if isinstance(count, float) else count
+            problems.append(f"{what} = {shown} exceeds the cap of {cap}")
+
     c = data["comb"]
     if ok["comb.filter_bw_hz"] and ok["comb.if_target_hz"] \
             and c["filter_bw_hz"] >= c["if_target_hz"]:
@@ -469,12 +521,9 @@ def _add_pair(x1, x2, ratio, draw):
     x2 += p2
 
 
-def _counted_series(x: PhaseSeries, measurement_bw_hz, gate_s) -> PhaseSeries:
-    """Measurement chain: counting filter then 1-per-gate sampling."""
-    return sample_every(measurement_lowpass(x, measurement_bw_hz), gate_s)
-
-
 def _run_fullrate(scn, seed, report):
+    """The full-rate link: noise, both servo loops, the counting chain and
+    Welch, run together over consecutive chunks of ``_CHUNK`` samples."""
     link = scn["link"]
     runc = scn["run"]
     dt = link["step_s"]
@@ -485,57 +534,64 @@ def _run_fullrate(scn, seed, report):
     m = int(round(one_way_delay / dt))
 
     # Per-fiber noise: white PM (flat S_x) + common diurnal + walk + bursts.
+    # Every stream but the walk is drawn chunk by chunk from its own source.
     noise = link["noise"]
     ratio = noise["differential_ratio"]
     sigma_w = np.sqrt(noise["white_pm_sx_s2_per_hz"] * fs / 2.0)
-    n1, n2 = fiber_pair(ratio, lambda j: component_rng(
-        seed, "fullrate-white", j).standard_normal(n) * sigma_w)
-    diurnal = _diurnal(noise, n, dt)
-    n1 += diurnal
-    n2 += diurnal
-    del diurnal
-    if noise["walk_fm_h"] > 0:
-        _add_pair(n1, n2, ratio, lambda j: _walk(noise["walk_fm_h"], n, dt, seed,
+    white = [component_rng(seed, "fullrate-white", j) for j in range(3)]
+    walk = None
+    if noise["walk_fm_h"] > 0:      # synthesized by FFT, so built whole
+        walk = fiber_pair(ratio, lambda j: _walk(noise["walk_fm_h"], n, dt, seed,
                                                  "fullrate-walk", j))
-    _add_pair(n1, n2, ratio, lambda j: gen_bursts(
-        _burst_spec(noise), n, dt, _sub_seed(seed, "fullrate-bursts", j)).samples)
+    bursts = [BurstTrain(_burst_spec(noise), n, dt, _sub_seed(seed, "fullrate-bursts", j))
+              for j in range(3)]
 
-    floor = link["detector"]["floor_rad_per_rthz"]
-    f_ret = link["carrier_return_hz"]
-    f_probe = link["carrier_probe_hz"]
-    sig_det = floor * np.sqrt(fs / 2.0) / (2.0 * np.pi * f_ret)
-    sig_probe = floor * np.sqrt(fs / 2.0) / (2.0 * np.pi * f_probe)
-    d1 = component_rng(seed, "det", 1).standard_normal(n) * sig_det
-    d2 = component_rng(seed, "det", 2).standard_normal(n) * sig_det
-    dp = component_rng(seed, "det", "probe").standard_normal(n) * sig_probe
+    detector = DetectorConfig(link["detector"]["floor_rad_per_rthz"],
+                              link["detector"]["measurement_bw_hz"])
+    f_ret = Carrier(link["carrier_return_hz"])
+    f_probe = Carrier(link["carrier_probe_hz"])
+    det = [component_rng(seed, "det", tag) for tag in (1, 2, "probe")]
 
     cfg = _loop_config(scn, m)
-    result = run_closed_loop(cfg, n1, n2, d1, d2, probe_det=dp)
+    skip = int(round(runc["transient_discard_s"] / dt))
+    labels = {"closed_rt": "closed_rt", "closed_one_way": "closed_one_way",
+              "open_rt": "open_probe_rt"}
+    chains = {name: CountingChain(n - skip, dt, detector.measurement_bw_hz, _GATE_S)
+              for name in labels}
+    welch = WelchAccumulator(n - skip, dt, round(scn["outputs"]["psd_segment_s"] / dt),
+                             overlap=scn["outputs"]["psd_overlap"])
+
+    state = None
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        k = stop - start
+        n1, n2 = fiber_pair(ratio, lambda j: white[j].standard_normal(k) * sigma_w)
+        diurnal = diurnal_samples(noise["diurnal_amplitude_s"], noise["diurnal_period_s"],
+                                  noise["diurnal_phase_rad"], start, stop, dt)
+        n1 += diurnal
+        n2 += diurnal
+        if walk is not None:
+            n1 += walk[0][start:stop]
+            n2 += walk[1][start:stop]
+        _add_pair(n1, n2, ratio, lambda j: bursts[j].samples(start, stop))
+        d1, d2, dp = (detector_noise(detector, carrier, k, dt, rng)
+                      for carrier, rng in zip((f_ret, f_ret, f_probe), det))
+
+        result = run_closed_loop(cfg, n1, n2, d1, d2, probe_det=dp, state=state)
+        state = result.state
+        settled = max(skip - start, 0)
+        if settled < k:
+            for name, rec in zip(labels, (result.round_trip, result.one_way,
+                                          result.probe_rt)):
+                chains[name].push(rec[settled:])
+            welch.add(f_ret.radians(result.round_trip[settled:]))
     report.warnings.extend(result.warnings)
 
-    skip = int(round(runc["transient_discard_s"] / dt))
-    bw = link["detector"]["measurement_bw_hz"]
-
-    def settled(arr, label):
-        return PhaseSeries(arr[skip:], dt, label=label)
-
-    rt = settled(result.round_trip, "closed_rt")
-    ow = settled(result.one_way, "closed_one_way")
-    probe = settled(result.probe_rt, "open_probe_rt")
-
     taus = scn["outputs"]["fullrate_taus_s"]
-    counted = {name: _counted_series(series, bw, _GATE_S)
-               for name, series in (("closed_rt", rt), ("closed_one_way", ow),
-                                    ("open_rt", probe))}
+    counted = {name: chain.series(labels[name]) for name, chain in chains.items()}
     curves = {name: allan_deviation_phase(series, taus, estimator="overlapping")
               for name, series in counted.items()}
-
-    seg = int(round(scn["outputs"]["psd_segment_s"] / dt))
-    psd_rt = psd_welch(to_radians(rt, Carrier(f_ret)), seg,
-                       overlap=scn["outputs"]["psd_overlap"])
-
-    return {"curves": curves, "counted": counted, "psd_rt": psd_rt,
-            "series": {"closed_rt": rt, "closed_one_way": ow, "open_rt": probe},
+    return {"curves": curves, "counted": counted, "psd_rt": welch.result(),
             "m": m, "dt": dt}
 
 

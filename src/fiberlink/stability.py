@@ -96,6 +96,108 @@ def allan_deviation_phase(x: PhaseSeries, taus, estimator="standard") -> AdevCur
     return allan_deviation(phase_to_frac_freq(x), taus, estimator)
 
 
+def _pairwise_sum(count):
+    """Coroutine: send it ``count`` arrays, and it returns their sum added
+    in numpy's pairwise order, so the sum has the bytes of
+    ``np.add.reduce`` over a contiguous axis of ``count`` terms.  It holds
+    at most 8 partial sums plus one per halving of ``count`` beyond 128,
+    and adds in place into the arrays sent to it."""
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        left = yield from _pairwise_sum(half)
+        right = yield from _pairwise_sum(count - half)
+        left += right
+        return left
+    if count < 8:
+        total = 0.0 + (yield)
+        for _ in range(count - 1):
+            total += yield
+        return total
+    lanes = [None] * 8
+    full = count - count % 8
+    for i in range(full):
+        if i < 8:
+            lanes[i] = yield
+        else:
+            lanes[i % 8] += yield
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        lanes[a] += lanes[b]
+        lanes[b] = None
+    total = lanes[0]
+    for _ in range(full, count):
+        total += yield
+    return total
+
+
+class WelchAccumulator:
+    """One-sided Welch PSD of an ``n``-sample record fed in consecutive
+    chunks of any size, with the bytes of ``scipy.signal.welch`` of the
+    whole record.
+
+    It holds one segment of samples.  Each complete segment's periodogram
+    is computed as ``scipy.signal.csd`` computes it and added into a
+    pairwise sum, the order numpy's mean over the segments uses.  Trailing
+    samples that do not fill a segment are ignored, as ``welch`` ignores
+    them.
+    """
+
+    def __init__(self, n, tau0, segment, overlap=0.5, window="hann",
+                 detrend="linear"):
+        segment = int(segment)
+        if segment < 2 or segment > n:
+            raise InvalidInputError(f"segment length {segment} must be in [2, {n}]")
+        if not 0.0 <= overlap < 1.0:
+            raise InvalidInputError("overlap fraction must be in [0, 1)")
+        from scipy import signal
+
+        fs = 1.0 / tau0
+        self._hop = segment - int(overlap * segment)
+        self._count = (n - segment) // self._hop + 1
+        win = signal.get_window(window, segment)
+        self._sft = signal.ShortTimeFFT(win, self._hop, fs, fft_mode="onesided",
+                                        mfft=segment, scale_to="psd", phase_shift=None)
+        self._detrend = None if detrend is False else detrend
+        self._rbw_hz = float(fs * np.sum(win ** 2) / np.sum(win) ** 2)
+        self._buffer = np.empty(segment)
+        self._filled = 0
+        self._done = 0
+        self._sum = _pairwise_sum(self._count)
+        next(self._sum)
+        self._total = None
+
+    def add(self, samples):
+        """Feed the record's next samples."""
+        seg = self._buffer.size
+        while samples.size and self._done < self._count:
+            take = min(seg - self._filled, samples.size)
+            self._buffer[self._filled: self._filled + take] = samples[:take]
+            self._filled += take
+            samples = samples[take:]
+            if self._filled == seg:
+                self._segment_done()
+                self._buffer[: seg - self._hop] = self._buffer[self._hop:]
+                self._filled = seg - self._hop
+
+    def _segment_done(self):
+        seg = self._buffer.size
+        p = self._sft.spectrogram(self._buffer, detr=self._detrend, p0=0, p1=1,
+                                  k_offset=seg // 2)[:, 0]
+        p[1:-1 if seg % 2 == 0 else None] *= 2
+        self._done += 1
+        try:
+            self._sum.send(p)
+        except StopIteration as end:
+            self._total = end.value
+
+    def result(self) -> PsdEstimate:
+        if self._total is None:
+            raise InvalidInputError(
+                f"Welch PSD has {self._done} of its {self._count} segments")
+        values = self._total / self._count
+        return PsdEstimate(self._sft.f, np.maximum(values, 0.0), rbw_hz=self._rbw_hz)
+
+
 def psd_welch(x: PhaseSeries, segment: int, overlap=0.5, window="hann",
               detrend="linear") -> PsdEstimate:
     """One-sided Welch PSD of a sampled record.
@@ -104,23 +206,11 @@ def psd_welch(x: PhaseSeries, segment: int, overlap=0.5, window="hann",
     given fraction.  Each segment is detrended (mean and linear trend) before
     windowing so DC leakage does not swamp the low bins.  The estimate is
     Parseval-consistent: integrating it over frequency recovers the variance
-    of the detrended input.
+    of the detrended input.  It is ``WelchAccumulator`` fed the whole record.
     """
-    segment = int(segment)
-    if segment < 2 or segment > len(x):
-        raise InvalidInputError(
-            f"segment length {segment} must be in [2, {len(x)}]")
-    if not 0.0 <= overlap < 1.0:
-        raise InvalidInputError("overlap fraction must be in [0, 1)")
-    from scipy import signal
-
-    fs = 1.0 / x.tau0
-    freqs, values = signal.welch(
-        x.samples, fs=fs, window=window, nperseg=segment,
-        noverlap=int(overlap * segment), detrend=detrend, scaling="density")
-    win = signal.get_window(window, segment)
-    enbw = fs * np.sum(win ** 2) / np.sum(win) ** 2
-    return PsdEstimate(freqs, np.maximum(values, 0.0), rbw_hz=float(enbw))
+    acc = WelchAccumulator(len(x), x.tau0, segment, overlap, window, detrend)
+    acc.add(x.samples)
+    return acc.result()
 
 
 @dataclass(frozen=True)

@@ -190,3 +190,10 @@ class TestInvariantsAndChain:
         assert len(dec) == n // 100
         with pytest.raises(InvalidInputError):
             sample_every(filtered, 0.00037)
+
+    def test_sample_every_copies_the_points(self):
+        # A strided view would keep the whole record alive.
+        x = PhaseSeries(np.arange(1000.0), 1e-3)
+        points = sample_every(x, 0.1).samples
+        assert points.base is None and points.nbytes == 10 * 8
+        assert np.array_equal(points, x.samples[::100])

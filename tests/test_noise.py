@@ -3,9 +3,9 @@ import pytest
 
 import fiberlink as fl
 from fiberlink.errors import InvalidInputError
-from fiberlink.noise import (BurstSpec, DiurnalSpec, NoiseSpec, burst_pulse,
-                             component_rng, correlated_pair, fiber_pair,
-                             gen_bursts, gen_diurnal, gen_noise,
+from fiberlink.noise import (BurstSpec, BurstTrain, DiurnalSpec, NoiseSpec,
+                             burst_pulse, component_rng, correlated_pair,
+                             fiber_pair, gen_bursts, gen_diurnal, gen_noise,
                              gen_power_law_phase)
 from fiberlink.series import PhaseSeries
 from fiberlink.stability import allan_deviation_phase, fit_power_law
@@ -166,6 +166,16 @@ class TestBursts:
         a = gen_bursts(spec, 10_000, 1.0, 5)
         b = gen_bursts(spec, 10_000, 1.0, 5)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_pieces_give_the_record(self):
+        # Pulses overlap and straddle the piece edges; the last overhangs.
+        spec = BurstSpec(rate_per_s=0.05, amp_median_s=1e-11, duration_s=30.0)
+        whole = gen_bursts(spec, 1000, 0.5, 8).samples
+        train = BurstTrain(spec, 1000, 0.5, 8)
+        edges = [0, 1, 7, 64, 65, 400, 999, 1000]
+        pieces = [train.samples(a, b) for a, b in zip(edges, edges[1:])]
+        assert np.count_nonzero(whole) > 500
+        assert np.array_equal(np.concatenate(pieces), whole)
 
 
 class TestCorrelatedPair:

@@ -216,6 +216,46 @@ class TestLoadScenario:
             "must be shorter than run.fullrate_duration_s=240"]
         load_scenario({"seed": 1, "preset": "fig1", "link": {"length_km": 2.39e7}})
 
+    @pytest.mark.parametrize("override, problem", [
+        ({"preset": "fig1", "link": {"step_s": 1e-12}},
+         "full-rate samples (run.fullrate_duration_s / link.step_s) = 2.4e+14 "
+         "exceeds the cap of 67108864"),
+        ({"preset": "fig1", "link": {"step_s": 1e-300}},
+         "full-rate samples (run.fullrate_duration_s / link.step_s) = 2.4e+302 "
+         "exceeds the cap of 67108864"),
+        ({"preset": "fig1", "run": {"decimated_duration_s": 1e7}},
+         "decimated samples (run.decimated_duration_s / run.decimated_step_s + 1) = "
+         "1e+07 exceeds the cap of 8388608"),
+        ({"preset": "fig4", "comb": {"n_gates": 2 ** 22 + 1}},
+         "comb.n_gates = 4194305 exceeds the cap of 4194304"),
+        ({"preset": "budget", "budget": {"records": 1025, "record_gates": 1024}},
+         "budget gates (budget.records x budget.record_gates) = 1049600 exceeds "
+         "the cap of 1048576"),
+    ])
+    def test_sample_caps(self, override, problem):
+        # Decided from the numbers alone; nothing is allocated.
+        assert _problems({"seed": 1, **override}) == [problem]
+
+    def test_sample_caps_inclusive_and_only_where_read(self):
+        load_scenario({"seed": 1, "preset": "fig4", "comb": {"n_gates": 2 ** 22}})
+        load_scenario({"seed": 1, "preset": "budget",
+                       "budget": {"records": 1024, "record_gates": 1024}})
+        # The budget alone reads the comb table but runs no comb gates.
+        load_scenario({"seed": 1, "preset": "budget", "comb": {"n_gates": 10 ** 9}})
+        load_scenario({"seed": 1, "preset": "fig4", "link": {"step_s": 1e-12}})
+
+    def test_shipped_scenarios_inside_the_caps(self):
+        import importlib.util
+
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            load_scenario(workloads.scenario_for(name, 1))
+        for preset in PRESETS:
+            load_scenario({"seed": 1, "preset": preset})
+
     @pytest.mark.parametrize("path", [p for p in LEAF_PATHS if p != "preset"])
     def test_every_leaf_refuses_a_string(self, path):
         # Under a preset that reads the key (an unknown preset has its own test).
@@ -524,6 +564,8 @@ class TestCli:
         {"preset": "fig1", "controllers": {"unity_gain_hz": 0}},
         {"preset": "budget", "budget": {"measured_sigma_1s": 1e300}},
         {"preset": "budget", "budget": {"contributions": [{"label": "a", "sigma_at_1s": 1e300}]}},
+        {"preset": "fig1", "link": {"step_s": 1e-12}},
+        {"preset": "fig1", "link": {"step_s": 1e-300}},
     ])
     def test_run_refuses_at_load_exit_1(self, tmp_path, override):
         # Each of these once passed validation and ended the run in a traceback

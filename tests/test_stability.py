@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 import fiberlink as fl
 from fiberlink.errors import InvalidInputError
 from fiberlink.series import FracFreqSeries, PhaseSeries
-from fiberlink.stability import (allan_deviation, allan_deviation_phase,
-                                 fit_power_law, one_way_from_round_trip,
-                                 phase_to_frac_freq, psd_welch)
+from fiberlink.stability import (WelchAccumulator, allan_deviation,
+                                 allan_deviation_phase, fit_power_law,
+                                 one_way_from_round_trip, phase_to_frac_freq,
+                                 psd_welch)
 
 
 class TestPhaseToFracFreq:
@@ -141,6 +142,30 @@ class TestPsdWelch:
         x = PhaseSeries(np.zeros(100), 1.0)
         with pytest.raises(InvalidInputError):
             psd_welch(x, segment=101)
+
+    # Segment counts 1, 5, 13, 161 and 3324 cover each branch of numpy's
+    # pairwise summation that the Welch mean follows.
+    @pytest.mark.parametrize("n, segment, overlap, window, detrend", [
+        (7000, 7000, 0.5, "hann", "linear"),
+        (9000, 3000, 0.5, "hann", "linear"),
+        (9001, 1001, 0.3, "hamming", "linear"),
+        (50_000, 999, 0.7, "boxcar", False),
+        (80_000, 1000, 0.5, "hann", "constant"),
+        (200_000, 600, 0.9, "blackman", "linear"),
+    ])
+    def test_bytes_of_scipy_welch(self, n, segment, overlap, window, detrend):
+        from scipy import signal
+
+        x = np.cumsum(np.random.default_rng(n).standard_normal(n)) * 1e-12
+        freqs, values = signal.welch(x, fs=1e4, window=window, nperseg=segment,
+                                     noverlap=int(overlap * segment), detrend=detrend)
+        psd = psd_welch(PhaseSeries(x, 1e-4), segment, overlap, window, detrend)
+        assert np.array_equal(psd.freqs, freqs)
+        assert np.array_equal(psd.values, values)
+        acc = WelchAccumulator(n, 1e-4, segment, overlap, window, detrend)
+        for chunk in np.array_split(x, 37):
+            acc.add(chunk)
+        assert np.array_equal(acc.result().values, values)
 
 
 class TestFitPowerLaw:
