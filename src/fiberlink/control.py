@@ -10,6 +10,10 @@ accumulated into the applied correction.  The open-loop transfer is then
 with kp = 2 pi f_unity and ki = kp * 2 pi f_corner.  The round-trip delay
 tau_rt enters as a transport delay; with a pure integrator the loop turns
 unstable at 1 / (4 tau_rt), which is what limits the usable bandwidth.
+``critical_frequency`` and ``loop_gain`` are these continuous closed forms.
+A simulated loop is a discrete recurrence, stable exactly when every root
+of its denominator polynomial in z^-1 lies inside the unit circle;
+``integrator_loop_diverges`` decides the delay-limited boundary that way.
 
 The near-end loop corrects fiber 1 with an RF phase shift on the
 transmitted carrier, so only the served carrier is corrected.  The far-end
@@ -27,15 +31,15 @@ to the next, so memory does not grow with the record and the outputs are
 those of one pass over the whole record, byte for byte.  The stepped engine
 ("stepped") walks the recurrence per sample over a whole record and clamps
 each actuator at its range, with anti-windup and the piezo-to-thermal
-offload; it is the nonlinear reference.  Both engines call a loop divergent
-when a correction exceeds ``LinkLoopConfig.divergence_limit_s`` plus 1e3 x
-the largest |input| seen up to that step: a running maximum, since a
-chunked run cannot know the inputs still to come.  The run topology
-(``RUN_TOPOLOGIES``) says what the far-end loop sees: "series" feeds it the
-near-end loop's corrected arrival, "independent" only fiber 2's own round
-trip, and "off" opens both loops.  ``loop_suppression`` is the
-decimated-time model: the closed-loop sensitivity applied to slow records
-in the frequency domain.
+offload; it is the nonlinear reference.  Both engines apply one divergence
+rule to their applied corrections: a loop is divergent when a correction
+exceeds ``DIVERGENCE_FLOOR_S`` plus 1e3 x the largest |input| seen up to
+that step, a running maximum, since a chunked run cannot know the inputs
+still to come.  The run topology (``RUN_TOPOLOGIES``) says what the far-end
+loop sees: "series" feeds it the near-end loop's corrected arrival,
+"independent" only fiber 2's own round trip, and "off" opens both loops.
+``loop_suppression`` is the decimated-time model: the closed-loop
+sensitivity applied to slow records in the frequency domain.
 """
 
 from __future__ import annotations
@@ -44,14 +48,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.signal (~0.9 s and ~75 MB to import) is imported inside the functions
-# that filter, so loading, validating and the comb chain never pay for it.
+# scipy.signal (~0.9 s and ~75 MB to import) is imported inside _run_linear,
+# the one function here that filters, so loading, validating, the comb chain
+# and the stability probe never pay for it.
 
 from .errors import DivergenceError, InvalidInputError
 from .link import ActuatorState, actuator_alpha, delayed
 from .series import PhaseSeries
 
 RUN_TOPOLOGIES = ("series", "independent", "off")
+DIVERGENCE_FLOOR_S = 1e-6     # floor of the divergence limit on a correction
 
 
 @dataclass(frozen=True)
@@ -59,8 +65,6 @@ class ControllerConfig:
     unity_gain_hz: float = 300.0
     integrator_corner_hz: float = 30.0
     crossover_hz: float = 0.1          # piezo-to-thermal offload (far-end loop)
-    kp: float | None = None            # 1/s; derived from unity_gain_hz when None
-    ki: float | None = None            # 1/s^2; derived from the corner when None
 
     def __post_init__(self):
         if not self.unity_gain_hz > 0:
@@ -68,15 +72,11 @@ class ControllerConfig:
         for name in ("integrator_corner_hz", "crossover_hz"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be non-negative")
-        for g in (self.kp, self.ki):
-            if g is not None and g < 0:
-                raise InvalidInputError("controller gains must be non-negative")
 
     def gains(self):
-        """(kp, ki) with defaults resolved from the frequency targets."""
-        kp = 2.0 * np.pi * self.unity_gain_hz if self.kp is None else self.kp
-        ki = kp * 2.0 * np.pi * self.integrator_corner_hz if self.ki is None else self.ki
-        return kp, ki
+        """(kp, ki) in 1/s and 1/s^2, from the frequency targets."""
+        kp = 2.0 * np.pi * self.unity_gain_hz
+        return kp, kp * 2.0 * np.pi * self.integrator_corner_hz
 
 
 def critical_frequency(round_trip_delay_s) -> float:
@@ -90,47 +90,36 @@ def critical_frequency(round_trip_delay_s) -> float:
     return 1.0 / (4.0 * round_trip_delay_s)
 
 
-def integrator_loop_diverges(unity_gain_hz, round_trip_delay_s,
-                             dt=1e-5, duration_s=2.0) -> bool:
-    """Brute-force time-domain probe of the delay-limited stability boundary.
+def integrator_loop_diverges(unity_gain_hz, round_trip_delay_s, dt=1e-5) -> bool:
+    """Whether the delay-limited pure-integrator loop is unstable.
 
-    Simulates c_k = c_{k-1} - g (c_{k-M} + w_k) (pure integrator, unity gain
-    at ``unity_gain_hz``, transport delay M steps) driven by an impulse, and
-    reports whether the response grows.
+    The loop c_k = c_{k-1} - g (c_{k-M} + w_k), with g = 2 pi dt
+    ``unity_gain_hz`` and a transport delay of M steps, has the denominator
+    1 - z^-1 + g z^-M; it grows when a root lies on or outside the unit
+    circle.
     """
-    from scipy import signal
-
     m = int(round(round_trip_delay_s / dt))
     if m < 2:
         raise InvalidInputError("dt too coarse to resolve the loop delay")
-    n = int(round(duration_s / dt))
-    g = 2.0 * np.pi * unity_gain_hz * dt
     a = np.zeros(m + 1)
     a[0] = 1.0
     a[1] = -1.0
-    a[m] += g
-    w = np.zeros(n)
-    w[0] = 1.0
-    c = signal.lfilter([-g], a, w)
-    if not np.all(np.isfinite(c)):
-        return True
-    third = n // 3
-    early = np.max(np.abs(c[third: 2 * third]))
-    late = np.max(np.abs(c[2 * third:]))
-    return late > early
+    a[m] += 2.0 * np.pi * unity_gain_hz * dt
+    return bool(np.max(np.abs(np.roots(a))) >= 1.0)
 
 
 def find_divergence_onset(round_trip_delay_s, f_lo=200.0, f_hi=1000.0,
-                          iters=14, dt=1e-5, duration_s=2.0) -> float:
-    """Bisection of the divergence onset of the time-domain probe loop."""
-    if integrator_loop_diverges(f_lo, round_trip_delay_s, dt, duration_s):
+                          iters=14, dt=1e-5) -> float:
+    """Bisection of the unity-gain frequency at which the probe loop of
+    ``integrator_loop_diverges`` turns unstable."""
+    if integrator_loop_diverges(f_lo, round_trip_delay_s, dt):
         raise InvalidInputError(f"lower bracket {f_lo} Hz already diverges")
-    if not integrator_loop_diverges(f_hi, round_trip_delay_s, dt, duration_s):
+    if not integrator_loop_diverges(f_hi, round_trip_delay_s, dt):
         raise InvalidInputError(f"upper bracket {f_hi} Hz does not diverge")
     lo, hi = f_lo, f_hi
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if integrator_loop_diverges(mid, round_trip_delay_s, dt, duration_s):
+        if integrator_loop_diverges(mid, round_trip_delay_s, dt):
             hi = mid
         else:
             lo = mid
@@ -153,7 +142,6 @@ class LinkLoopConfig:
     piezo: ActuatorState
     thermal: ActuatorState
     topology: str = "series"
-    divergence_limit_s: float = 1e-6
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -224,34 +212,34 @@ def _at_rest(cfg, n1, n2):
     return LoopState(0, 0.0, history, zi)
 
 
-def _running_limit(cfg, state, inputs):
-    """Divergence limit at each step: the configured floor plus 1e3 x the
+def _running_limit(state, inputs):
+    """Divergence limit at each step: ``DIVERGENCE_FLOOR_S`` plus 1e3 x the
     largest |input| up to that step.  The correction at step k depends only
     on inputs up to k, so the limit is causal and does not depend on how a
     run is chunked."""
     peak = np.maximum.reduce([np.abs(r) for r in inputs])
-    return cfg.divergence_limit_s + 1e3 * np.maximum.accumulate(
+    return DIVERGENCE_FLOOR_S + 1e3 * np.maximum.accumulate(
         np.maximum(peak, state.input_peak))
 
 
-def _first_divergent(corr, cfg, state, inputs):
+def _first_divergent(corr, state, inputs):
     """Index of the first step whose correction is non-finite or beyond the
     running limit, or None."""
     mag = np.abs(corr)
     # The limit never falls during a run, so a chunk below its first
     # step's limit needs no per-step check.
-    if np.max(mag) <= cfg.divergence_limit_s + 1e3 * state.input_peak:
+    if np.max(mag) <= DIVERGENCE_FLOOR_S + 1e3 * state.input_peak:
         return None
-    over = ~(mag <= _running_limit(cfg, state, inputs))
+    over = ~(mag <= _running_limit(state, inputs))
     return int(np.argmax(over)) if np.any(over) else None
 
 
-def _check_divergence(corrections, cfg, state, inputs):
+def _check_divergence(corrections, state, inputs):
     """Raise DivergenceError at the earliest divergent step of either loop,
-    so the step does not depend on how the run is chunked."""
+    so the step does not depend on how the run is chunked or on the engine."""
     found = []
     for label, corr in corrections:
-        k = _first_divergent(corr, cfg, state, inputs)
+        k = _first_divergent(corr, state, inputs)
         if k is not None:
             found.append((k, label, corr))
     if not found:
@@ -262,7 +250,7 @@ def _check_divergence(corrections, cfg, state, inputs):
         raise DivergenceError(
             f"{label} correction became non-finite at step {step}; "
             "the loop is unstable at these settings", step=step)
-    limit = float(_running_limit(cfg, state, inputs)[k])
+    limit = float(_running_limit(state, inputs)[k])
     magnitude = float(abs(corr[k]))
     raise DivergenceError(
         f"{label} correction reached {magnitude:g} s at step {step}, beyond the "
@@ -288,10 +276,10 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
 
     The linear engine runs a long record as consecutive chunks: pass the
     ``state`` of the previous chunk's result and the outputs continue it
-    exactly, byte for byte.  ``state=None`` starts a run at rest.  A
-    correction beyond ``cfg.divergence_limit_s`` plus 1e3 x the largest
-    |input| so far raises ``DivergenceError`` with the step's index in the
-    run.
+    exactly, byte for byte.  ``state=None`` starts a run at rest.  In
+    either engine, an applied correction beyond ``DIVERGENCE_FLOOR_S`` plus
+    1e3 x the largest |input| so far raises ``DivergenceError`` with the
+    step's index in the run.
     """
     n1 = np.asarray(n1, dtype=float)
     n2 = np.asarray(n2, dtype=float)
@@ -361,7 +349,7 @@ def _run_linear(cfg, inputs, state):
         b2, a2 = _loop_filter_polys(cfg.controller2, cfg.piezo.bandwidth_hz,
                                     cfg.dt, m2)
         a2app, zi2 = signal.lfilter(b2, a2, -0.5 * w2, zi=state.zi[1])
-    _check_divergence((("near-end", c1app), ("far-end", a2app)), cfg, state, inputs)
+    _check_divergence((("near-end", c1app), ("far-end", a2app)), state, inputs)
 
     rf, optical = state.beyond_range
     beyond = (rf or np.max(np.abs(c1app)) > cfg.rf_shifter.range_s,
@@ -373,7 +361,6 @@ def _run_linear(cfg, inputs, state):
 def _run_stepped(cfg, inputs, state):
     """Per-sample reference engine with actuator clamping and offload."""
     n1, n2, d1, d2 = inputs
-    limit = _running_limit(cfg, state, inputs)
     n = n1.size
     m1, m2 = cfg.m1, cfg.m2
     dt = cfg.dt
@@ -440,18 +427,16 @@ def _run_stepped(cfg, inputs, state):
         pz += a_pz * (t_pz - pz)
         a2app[k] = pz + th
 
-        if k % 4096 == 0 and (abs(c1) > limit[k] or abs(u2) > limit[k]):
-            raise DivergenceError(
-                f"stepped engine correction exceeded {limit[k]:g} s at step {k}",
-                step=k, magnitude=max(abs(c1), abs(u2)))
-
+    c1app = np.array(c1app)
+    a2app = np.array(a2app)
+    _check_divergence((("near-end", c1app), ("far-end", a2app)), state, inputs)
     warnings = []
     if sat_rf:
         warnings.append("rf_phase_shifter saturated")
     if sat_pz:
         warnings.append("piezo_stretcher saturated"
                         + (" (offload engaged)" if k_off > 0 else ""))
-    return np.array(c1app), np.array(a2app), state.zi, warnings, state.beyond_range
+    return c1app, a2app, state.zi, warnings, state.beyond_range
 
 
 _ENGINES = {"lfilter": _run_linear, "stepped": _run_stepped}

@@ -72,6 +72,11 @@ _CHUNK = 2 ** 16    # samples per chunk of the full-rate pipeline
 # still synthesized whole (8 B a sample per fiber, ~64 B a sample while it
 # is built): 1.9 h at the 0.1 ms step.
 _MAX_FULLRATE_SAMPLES = 2 ** 26
+# The servo's loop filters have order 2m + 2 for a one-way delay of m steps,
+# so its time grows with full-rate samples x (2m + 2).  On this cap's edge a
+# fig1-based run took 54 s at 2^26 samples and m = 63 (the slowest measured),
+# 39 s at 2^25 and m = 127; 86 km (m = 4) at 2^26 samples is 2^29.3.
+_MAX_SERVO_WORK = 2 ** 33
 # The decimated model holds about 150 B a sample: ~1.3 GB; 97 days at 1 s.
 _MAX_DECIMATED_SAMPLES = 2 ** 23
 # Comb gates: exact arithmetic and the gate CSV, ~2 us and ~120 B a gate.
@@ -457,8 +462,18 @@ def _validate(data, read):
     link_c, comb_c, budget_c = data["link"], data["comb"], data["budget"]
     counts = []
     if ok["run.fullrate_duration_s"] and ok["link.step_s"]:
+        samples = run_c["fullrate_duration_s"] / link_c["step_s"]
         counts.append(("full-rate samples (run.fullrate_duration_s / link.step_s)",
-                       run_c["fullrate_duration_s"] / link_c["step_s"], _MAX_FULLRATE_SAMPLES))
+                       samples, _MAX_FULLRATE_SAMPLES))
+        # Only for a run the checks above admit: the delay then has fewer
+        # steps than half the samples.
+        if samples <= _MAX_FULLRATE_SAMPLES and ok["link.length_km"] \
+                and ok["link.delay_per_km_s"]:
+            one_way = link_c["length_km"] * link_c["delay_per_km_s"]
+            if 2 * one_way < run_c["fullrate_duration_s"]:
+                m = round(one_way / link_c["step_s"])
+                counts.append(("servo work (full-rate samples x (2 x one-way delay steps + 2))",
+                               samples * (2 * m + 2), _MAX_SERVO_WORK))
     if ok["run.decimated_duration_s"] and ok["run.decimated_step_s"]:
         counts.append(("decimated samples (run.decimated_duration_s / run.decimated_step_s + 1)",
                        run_c["decimated_duration_s"] / run_c["decimated_step_s"] + 1,

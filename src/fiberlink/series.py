@@ -55,9 +55,6 @@ class PhaseSeries:
     def times(self):
         return np.arange(self.samples.size) * self.tau0
 
-    def with_samples(self, samples, label=None):
-        return PhaseSeries(samples, self.tau0, self.label if label is None else label)
-
 
 @dataclass(frozen=True)
 class FracFreqSeries:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
-from fiberlink.control import (ControllerConfig, LinkLoopConfig,
+from fiberlink.control import (ControllerConfig, LinkLoopConfig, _loop_filter_polys,
                                critical_frequency, find_divergence_onset,
                                integrator_loop_diverges, loop_gain,
                                loop_suppression, run_closed_loop)
@@ -17,11 +17,11 @@ CFG_OPT = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0,
                            crossover_hz=0.1)
 
 
-def make_link(dt=1e-4, m=2, topology="series", c2=CFG_OPT,
+def make_link(dt=1e-4, m=2, topology="series", c1=CFG, c2=CFG_OPT,
               rf_range=1e-6, pz_range=1e-6, th_range=1e-5,
               pz_bw=5e3, th_bw=0.3):
     return LinkLoopConfig(
-        dt=dt, m1=m, m2=m, controller1=CFG, controller2=c2,
+        dt=dt, m1=m, m2=m, controller1=c1, controller2=c2,
         rf_shifter=ActuatorState("rf_phase_shifter", rf_range, 5e4),
         piezo=ActuatorState("piezo_stretcher", pz_range, pz_bw),
         thermal=ActuatorState("thermal_spool", th_range, th_bw),
@@ -210,6 +210,24 @@ class TestClosedLoopRun:
         with pytest.raises(DivergenceError):
             run_closed_loop(cfg, n1, z, z, z)
 
+    def test_engines_share_one_divergence_rule(self):
+        # The 700 Hz loop above, with actuator ranges no correction reaches
+        # before the run ends, so no clamp engages.
+        n = 20_000
+        rng = np.random.default_rng(1)
+        n1 = rng.standard_normal(n) * 1e-13
+        z = np.zeros(n)
+        cfg = make_link(c1=ControllerConfig(unity_gain_hz=700.0, integrator_corner_hz=30.0),
+                        rf_range=1e100, pz_range=1e100, th_range=1e100)
+        errors = []
+        for engine in ENGINES:
+            with pytest.raises(DivergenceError) as err:
+                run_closed_loop(cfg, n1, z, z, z, engine=engine)
+            errors.append(err.value)
+        linear, stepped = errors
+        assert stepped.step == linear.step
+        assert str(stepped) == str(linear)
+
 
 class TestStabilityBoundary:
     def test_converges_below_diverges_above(self):
@@ -219,6 +237,50 @@ class TestStabilityBoundary:
     def test_onset_matches_analytic_within_10pct(self):
         onset = find_divergence_onset(0.4e-3)
         assert onset == pytest.approx(critical_frequency(0.4e-3), rel=0.10)
+
+
+class TestLoopPolynomialOracle:
+    """Stability decided from the roots of the discrete loop polynomial,
+    checked against closed forms."""
+
+    # The probe's denominator 1 - z^-1 + g z^-M has a root on the unit
+    # circle, z = exp(j theta), when 2 sin(theta/2) = g and (M - 1/2) theta
+    # = pi/2: theta = pi / (2M - 1), so g = 2 pi f dt crosses 1 at
+    # f = sin(pi / (2 (2M - 1))) / (pi dt).
+    DELAY_S = 0.4e-3
+    DT = 1e-5
+    M = 40
+    F_CROSS = np.sin(np.pi / (2 * (2 * M - 1))) / (np.pi * DT)
+
+    def test_probe_flips_at_the_crossing(self):
+        f = self.F_CROSS
+        assert f == pytest.approx(632.8697, abs=1e-4)
+        assert not integrator_loop_diverges(f * (1 - 1e-6), self.DELAY_S, self.DT)
+        assert integrator_loop_diverges(f * (1 + 1e-6), self.DELAY_S, self.DT)
+
+    def test_onset_within_bisection_resolution(self):
+        f_lo, f_hi, iters = 200.0, 1000.0, 14
+        onset = find_divergence_onset(self.DELAY_S, f_lo, f_hi, iters, self.DT)
+        assert abs(onset - self.F_CROSS) <= (f_hi - f_lo) / 2 ** (iters + 1)
+
+    @pytest.mark.parametrize("unity_gain_hz, radius", [
+        (300.0, 0.9794), (650.0, 0.9901), (700.0, 1.0052)])
+    def test_servo_polynomial_decides_divergence(self, unity_gain_hz, radius):
+        # The near-end loop at dt = 0.1 ms and m = 2, as the linear engine
+        # runs it: its denominator's spectral radius says whether a run
+        # diverges.
+        c1 = ControllerConfig(unity_gain_hz=unity_gain_hz, integrator_corner_hz=30.0)
+        cfg = make_link(c1=c1)
+        _, a = _loop_filter_polys(c1, cfg.rf_shifter.bandwidth_hz, cfg.dt, cfg.m1)
+        assert np.max(np.abs(np.roots(a))) == pytest.approx(radius, abs=5e-5)
+        n = 20_000
+        n1 = np.random.default_rng(1).standard_normal(n) * 1e-13
+        z = np.zeros(n)
+        if radius < 1:
+            run_closed_loop(cfg, n1, z, z, z)
+        else:
+            with pytest.raises(DivergenceError):
+                run_closed_loop(cfg, n1, z, z, z)
 
 
 class TestLowFreqModel:

@@ -75,6 +75,12 @@ class TestScipySignalImport:
     def test_compare(self, files):
         assert not loads_scipy_signal(cli("compare", files["adev"], files["adev"]))
 
+    def test_stability_probe(self):
+        # The delay-limited boundary is decided from polynomial roots.
+        assert not loads_scipy_signal(
+            "import fiberlink\nfiberlink.integrator_loop_diverges(700.0, 0.4e-3)\n"
+            "fiberlink.find_divergence_onset(0.4e-3)")
+
     def test_link_run_loads_it(self, files):
         # The probe itself works: a full-rate link run filters.
         assert loads_scipy_signal(cli("run", files["short_link"], "--out", files["out"]))

@@ -214,7 +214,9 @@ class TestLoadScenario:
         assert problems == [
             "round-trip delay 2 x link.length_km x link.delay_per_km_s = 240 s "
             "must be shorter than run.fullrate_duration_s=240"]
-        load_scenario({"seed": 1, "preset": "fig1", "link": {"length_km": 2.39e7}})
+        # Just inside, at a step coarse enough for the servo-work cap.
+        load_scenario({"seed": 1, "preset": "fig1",
+                       "link": {"length_km": 2.39e7, "step_s": 1.0}})
 
     @pytest.mark.parametrize("override, problem", [
         ({"preset": "fig1", "link": {"step_s": 1e-12}},
@@ -231,6 +233,9 @@ class TestLoadScenario:
         ({"preset": "budget", "budget": {"records": 1025, "record_gates": 1024}},
          "budget gates (budget.records x budget.record_gates) = 1049600 exceeds "
          "the cap of 1048576"),
+        ({"preset": "fig1", "link": {"length_km": 2.39e7}},
+         "servo work (full-rate samples x (2 x one-way delay steps + 2)) = "
+         "5.736e+12 exceeds the cap of 8589934592"),
     ])
     def test_sample_caps(self, override, problem):
         # Decided from the numbers alone; nothing is allocated.
@@ -243,6 +248,21 @@ class TestLoadScenario:
         # The budget alone reads the comb table but runs no comb gates.
         load_scenario({"seed": 1, "preset": "budget", "comb": {"n_gates": 10 ** 9}})
         load_scenario({"seed": 1, "preset": "fig4", "link": {"step_s": 1e-12}})
+
+    def test_servo_work_cap_inclusive(self):
+        # Binary-exact steps: 2^26 samples x (2 x 63 + 2) is 2^33 exactly.
+        def at(length_km):
+            return {"seed": 1, "preset": "fig1",
+                    "link": {"length_km": length_km, "delay_per_km_s": 2 ** -13,
+                             "step_s": 2 ** -13},
+                    "run": {"fullrate_duration_s": 8192.0}}
+        load_scenario(at(63))
+        assert _problems(at(64)) == [
+            "servo work (full-rate samples x (2 x one-way delay steps + 2)) = "
+            "8.72415e+09 exceeds the cap of 8589934592"]
+        # 86 km (4 delay steps) at the 2^26-sample cap.
+        load_scenario({"seed": 1, "preset": "fig1", "link": {"length_km": 86.0},
+                       "run": {"fullrate_duration_s": 2 ** 26 * 1e-4}})
 
     def test_shipped_scenarios_inside_the_caps(self):
         import importlib.util
@@ -566,6 +586,7 @@ class TestCli:
         {"preset": "budget", "budget": {"contributions": [{"label": "a", "sigma_at_1s": 1e300}]}},
         {"preset": "fig1", "link": {"step_s": 1e-12}},
         {"preset": "fig1", "link": {"step_s": 1e-300}},
+        {"preset": "fig1", "link": {"length_km": 2.39e7}},
     ])
     def test_run_refuses_at_load_exit_1(self, tmp_path, override):
         # Each of these once passed validation and ended the run in a traceback
