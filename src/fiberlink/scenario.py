@@ -16,13 +16,14 @@ their overlap in the test suite.
 The full-rate simulation is one pipeline over chunks of ``_CHUNK`` samples:
 each chunk's noise is drawn, run through both servo loops (which carry
 their state to the next chunk), the counting low-pass and 1 s point
-sampling, and into a Welch accumulator that holds one PSD segment.  No
-full-rate record is held whole (walk FM, still synthesized by FFT, aside),
-so memory does not grow with the full-rate duration, and every output has
-the bytes of one pass over the whole record.  A loop diverges when a
-correction exceeds a limit set by the largest input seen so far (see
-``fiberlink.control``).  Caps on the sample counts a scenario asks for are
-checked at load.
+sampling, and into a Welch accumulator that holds one PSD segment and a
+running sum of periodograms.  No full-rate record is held whole (walk FM,
+still synthesized by FFT, aside), so memory does not grow with the
+full-rate duration, and every output has the bytes of one pass over the
+whole record.  A loop diverges when a correction exceeds a limit set by the
+largest input seen so far (see ``fiberlink.control``).  Caps on the sample
+counts a scenario asks for, and what the counting chain and Welch need of
+the settled record, are checked at load.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig,
                       loop_suppression, run_closed_loop)
 from .errors import DivergenceError, InvalidInputError, ScenarioValidationError
 from .link import (ActuatorState, Carrier, CountingChain, DetectorConfig,
-                   detector_noise)
+                   _decimation, detector_noise)
 from .noise import (BurstSpec, BurstTrain, NoiseSpec, component_rng,
                     diurnal_samples, fiber_pair, gen_bursts, gen_diurnal,
                     gen_power_law_phase, white_fm_level_for)
@@ -390,12 +391,13 @@ def _passes(path, value, checks, problems):
     return True
 
 
-def _is_multiple(tau, tau0):
+def _refusal(rule, *args):
+    """The message of the InvalidInputError ``rule(*args)`` raises, or None."""
     try:
-        _tau_multiple(tau, tau0)
-    except InvalidInputError:
-        return False
-    return True
+        rule(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
 
 
 def _validate(data, read):
@@ -428,11 +430,6 @@ def _validate(data, read):
                 problems.append(
                     f"round-trip delay 2 x link.length_km x link.delay_per_km_s = "
                     f"{2 * one_way:g} s must be shorter than {dur_key}={duration:g}")
-    if ok["outputs.psd_segment_s"] and ok["run.fullrate_duration_s"] \
-            and data["outputs"]["psd_segment_s"] > run_c["fullrate_duration_s"]:
-        problems.append(
-            f"outputs.psd_segment_s={data['outputs']['psd_segment_s']:g} exceeds "
-            f"run.fullrate_duration_s={run_c['fullrate_duration_s']:g}")
     if ok["run.transient_discard_s"] and ok["run.fullrate_duration_s"] \
             and run_c["transient_discard_s"] >= run_c["fullrate_duration_s"]:
         problems.append(
@@ -453,7 +450,7 @@ def _validate(data, read):
             problems.append(
                 f"{dur_key}={duration:g} s is shorter than 4 x the largest "
                 f"requested tau in {tau_key} ({max(taus):g} s)")
-        off_grid = [t for t in taus if not _is_multiple(t, tau0)] if tau0_ok else []
+        off_grid = [t for t in taus if _refusal(_tau_multiple, t, tau0)] if tau0_ok else []
         if off_grid:
             problems.append(f"{tau_key} entries {off_grid} are not integer multiples "
                             f"of {tau0_name} ({tau0:g} s)")
@@ -474,6 +471,23 @@ def _validate(data, read):
                 m = round(one_way / link_c["step_s"])
                 counts.append(("servo work (full-rate samples x (2 x one-way delay steps + 2))",
                                samples * (2 * m + 2), _MAX_SERVO_WORK))
+        # What the counting chain and Welch need of the settled record, in
+        # samples as _run_fullrate counts them.
+        if samples <= _MAX_FULLRATE_SAMPLES and ok["run.transient_discard_s"] \
+                and ok["outputs.psd_segment_s"] \
+                and run_c["transient_discard_s"] < run_c["fullrate_duration_s"]:
+            step = link_c["step_s"]
+            settled = round(samples) - round(run_c["transient_discard_s"] / step)
+            record = ("the settled record run.fullrate_duration_s - run.transient_discard_s "
+                      f"= {settled * step:g} s")
+            refusal = _refusal(_decimation, _GATE_S, step, settled)
+            if refusal:
+                problems.append(f"link.step_s={step:g} cannot count the {_GATE_S:g} s "
+                                f"gates of {record}: {refusal}")
+            segment_s = data["outputs"]["psd_segment_s"]
+            if not (math.isfinite(segment_s / step) and 2 <= round(segment_s / step) <= settled):
+                problems.append(f"outputs.psd_segment_s={segment_s:g} must be at least "
+                                f"2 samples of link.step_s and fit in {record}")
     if ok["run.decimated_duration_s"] and ok["run.decimated_step_s"]:
         counts.append(("decimated samples (run.decimated_duration_s / run.decimated_step_s + 1)",
                        run_c["decimated_duration_s"] / run_c["decimated_step_s"] + 1,

@@ -16,9 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.signal (~0.9 s and ~75 MB to import) is imported inside the functions
-# that filter, so loading, validating and the comb chain never pay for it.
-
 from .errors import InvalidInputError
 from .series import AdevCurve, FracFreqSeries, PhaseSeries, PsdEstimate
 
@@ -96,75 +93,35 @@ def allan_deviation_phase(x: PhaseSeries, taus, estimator="standard") -> AdevCur
     return allan_deviation(phase_to_frac_freq(x), taus, estimator)
 
 
-def _pairwise_sum(count):
-    """Coroutine: send it ``count`` arrays, and it returns their sum added
-    in numpy's pairwise order, so the sum has the bytes of
-    ``np.add.reduce`` over a contiguous axis of ``count`` terms.  It holds
-    at most 8 partial sums plus one per halving of ``count`` beyond 128,
-    and adds in place into the arrays sent to it."""
-    if count > 128:
-        half = count // 2
-        half -= half % 8
-        left = yield from _pairwise_sum(half)
-        right = yield from _pairwise_sum(count - half)
-        left += right
-        return left
-    if count < 8:
-        total = 0.0 + (yield)
-        for _ in range(count - 1):
-            total += yield
-        return total
-    lanes = [None] * 8
-    full = count - count % 8
-    for i in range(full):
-        if i < 8:
-            lanes[i] = yield
-        else:
-            lanes[i % 8] += yield
-    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-        lanes[a] += lanes[b]
-        lanes[b] = None
-    total = lanes[0]
-    for _ in range(full, count):
-        total += yield
-    return total
-
-
 class WelchAccumulator:
-    """One-sided Welch PSD of an ``n``-sample record fed in consecutive
-    chunks of any size, with the bytes of ``scipy.signal.welch`` of the
-    whole record.
+    """One-sided Welch PSD (Welch, IEEE Trans. Audio Electroacoust. 15, 70,
+    1967) of an ``n``-sample record fed in consecutive chunks of any size.
 
-    It holds one segment of samples.  Each complete segment's periodogram
-    is computed as ``scipy.signal.csd`` computes it and added into a
-    pairwise sum, the order numpy's mean over the segments uses.  Trailing
-    samples that do not fill a segment are ignored, as ``welch`` ignores
-    them.
+    It holds one segment of samples.  Each complete segment has its mean
+    and least-squares line removed, is multiplied by the periodic Hann
+    window, and adds its ``|rfft|^2`` to one running sum, in segment order,
+    so every chunking gives the same bytes.  Trailing samples that do not
+    fill a segment are ignored.  It agrees with ``scipy.signal.welch`` (Hann,
+    linear detrend) to rounding, not bit for bit.
     """
 
-    def __init__(self, n, tau0, segment, overlap=0.5, window="hann",
-                 detrend="linear"):
+    def __init__(self, n, tau0, segment, overlap=0.5):
         segment = int(segment)
         if segment < 2 or segment > n:
             raise InvalidInputError(f"segment length {segment} must be in [2, {n}]")
         if not 0.0 <= overlap < 1.0:
             raise InvalidInputError("overlap fraction must be in [0, 1)")
-        from scipy import signal
-
-        fs = 1.0 / tau0
+        self._fs = 1.0 / tau0
         self._hop = segment - int(overlap * segment)
         self._count = (n - segment) // self._hop + 1
-        win = signal.get_window(window, segment)
-        self._sft = signal.ShortTimeFFT(win, self._hop, fs, fft_mode="onesided",
-                                        mfft=segment, scale_to="psd", phase_shift=None)
-        self._detrend = None if detrend is False else detrend
-        self._rbw_hz = float(fs * np.sum(win ** 2) / np.sum(win) ** 2)
+        # Periodic Hann, as scipy.signal.get_window("hann", segment) builds it.
+        self._window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment + 1)[:-1])
+        t = np.arange(segment) - (segment - 1) / 2.0
+        self._unit_t = t / np.sqrt(t @ t)   # the line's direction, orthogonal to 1
         self._buffer = np.empty(segment)
         self._filled = 0
         self._done = 0
-        self._sum = _pairwise_sum(self._count)
-        next(self._sum)
-        self._total = None
+        self._sum = np.zeros(segment // 2 + 1)
 
     def add(self, samples):
         """Feed the record's next samples."""
@@ -175,40 +132,37 @@ class WelchAccumulator:
             self._filled += take
             samples = samples[take:]
             if self._filled == seg:
-                self._segment_done()
+                x = self._buffer - self._buffer.mean()
+                x -= (self._unit_t @ x) * self._unit_t
+                spectrum = np.fft.rfft(x * self._window)
+                self._sum += spectrum.real ** 2 + spectrum.imag ** 2
+                self._done += 1
                 self._buffer[: seg - self._hop] = self._buffer[self._hop:]
                 self._filled = seg - self._hop
 
-    def _segment_done(self):
-        seg = self._buffer.size
-        p = self._sft.spectrogram(self._buffer, detr=self._detrend, p0=0, p1=1,
-                                  k_offset=seg // 2)[:, 0]
-        p[1:-1 if seg % 2 == 0 else None] *= 2
-        self._done += 1
-        try:
-            self._sum.send(p)
-        except StopIteration as end:
-            self._total = end.value
-
     def result(self) -> PsdEstimate:
-        if self._total is None:
+        if self._done < self._count:
             raise InvalidInputError(
                 f"Welch PSD has {self._done} of its {self._count} segments")
-        values = self._total / self._count
-        return PsdEstimate(self._sft.f, np.maximum(values, 0.0), rbw_hz=self._rbw_hz)
+        seg = self._buffer.size
+        power = np.sum(self._window ** 2)
+        values = self._sum / (self._count * self._fs * power)
+        values[1:-1 if seg % 2 == 0 else None] *= 2    # one-sided: fold negative bins
+        return PsdEstimate(np.fft.rfftfreq(seg, 1 / self._fs), values,
+                           rbw_hz=float(self._fs * power / np.sum(self._window) ** 2))
 
 
-def psd_welch(x: PhaseSeries, segment: int, overlap=0.5, window="hann",
-              detrend="linear") -> PsdEstimate:
+def psd_welch(x: PhaseSeries, segment: int, overlap=0.5) -> PsdEstimate:
     """One-sided Welch PSD of a sampled record.
 
     ``segment`` is the per-segment length in samples; segments overlap by the
     given fraction.  Each segment is detrended (mean and linear trend) before
-    windowing so DC leakage does not swamp the low bins.  The estimate is
-    Parseval-consistent: integrating it over frequency recovers the variance
-    of the detrended input.  It is ``WelchAccumulator`` fed the whole record.
+    Hann windowing so DC leakage does not swamp the low bins.  The estimate
+    is Parseval-consistent: integrating it over frequency recovers the
+    variance of the detrended input.  It is ``WelchAccumulator`` fed the
+    whole record.
     """
-    acc = WelchAccumulator(len(x), x.tau0, segment, overlap, window, detrend)
+    acc = WelchAccumulator(len(x), x.tau0, segment, overlap)
     acc.add(x.samples)
     return acc.result()
 

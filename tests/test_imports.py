@@ -1,9 +1,9 @@
 """Which commands load scipy.signal.
 
 Importing scipy.signal takes about 0.9 s and 75 MB, so only the functions
-that filter (the servo, the counting low-pass and Welch) import it.  Loading,
-validating, the comb chain, the budget and ``compare`` must not.  Each case
-runs in a fresh interpreter and reports whether the module was loaded.
+that filter (the linear servo and the counting low-pass) import it.  Loading,
+validating, Welch, the comb chain, the budget and ``compare`` must not.  Each
+case runs in a fresh interpreter and reports whether the module was loaded.
 """
 
 import json
@@ -80,6 +80,13 @@ class TestScipySignalImport:
         assert not loads_scipy_signal(
             "import fiberlink\nfiberlink.integrator_loop_diverges(700.0, 0.4e-3)\n"
             "fiberlink.find_divergence_onset(0.4e-3)")
+
+    def test_welch(self):
+        # Welch is plain numpy.
+        assert not loads_scipy_signal(
+            "import numpy as np\nimport fiberlink\n"
+            "x = fiberlink.PhaseSeries(np.arange(1000.0) ** 2, 1e-3)\n"
+            "assert fiberlink.psd_welch(x, 100).values.size == 51")
 
     def test_link_run_loads_it(self, files):
         # The probe itself works: a full-rate link run filters.

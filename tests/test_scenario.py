@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
-from fiberlink.errors import ScenarioValidationError
+from fiberlink import cli
+from fiberlink.errors import InvalidInputError, ScenarioValidationError
 from fiberlink.io import read_adev_csv
 from fiberlink.scenario import (PRESETS, Scenario, _comb_objects, _loop_config,
                                 compare_curves, load_scenario, run)
@@ -563,14 +564,48 @@ class TestCli:
         assert proc.stderr.startswith(f"invalid scenario:\n  - {path}: ")
         assert "Traceback" not in proc.stderr
 
-    def test_run_refused_input_exit_1(self, tmp_path):
-        # Passes validation; Welch then refuses a one-sample PSD segment.
+    def test_run_refused_input_exit_1(self, tmp_path, monkeypatch, capsys):
+        # A refusal raised during the run is reported without a traceback.
+        # The inputs known to reach one are now refused at load (see
+        # test_run_refuses_at_load_exit_1), so the run here raises it.
+        def refuse(*args, **kwargs):
+            raise InvalidInputError("segment length 1 must be in [2, 150000]")
+
+        monkeypatch.setattr(cli, "run", refuse)
         path = tmp_path / "scn.json"
-        path.write_text(json.dumps(dict(SHORT_FIG1, outputs=dict(
-            SHORT_FIG1["outputs"], psd_segment_s=1e-4))))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        path.write_text(json.dumps(SHORT_FIG1))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.strip() == \
+            "run failed: segment length 1 must be in [2, 150000]"
+
+    # SHORT_FIG1's settled full-rate record is 20 s - 5 s.
+    @pytest.mark.parametrize("override, problem", [
+        ({"run": {"transient_discard_s": 15.0}, "outputs": {"psd_segment_s": 10.0}},
+         "outputs.psd_segment_s=10 must be at least 2 samples of link.step_s and fit in "
+         "the settled record run.fullrate_duration_s - run.transient_discard_s = 5 s"),
+        ({"outputs": {"psd_segment_s": 1e-4}},
+         "outputs.psd_segment_s=0.0001 must be at least 2 samples of link.step_s and fit "
+         "in the settled record run.fullrate_duration_s - run.transient_discard_s = 15 s"),
+        ({"run": {"transient_discard_s": 19.0}, "outputs": {"psd_segment_s": 0.5}},
+         "link.step_s=0.0001 cannot count the 1 s gates of the settled record "
+         "run.fullrate_duration_s - run.transient_discard_s = 1 s: "
+         "record too short to decimate at this step"),
+        ({"link": {"step_s": 3e-4}},
+         "link.step_s=0.0003 cannot count the 1 s gates of the settled record "
+         "run.fullrate_duration_s - run.transient_discard_s = 15 s: "
+         "decimation step must be an integer multiple of tau0"),
+    ], ids=["segment_past_record", "segment_of_one_sample", "record_under_two_gates",
+            "step_not_dividing_gate"])
+    def test_validate_refuses_what_the_fullrate_run_would(self, tmp_path, override, problem):
+        # Each once passed validation and ended the run in "run failed: ...".
+        data = json.loads(json.dumps(SHORT_FIG1))
+        for table, values in override.items():
+            data.setdefault(table, {}).update(values)
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli(["validate", str(path)])
         assert proc.returncode == 1
-        assert proc.stderr.strip() == "run failed: segment length 1 must be in [2, 150000]"
+        assert proc.stderr.splitlines() == ["invalid scenario:", f"  - {problem}"]
 
     @pytest.mark.parametrize("override", [
         {"preset": "budget", "budget": {"contributions": [{"label": "a", "sigma_at_1s": "x"}]}},
@@ -587,6 +622,7 @@ class TestCli:
         {"preset": "fig1", "link": {"step_s": 1e-12}},
         {"preset": "fig1", "link": {"step_s": 1e-300}},
         {"preset": "fig1", "link": {"length_km": 2.39e7}},
+        {"preset": "fig1", "outputs": {"psd_segment_s": 1e-4}},
     ])
     def test_run_refuses_at_load_exit_1(self, tmp_path, override):
         # Each of these once passed validation and ended the run in a traceback

@@ -14,8 +14,7 @@ from fiberlink.scenario import RunReport, _run_fullrate
 
 # A 4 s full-rate run at a 2 ms step (2000 samples): 800 km gives m = 2
 # delay steps, and the loop gains are scaled down to stay stable at that
-# delay.  Gates are 500 samples; the 0.5 s PSD segments give 13 segments,
-# so the Welch mean runs through its 8 pairwise partial sums.
+# delay.  Gates are 500 samples; the 0.5 s PSD segments give 13 segments.
 SMALL = {
     "seed": 11, "preset": "fig1",
     "link": {"length_km": 800.0, "step_s": 2e-3,
@@ -130,12 +129,10 @@ def _peak_bytes(duration_s):
 def test_memory_flat_in_fullrate_duration():
     """Four times the full-rate samples, at most 1.1 times the peak.
 
-    Both runs have at least 8 PSD segments (14 and 74), so both hold the 8
-    partial sums of the Welch mean's pairwise order.  Those appear once, at
-    the 8th segment, and do not grow with the run after that up to 128
-    segments.
+    The runs have 14 and 74 PSD segments; Welch holds one segment and one
+    running sum of periodograms whatever their number.
     """
-    _peak_bytes(20.0)               # warm caches (scipy window, FFT plans)
+    _peak_bytes(20.0)               # warm caches (FFT plans)
     short = _peak_bytes(20.0)
     long = _peak_bytes(80.0)
     assert long <= 1.1 * short, (short, long)
