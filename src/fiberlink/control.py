@@ -467,10 +467,11 @@ def loop_suppression(x: PhaseSeries, cfg: ControllerConfig,
     """
     n = len(x)
     spec = np.fft.rfft(x.samples)
-    f = np.fft.rfftfreq(n, x.tau0)
-    sens = np.empty(f.size, dtype=complex)
-    sens[0] = 0.0
-    L = loop_gain(f[1:], cfg, round_trip_delay_s)
-    sens[1:] = 1.0 / (1.0 + L)
-    out = np.fft.irfft(spec * sens, n=n)
-    return PhaseSeries(out, x.tau0, label=f"{x.label}|closed")
+    spec[0] = 0.0
+    # 1/(1+L) over the other bins, built in L's array.
+    sens = loop_gain(np.fft.rfftfreq(n, x.tau0)[1:], cfg, round_trip_delay_s)
+    sens += 1.0
+    np.divide(1.0, sens, out=sens)
+    spec[1:] *= sens
+    del sens
+    return PhaseSeries(np.fft.irfft(spec, n=n), x.tau0, label=f"{x.label}|closed")

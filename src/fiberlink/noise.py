@@ -8,12 +8,19 @@ the one-sided fractional-frequency PSD
 
     S_y(f) = sum_alpha  h_alpha * f**alpha,      alpha in {-2,-1,0,1,2}
 
-(random-walk FM, flicker FM, white FM, flicker PM, white PM).  Synthesis is
-frequency-domain shaping of white Gaussian noise with an f**(alpha/2)
-magnitude filter, DC bin zeroed, then integration to phase-time.  Everything
-is deterministic for a given 64-bit seed; components draw from sub-streams
-keyed by (seed, component tag), so a composite spec is exactly the sum of
-its individually generated parts.
+(random-walk FM, flicker FM, white FM, flicker PM, white PM).  Each
+component is synthesized in the time domain (Kasdin and Walter, Proc. FCS
+1992; Kasdin, Proc. IEEE 83, 802, 1995): white Gaussian noise started from
+rest goes through the filter (1 - z^-1)^(alpha/2), whose one-sided PSD tends
+to h_alpha * f**alpha at low frequency, and is then integrated to
+phase-time.  Walk FM is a cumulative sum, white FM the draw itself, white PM
+one difference of it; only flicker takes a (linear, zero-padded) FFT
+convolution.  Nothing wraps around the record's ends, so Allan variance
+keeps its law out to half the record (walk FM exactly; flicker FM, filtered
+from rest, at 0.92 of it at tau = T/2), and walk FM can be drawn chunk by
+chunk.  Everything is deterministic for a given 64-bit seed; components
+draw from sub-streams keyed by (seed, component tag), so a composite spec
+is exactly the sum of its individually generated parts.
 """
 
 from __future__ import annotations
@@ -108,17 +115,53 @@ class NoiseSpec:
         object.__setattr__(self, "powerlaw", tuple(terms))
 
 
+def _white_scale(alpha, level, tau0):
+    """Standard deviation of the white draw that the filter (1 - z^-1)^(alpha/2)
+    turns into one-sided S_y(f) -> level * f**alpha as f -> 0.
+
+    The filtered draw has S_y(f) = 2 tau0 q |2 sin(pi f tau0)|**alpha for
+    draw variance q; matching it at low frequency puts Allan variance on
+    (2 pi^2 / 3) h tau for walk FM, h / (2 tau) for white FM, 2 ln2 h for
+    flicker FM and 3 h f_h / (4 pi^2 tau^2), f_h at Nyquist, for white PM.
+    """
+    return np.sqrt(level / (2.0 * tau0) * (2.0 * np.pi * tau0) ** -alpha)
+
+
 def _shaped_frac_freq(alpha, level, n_y, tau0, rng):
-    """One power-law component of y with one-sided S_y(f) = level * f**alpha."""
+    """One power-law component of y with one-sided S_y(f) -> level * f**alpha.
+
+    The first ``n_y`` samples of the white draw filtered from rest by the
+    Kasdin-Walter coefficients h_0 = 1, h_k = h_{k-1} (k - 1 - alpha/2) / k.
+    """
     if level == 0.0:
         return np.zeros(n_y)
-    fs = 1.0 / tau0
-    w = rng.standard_normal(n_y)
-    spec = np.fft.rfft(w)
-    f = np.fft.rfftfreq(n_y, tau0)
-    gain = np.zeros_like(f)
-    gain[1:] = np.sqrt(level * f[1:] ** alpha * fs / 2.0)
-    return np.fft.irfft(spec * gain, n=n_y)
+    # Flicker is a linear convolution by FFT, zero-padded to a fast length
+    # that nothing of the record wraps into.  The draw goes straight into the
+    # padded buffer, which then holds the coefficients and then the result,
+    # so at most two padded spectra exist at once.
+    flicker = alpha in (-1, 1)
+    if flicker:
+        from scipy.fft import next_fast_len
+        size = next_fast_len(2 * n_y - 1, real=True)
+    buf = np.zeros(size) if flicker else np.empty(n_y)
+    w = buf[:n_y]
+    rng.standard_normal(out=w)
+    w *= _white_scale(alpha, level, tau0)
+    if alpha == 0:                  # h = 1
+        return w
+    if alpha == -2:                 # h = 1, 1, 1, ...
+        return np.cumsum(w, out=w)
+    if alpha == 2:                  # h = 1, -1
+        return np.diff(w, prepend=0.0)
+    spec = np.fft.rfft(buf)
+    h = w                           # the draw is spent: the buffer takes h
+    k = np.arange(1.0, n_y)
+    h[0] = 1.0
+    h[1:] = (k - 1.0 - alpha / 2.0) / k
+    del k
+    np.cumprod(h, out=h)
+    spec *= np.fft.rfft(buf)
+    return np.fft.irfft(spec, size, out=buf)[:n_y]
 
 
 def gen_power_law_phase(spec: NoiseSpec, n: int, tau0: float, seed) -> PhaseSeries:
@@ -135,9 +178,39 @@ def gen_power_law_phase(spec: NoiseSpec, n: int, tau0: float, seed) -> PhaseSeri
     for alpha, level in spec.powerlaw:
         rng = component_rng(seed, "powerlaw", alpha)
         y = _shaped_frac_freq(alpha, level, n - 1, tau0, rng)
-        x = np.concatenate(([0.0], np.cumsum(y))) * tau0
-        total = total + x
+        total[1:] += np.cumsum(y) * tau0
     return PhaseSeries(total, tau0, label="powerlaw")
+
+
+class WalkPhase:
+    """The random-walk FM record of ``gen_power_law_phase`` for the spec
+    ((-2, level),) and ``seed``, drawn chunk by chunk: consecutive
+    ``samples(k)`` calls give the bytes of one record of their total length.
+
+    Both cumulative sums (draws to y, y to phase) carry their last value
+    into the next chunk by adding it to the chunk's first term, so each sum
+    runs the same additions in the same order as one pass.
+    """
+
+    def __init__(self, level, tau0, seed):
+        self._scale = _white_scale(-2, level, tau0)
+        self._tau0 = tau0
+        self._rng = component_rng(seed, "powerlaw", -2)
+        self._sums = [0.0, 0.0]     # last y and last phase / tau0
+        self._first = 1             # phase sample 0 is 0 and takes no draw
+
+    def samples(self, k):
+        """The record's next ``k`` samples."""
+        w = np.zeros(k)
+        self._rng.standard_normal(out=w[self._first:])
+        self._first = 0
+        w *= self._scale
+        for i, carry in enumerate(self._sums):
+            w[0] += carry
+            np.cumsum(w, out=w)
+            self._sums[i] = w[-1]
+        w *= self._tau0
+        return w
 
 
 def diurnal_samples(amplitude_s, period_s, phase_rad, start, stop, tau0):

@@ -17,13 +17,13 @@ The full-rate simulation is one pipeline over chunks of ``_CHUNK`` samples:
 each chunk's noise is drawn, run through both servo loops (which carry
 their state to the next chunk), the counting low-pass and 1 s point
 sampling, and into a Welch accumulator that holds one PSD segment and a
-running sum of periodograms.  No full-rate record is held whole (walk FM,
-still synthesized by FFT, aside), so memory does not grow with the
-full-rate duration, and every output has the bytes of one pass over the
-whole record.  A loop diverges when a correction exceeds a limit set by the
-largest input seen so far (see ``fiberlink.control``).  Caps on the sample
-counts a scenario asks for, and what the counting chain and Welch need of
-the settled record, are checked at load.
+running sum of periodograms.  No full-rate record is held whole, so
+memory does not grow with the full-rate duration, and every output has the
+bytes of one pass over the whole record.  A loop diverges when a correction
+exceeds a limit set by the largest input seen so far (see
+``fiberlink.control``).  Caps on the sample counts a scenario asks for, on
+the Welch work, and what the counting chain and Welch need of the settled
+record, are checked at load.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ from .control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig,
 from .errors import DivergenceError, InvalidInputError, ScenarioValidationError
 from .link import (ActuatorState, Carrier, CountingChain, DetectorConfig,
                    _decimation, detector_noise)
-from .noise import (BurstSpec, BurstTrain, NoiseSpec, component_rng,
+from .noise import (BurstSpec, BurstTrain, NoiseSpec, WalkPhase, component_rng,
                     diurnal_samples, fiber_pair, gen_bursts, gen_diurnal,
                     gen_power_law_phase, white_fm_level_for)
 from .series import AdevCurve, FracFreqSeries, PhaseSeries
 from .stability import (WelchAccumulator, _tau_multiple, allan_deviation,
-                        allan_deviation_phase)
+                        allan_deviation_phase, welch_segments)
 # The one-chunk forms of the streamed full-rate stages; perfbench's tracer
 # wraps them under these names.
 from .link import measurement_lowpass, sample_every, to_radians  # noqa: F401
@@ -68,11 +68,15 @@ _CHUNK = 2 ** 16    # samples per chunk of the full-rate pipeline
 # Caps on the samples a scenario asks for, checked at load from the numbers
 # alone, so an oversized run is refused as a listed problem instead of
 # failing in the allocator.  Sizes are for a 2-vCPU host.
-# Full-rate samples run in chunks, so this bounds run time (~0.45 us a
-# sample at the default delay, under a minute) and the walk FM pair that is
-# still synthesized whole (8 B a sample per fiber, ~64 B a sample while it
-# is built): 1.9 h at the 0.1 ms step.
+# Full-rate samples run in chunks, so memory stays flat and this bounds run
+# time (~0.45 us a sample at the default delay, under a minute): 1.9 h at the
+# 0.1 ms step.
 _MAX_FULLRATE_SAMPLES = 2 ** 26
+# Welch transforms PSD segments x segment samples, ~50 ns each (51 segments
+# of 600,000 took 1.5 s): ~13 s at the cap.  A psd_overlap of at most 0.75
+# starts a segment every quarter segment or later, so it transforms each
+# settled sample at most 4 times: every run inside the full-rate cap fits.
+_MAX_WELCH_WORK = 4 * _MAX_FULLRATE_SAMPLES
 # The servo's loop filters have order 2m + 2 for a one-way delay of m steps,
 # so its time grows with full-rate samples x (2m + 2).  On this cap's edge a
 # fig1-based run took 54 s at 2^26 samples and m = 63 (the slowest measured),
@@ -488,6 +492,11 @@ def _validate(data, read):
             if not (math.isfinite(segment_s / step) and 2 <= round(segment_s / step) <= settled):
                 problems.append(f"outputs.psd_segment_s={segment_s:g} must be at least "
                                 f"2 samples of link.step_s and fit in {record}")
+            elif ok["outputs.psd_overlap"]:
+                segment = round(segment_s / step)
+                counts.append(("Welch work (PSD segments x outputs.psd_segment_s in samples)",
+                               welch_segments(settled, segment, data["outputs"]["psd_overlap"])
+                               * segment, _MAX_WELCH_WORK))
     if ok["run.decimated_duration_s"] and ok["run.decimated_step_s"]:
         counts.append(("decimated samples (run.decimated_duration_s / run.decimated_step_s + 1)",
                        run_c["decimated_duration_s"] / run_c["decimated_step_s"] + 1,
@@ -562,16 +571,16 @@ def _run_fullrate(scn, seed, report):
     one_way_delay = link["length_km"] * link["delay_per_km_s"]
     m = int(round(one_way_delay / dt))
 
-    # Per-fiber noise: white PM (flat S_x) + common diurnal + walk + bursts.
-    # Every stream but the walk is drawn chunk by chunk from its own source.
+    # Per-fiber noise: white PM (flat S_x) + common diurnal + walk + bursts,
+    # each stream drawn chunk by chunk from its own source.
     noise = link["noise"]
     ratio = noise["differential_ratio"]
     sigma_w = np.sqrt(noise["white_pm_sx_s2_per_hz"] * fs / 2.0)
     white = [component_rng(seed, "fullrate-white", j) for j in range(3)]
-    walk = None
-    if noise["walk_fm_h"] > 0:      # synthesized by FFT, so built whole
-        walk = fiber_pair(ratio, lambda j: _walk(noise["walk_fm_h"], n, dt, seed,
-                                                 "fullrate-walk", j))
+    walks = None
+    if noise["walk_fm_h"] > 0:
+        walks = [WalkPhase(noise["walk_fm_h"], dt, _sub_seed(seed, "fullrate-walk", j))
+                 for j in range(3)]
     bursts = [BurstTrain(_burst_spec(noise), n, dt, _sub_seed(seed, "fullrate-bursts", j))
               for j in range(3)]
 
@@ -599,9 +608,8 @@ def _run_fullrate(scn, seed, report):
                                   noise["diurnal_phase_rad"], start, stop, dt)
         n1 += diurnal
         n2 += diurnal
-        if walk is not None:
-            n1 += walk[0][start:stop]
-            n2 += walk[1][start:stop]
+        if walks is not None:
+            _add_pair(n1, n2, ratio, lambda j: walks[j].samples(k))
         _add_pair(n1, n2, ratio, lambda j: bursts[j].samples(start, stop))
         d1, d2, dp = (detector_noise(detector, carrier, k, dt, rng)
                       for carrier, rng in zip((f_ret, f_ret, f_probe), det))
@@ -678,24 +686,22 @@ def _run_decimated(scn, seed, report):
     open_rt = PhaseSeries(2.0 * (slow1 + white1), step, label="open_rt_decimated")
     del white1
 
-    # Closed loop: slow content through the sensitivity function; in-band
-    # detector noise is written onto the signal by each servo.
+    # Closed loop: slow content through the sensitivity function, which is
+    # linear, so the round trip's two fibers go through it as one sum;
+    # in-band detector noise is written onto the signal by each servo.
     one_way_delay = link["length_km"] * link["delay_per_km_s"]
     m = max(int(round(one_way_delay / link["step_s"])), 1)
     rt_delay = 2.0 * m * link["step_s"]
-    sup1 = loop_suppression(PhaseSeries(slow1, step), _controller(ctl), rt_delay).samples
-    sup2 = loop_suppression(PhaseSeries(slow2, step), _controller(ctl), rt_delay).samples
-    del slow1, slow2
-
     s_det_x = (link["detector"]["floor_rad_per_rthz"] ** 2
                / (2.0 * np.pi * link["carrier_return_hz"]) ** 2)
     sigma_written_rt = np.sqrt(2.0 * (s_det_x / 4.0) * enbw)
-    det = component_rng(seed, "dec-det").standard_normal(n) * sigma_written_rt
-    closed = sup1 + sup2 + det
-    del sup1, sup2, det
+    closed = component_rng(seed, "dec-det").standard_normal(n) * sigma_written_rt
+    slow1 += slow2
+    del slow2
+    closed += loop_suppression(PhaseSeries(slow1, step), _controller(ctl), rt_delay).samples
+    del slow1
     if ctl["closed_floor_walk_fm_h"] > 0:
-        closed = closed + _walk(ctl["closed_floor_walk_fm_h"], n, step, seed,
-                                "dec-closed-floor")
+        closed += _walk(ctl["closed_floor_walk_fm_h"], n, step, seed, "dec-closed-floor")
     closed_rt = PhaseSeries(closed, step, label="closed_rt_decimated")
 
     # Thermal authority check for the slow correction the loops must absorb.
@@ -722,11 +728,11 @@ def _reference_model_curves(scn, seed):
     taus = scn["outputs"]["adev_taus_s"]
 
     # Flywheel: tau**-1 short term slightly below 1e-14, flicker floor after.
-    sigma_x = 0.9e-14 / np.sqrt(3.0)
-    white_pm = component_rng(seed, "cso-white").standard_normal(n) * sigma_x
     flicker = gen_power_law_phase(
         NoiseSpec(powerlaw=((-1, (1.5e-15) ** 2 / (2.0 * np.log(2.0))),)),
         n, step, _sub_seed(seed, "cso-flicker")).samples
+    sigma_x = 0.9e-14 / np.sqrt(3.0)
+    white_pm = component_rng(seed, "cso-white").standard_normal(n) * sigma_x
     cso = PhaseSeries(white_pm + flicker, step, label="cso_model")
 
     fountain_spec = NoiseSpec(powerlaw=((0, white_fm_level_for(1.6e-14)),))
@@ -839,6 +845,11 @@ def run(scenario: Scenario, out_dir=None, seed=None) -> RunReport:
             emit("round_trip_psd.csv", fio.write_psd_csv, full["psd_rt"],
                  carrier_hz=scenario["link"]["carrier_return_hz"])
 
+            # The references keep only their curves, so they run before the
+            # decimated model, whose records stay alive in the report.
+            refs = _reference_model_curves(scenario, run_seed)
+            report.results["references"] = refs
+
             dec = _run_decimated(scenario, run_seed, report)
             report.results["decimated"] = dec
             emit("closed_loop.csv", fio.write_adev_csv, dec["curves"]["closed_rt"])
@@ -849,8 +860,6 @@ def run(scenario: Scenario, out_dir=None, seed=None) -> RunReport:
                 emit("open_rt_series.csv", fio.write_phase_csv,
                      dec["series"]["open_rt"])
 
-            refs = _reference_model_curves(scenario, run_seed)
-            report.results["references"] = refs
             emit("cso_reference.csv", fio.write_adev_csv, refs["cso_reference"])
             emit("fountain.csv", fio.write_adev_csv, refs["fountain"])
 

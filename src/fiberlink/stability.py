@@ -93,6 +93,16 @@ def allan_deviation_phase(x: PhaseSeries, taus, estimator="standard") -> AdevCur
     return allan_deviation(phase_to_frac_freq(x), taus, estimator)
 
 
+def _welch_hop(segment, overlap):
+    return segment - int(overlap * segment)
+
+
+def welch_segments(n, segment, overlap=0.5):
+    """Complete Welch segments of ``segment`` samples in an ``n``-sample
+    record, each starting ``segment - int(overlap * segment)`` after the last."""
+    return (n - segment) // _welch_hop(segment, overlap) + 1
+
+
 class WelchAccumulator:
     """One-sided Welch PSD (Welch, IEEE Trans. Audio Electroacoust. 15, 70,
     1967) of an ``n``-sample record fed in consecutive chunks of any size.
@@ -112,8 +122,8 @@ class WelchAccumulator:
         if not 0.0 <= overlap < 1.0:
             raise InvalidInputError("overlap fraction must be in [0, 1)")
         self._fs = 1.0 / tau0
-        self._hop = segment - int(overlap * segment)
-        self._count = (n - segment) // self._hop + 1
+        self._hop = _welch_hop(segment, overlap)
+        self._count = welch_segments(n, segment, overlap)
         # Periodic Hann, as scipy.signal.get_window("hann", segment) builds it.
         self._window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment + 1)[:-1])
         t = np.arange(segment) - (segment - 1) / 2.0

@@ -295,6 +295,18 @@ class TestLowFreqModel:
         out = loop_suppression(x, CFG, 0.4e-3)
         assert np.max(np.abs(out.samples)) < 1e-6 * np.max(np.abs(x.samples))
 
+    @pytest.mark.parametrize("n", [1000, 1001])
+    @pytest.mark.parametrize("b", [1, 30, 63, 499])
+    def test_cosine_on_a_bin_oracle(self, n, b):
+        # A cosine on FFT bin b comes out scaled by |S| and shifted by arg S,
+        # S = 1/(1 + L(f)); 10 Hz to 4.99 kHz at the full-rate step.
+        tau0, amp, phase = 1e-4, 2e-12, 0.3
+        arg = 2 * np.pi * (b * np.arange(n) % n) / n + phase     # reduced exactly
+        sens = 1.0 / (1.0 + loop_gain(np.array([b / (n * tau0)]), CFG, 0.4e-3)[0])
+        out = loop_suppression(PhaseSeries(amp * np.cos(arg), tau0), CFG, 0.4e-3).samples
+        want = amp * abs(sens) * np.cos(arg + np.angle(sens))
+        assert np.max(np.abs(out - want)) <= 1e-12 * amp * abs(sens)
+
     def test_matches_fullrate_engine_over_overlap(self, tmp_path):
         # Dual-rate validation: the decimated suppression model and the
         # full-rate servo agree on closed-loop Allan over their overlap.

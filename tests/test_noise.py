@@ -4,6 +4,7 @@ import pytest
 import fiberlink as fl
 from fiberlink.errors import InvalidInputError
 from fiberlink.noise import (BurstSpec, BurstTrain, DiurnalSpec, NoiseSpec,
+                             WalkPhase, _shaped_frac_freq, _white_scale,
                              burst_pulse, component_rng, correlated_pair,
                              fiber_pair, gen_bursts, gen_diurnal, gen_noise,
                              gen_power_law_phase)
@@ -116,6 +117,62 @@ class TestPowerLaw:
         band = (f > 0.01) & (f < 0.2)
         ratio = np.mean(vals[band] / (h * f[band] ** alpha))
         assert ratio == pytest.approx(1.0, abs=0.10)
+
+
+def _kasdin_walter(alpha, n):
+    # h_0 = 1, h_k = h_{k-1} (k - 1 - alpha/2) / k, term by term.
+    h = [1.0]
+    for k in range(1, n):
+        h.append(h[-1] * (k - 1 - alpha / 2) / k)
+    return np.array(h)
+
+
+def _expected_avar_at_half(alpha, m):
+    """E[AVAR(m)] / law for a 2m-sample y record filtered from rest (tau0 = 1):
+    its one overlapping pair is d = sum_j c_j w_j, so E[d^2 / 2] = q sum c_j^2 / 2."""
+    cum = np.concatenate(([0.0], np.cumsum(_kasdin_walter(alpha, 2 * m))))
+    j = np.arange(2 * m)
+
+    def span(a, b):                 # sum of h_{k-j} over k in [a, b), k >= j
+        return cum[np.maximum(b - j, 0)] - cum[np.maximum(a - j, 0)]
+
+    c = (span(m, 2 * m) - span(0, m)) / m
+    law = {-2: 2 * np.pi ** 2 / 3 * m, -1: 2 * np.log(2)}[alpha]
+    return 0.5 * _white_scale(alpha, 1.0, 1.0) ** 2 * np.sum(c * c) / law
+
+
+class TestTimeDomainSynthesis:
+    @pytest.mark.parametrize("alpha", [-2, -1])
+    def test_allan_at_half_the_record(self, alpha):
+        # Nothing wraps around the record, so at tau = T/2 the mean AVAR
+        # meets its expectation: the law for walk FM (1 + 1/(2 m^2)), 0.92 of
+        # it for flicker FM, whose filter starts from rest.  An FFT-shaped
+        # (circular) record read 0.26 and 0.59.  The one pair's AVAR is
+        # E x chi^2_1, so the mean of S seeds has sd E sqrt(2 / S).
+        seeds, m, h = 800, 1000, 1e-30
+        law = {-2: 2 * np.pi ** 2 / 3 * h * m, -1: 2 * np.log(2) * h}[alpha]
+        ratios = [allan_deviation_phase(
+            gen_power_law_phase(NoiseSpec(powerlaw=((alpha, h),)), 2 * m + 1, 1.0, 50_000 + i),
+            [m], "overlapping").sigmas[0] ** 2 / law for i in range(seeds)]
+        expected = _expected_avar_at_half(alpha, m)
+        assert expected == pytest.approx(1.0 + 0.5 / m ** 2 if alpha == -2 else 0.9216,
+                                         abs=1e-4)
+        assert abs(np.mean(ratios) - expected) <= 4.0 * expected * np.sqrt(2.0 / seeds)
+
+    @pytest.mark.parametrize("alpha", [-1, 1])
+    def test_flicker_is_a_linear_convolution(self, alpha):
+        # The FFT convolution equals the direct one: no sample wraps around.
+        n = 999
+        y = _shaped_frac_freq(alpha, 1e-30, n, 0.5, np.random.default_rng(4))
+        w = np.random.default_rng(4).standard_normal(n) * _white_scale(alpha, 1e-30, 0.5)
+        direct = np.convolve(_kasdin_walter(alpha, n), w)[:n]
+        assert np.max(np.abs(y - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_walk_in_chunks_gives_the_record(self):
+        whole = gen_power_law_phase(NoiseSpec(powerlaw=((-2, 1e-30),)), 1000, 0.5, 7).samples
+        walk = WalkPhase(1e-30, 0.5, 7)
+        parts = [walk.samples(k) for k in (1, 1, 5, 300, 693)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestDiurnal:

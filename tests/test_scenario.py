@@ -13,6 +13,7 @@ from fiberlink.errors import InvalidInputError, ScenarioValidationError
 from fiberlink.io import read_adev_csv
 from fiberlink.scenario import (PRESETS, Scenario, _comb_objects, _loop_config,
                                 compare_curves, load_scenario, run)
+from fiberlink.stability import welch_segments
 
 
 def _leaf_paths(tree, path=""):
@@ -237,6 +238,10 @@ class TestLoadScenario:
         ({"preset": "fig1", "link": {"length_km": 2.39e7}},
          "servo work (full-rate samples x (2 x one-way delay steps + 2)) = "
          "5.736e+12 exceeds the cap of 8589934592"),
+        # 1,600,001 segments of 600,000 samples, one sample apart: ~13 h.
+        ({"preset": "fig1", "outputs": {"psd_overlap": 0.999999}},
+         "Welch work (PSD segments x outputs.psd_segment_s in samples) = "
+         "960000600000 exceeds the cap of 268435456"),
     ])
     def test_sample_caps(self, override, problem):
         # Decided from the numbers alone; nothing is allocated.
@@ -264,6 +269,26 @@ class TestLoadScenario:
         # 86 km (4 delay steps) at the 2^26-sample cap.
         load_scenario({"seed": 1, "preset": "fig1", "link": {"length_km": 86.0},
                        "run": {"fullrate_duration_s": 2 ** 26 * 1e-4}})
+
+    def test_welch_work_cap_inclusive(self):
+        # 2048-sample segments 32 samples apart (overlap 63/64): 2^17 of them
+        # are 2^28 samples of work exactly; one more segment is refused.
+        def at(segments):
+            settled = 2048 + (segments - 1) * 32
+            return {"seed": 1, "preset": "fig1",
+                    "run": {"fullrate_duration_s": (settled + 200_000) * 1e-4},
+                    "outputs": {"psd_segment_s": 0.2048, "psd_overlap": 0.984375}}
+        assert welch_segments(2048 + (2 ** 17 - 1) * 32, 2048, 0.984375) == 2 ** 17
+        load_scenario(at(2 ** 17))
+        assert _problems(at(2 ** 17 + 1)) == [
+            "Welch work (PSD segments x outputs.psd_segment_s in samples) = "
+            "268437504 exceeds the cap of 268435456"]
+        # At overlap 0.75 every run inside the full-rate cap fits, the
+        # shortest segment that overlaps by 3/4 (4 samples) included.
+        load_scenario({"seed": 1, "preset": "fig1",
+                       "run": {"fullrate_duration_s": 2 ** 26 * 1e-4,
+                               "transient_discard_s": 0.0},
+                       "outputs": {"psd_segment_s": 4e-4, "psd_overlap": 0.75}})
 
     def test_shipped_scenarios_inside_the_caps(self):
         import importlib.util
@@ -623,6 +648,7 @@ class TestCli:
         {"preset": "fig1", "link": {"step_s": 1e-300}},
         {"preset": "fig1", "link": {"length_km": 2.39e7}},
         {"preset": "fig1", "outputs": {"psd_segment_s": 1e-4}},
+        {"preset": "fig1", "outputs": {"psd_overlap": 0.999999}},
     ])
     def test_run_refuses_at_load_exit_1(self, tmp_path, override):
         # Each of these once passed validation and ended the run in a traceback

@@ -113,9 +113,10 @@ def test_chunked_divergence_exits_2(tmp_path, monkeypatch):
     assert "unstable" in report["error"]
 
 
-def _peak_bytes(duration_s):
+def _peak_bytes(duration_s, walk_fm_h):
     scn = fl.load_scenario({
         "seed": 2, "preset": "fig1",
+        "link": {"noise": {"walk_fm_h": walk_fm_h}},
         "run": {"fullrate_duration_s": duration_s, "transient_discard_s": 5.0},
         "outputs": {"fullrate_taus_s": [1, 2, 4], "psd_segment_s": 2.0}})
     tracemalloc.start()
@@ -126,13 +127,15 @@ def _peak_bytes(duration_s):
         tracemalloc.stop()
 
 
-def test_memory_flat_in_fullrate_duration():
+@pytest.mark.parametrize("walk_fm_h", [0.0, 1e-36])
+def test_memory_flat_in_fullrate_duration(walk_fm_h):
     """Four times the full-rate samples, at most 1.1 times the peak.
 
     The runs have 14 and 74 PSD segments; Welch holds one segment and one
-    running sum of periodograms whatever their number.
+    running sum of periodograms whatever their number.  Walk FM is drawn
+    chunk by chunk like every other noise stream.
     """
-    _peak_bytes(20.0)               # warm caches (FFT plans)
-    short = _peak_bytes(20.0)
-    long = _peak_bytes(80.0)
+    _peak_bytes(20.0, walk_fm_h)    # warm caches (FFT plans)
+    short = _peak_bytes(20.0, walk_fm_h)
+    long = _peak_bytes(80.0, walk_fm_h)
     assert long <= 1.1 * short, (short, long)
