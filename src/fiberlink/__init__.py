@@ -11,11 +11,9 @@ from .series import AdevCurve, FracFreqSeries, PhaseSeries, PsdEstimate
 from .stability import (allan_deviation, allan_deviation_phase,
                         fit_power_law, one_way_from_round_trip,
                         phase_to_frac_freq, psd_welch)
-from .noise import (BurstSpec, DiurnalSpec, NoiseSpec, correlated_pair,
-                    fiber_pair, gen_bursts, gen_diurnal, gen_noise,
+from .noise import (BurstSpec, NoiseSpec, fiber_pair, gen_bursts, gen_diurnal,
                     gen_power_law_phase, white_fm_level_for)
-from .link import (ActuatorState, Carrier, DetectorConfig, FiberPath,
-                   detect_phase, measurement_lowpass, propagate, round_trip,
+from .link import (ActuatorState, Carrier, DetectorConfig, measurement_lowpass,
                    sample_every, to_radians)
 from .control import (ControllerConfig, LinkLoopConfig, LoopRunResult,
                       critical_frequency, find_divergence_onset,

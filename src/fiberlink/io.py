@@ -66,18 +66,25 @@ def write_adev_csv(path, curve: AdevCurve, seed=None, **extra):
 
 
 def read_adev_csv(path) -> AdevCurve:
+    """An Allan curve written by ``write_adev_csv``.  A file that is not
+    UTF-8 text, or a row that is not ``float,float,int64``, is refused with
+    ``InvalidInputError`` naming the file (and the row and its line)."""
     estimator = "standard"
     notes = []
     taus, sigmas, pairs = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc})") from None
     header_seen = False
-    for line in rows:
+    for lineno, line in enumerate(rows, 1):
         if not line:
             continue
         if line.startswith("#"):
-            if "estimator=" in line:
-                estimator = line.split("estimator=")[1].split()[0]
+            value = line.partition("estimator=")[2].split()
+            if value:
+                estimator = value[0]
             if line.startswith("# note: "):
                 notes.append(line[len("# note: "):])
             continue
@@ -86,12 +93,14 @@ def read_adev_csv(path) -> AdevCurve:
                 raise InvalidInputError(f"{path}: expected AdevCurve header, got {line!r}")
             header_seen = True
             continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InvalidInputError(f"{path}: malformed row {line!r}")
-        taus.append(float(parts[0]))
-        sigmas.append(float(parts[1]))
-        pairs.append(int(parts[2]))
+        try:
+            tau, sigma, n_pairs = line.split(",")
+            taus.append(float(tau))
+            sigmas.append(float(sigma))
+            pairs.append(np.int64(int(n_pairs)))
+        except (ValueError, OverflowError) as exc:
+            raise InvalidInputError(
+                f"{path}: malformed row {line!r} at line {lineno} ({exc})") from None
     if not header_seen or not taus:
         raise InvalidInputError(f"{path}: no Allan-deviation data found")
     return AdevCurve(np.array(taus), np.array(sigmas), np.array(pairs, dtype=int),

@@ -1,10 +1,12 @@
-"""Dual-fiber link model: propagation delay, carrier scaling, phase
-detection, actuators, and the counting-style measurement chain.
+"""Dual-fiber link model: the whole-step delay line, carrier scaling, the
+detector noise floor, actuators, and the counting-style measurement chain.
 
-Signals travel as phase-time (seconds).  A fiber adds its delay-fluctuation
-record; the base propagation delay is quantized to whole simulation steps,
-with the sub-step remainder carried as a static phase-time offset.  Radian
-phase only appears at a detection carrier: phi = 2 pi f_c x.
+Signals travel as phase-time (seconds).  A fiber pass delays what it
+carries by the one-way delay, a whole number of simulation steps (the
+scenario rounds the delay to the step and refuses one under a step), and
+adds the fiber's delay-fluctuation record; ``fiberlink.control.run_closed_loop``
+composes the passes of both fibers.  Radian phase only appears at a
+detection carrier: phi = 2 pi f_c x.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .series import PhaseSeries
-
-SECONDS_PER_KM = 5e-6   # group delay of standard single-mode fiber
 
 ACTUATOR_KINDS = ("rf_phase_shifter", "piezo_stretcher", "thermal_spool")
 
@@ -35,25 +35,6 @@ class Carrier:
     def radians(self, seconds):
         """Phase-time samples as radians of phase at this carrier."""
         return seconds * (2.0 * np.pi * self.frequency_hz)
-
-
-@dataclass(frozen=True)
-class FiberPath:
-    """One fiber: length, base delay and its delay-fluctuation record."""
-    length_km: float
-    noise: PhaseSeries
-    base_delay_s: float | None = None
-
-    def __post_init__(self):
-        if self.base_delay_s is None:
-            object.__setattr__(self, "base_delay_s", self.length_km * SECONDS_PER_KM)
-        if not self.base_delay_s > 0:
-            raise InvalidInputError("base delay must be positive")
-
-    def delay_steps(self):
-        """(whole-step delay, sub-step remainder in seconds)."""
-        steps = int(round(self.base_delay_s / self.noise.tau0))
-        return steps, self.base_delay_s - steps * self.noise.tau0
 
 
 @dataclass(frozen=True)
@@ -95,41 +76,14 @@ def to_radians(x: PhaseSeries, carrier: Carrier) -> PhaseSeries:
                        label=f"{x.label}@{carrier.frequency_hz:g}Hz[rad]")
 
 
-def delayed(samples, steps, history=None):
+def delayed(samples, steps, history):
     """Shift a record right by whole steps.
 
     ``history`` holds the samples just before the record, at least
-    ``steps`` of them; without it, pre-history is held at the first value
-    (natural for noise records).
+    ``steps`` of them.
     """
-    if history is None:
-        history = np.full(steps, samples[0])
     h = history.size
     return np.concatenate((history, samples))[h - steps: h - steps + samples.size]
-
-
-def propagate(input_phase: PhaseSeries, path: FiberPath) -> PhaseSeries:
-    """One pass through a fiber.
-
-    Output phase-time = input delayed by the whole-step part of base_delay,
-    minus the sub-step remainder (the received time scale lags), plus the
-    fiber's delay fluctuation.
-    """
-    if not np.isclose(input_phase.tau0, path.noise.tau0, rtol=1e-9):
-        raise InvalidInputError(
-            f"input tau0 {input_phase.tau0} does not match path tau0 {path.noise.tau0}")
-    if len(input_phase) != len(path.noise):
-        raise InvalidInputError("input and path noise must have equal length")
-    steps, remainder = path.delay_steps()
-    out = delayed(input_phase.samples, steps) - remainder + path.noise.samples
-    return PhaseSeries(out, input_phase.tau0,
-                       label=f"{input_phase.label}>{path.length_km:g}km")
-
-
-def round_trip(input_phase: PhaseSeries, path_out: FiberPath,
-               path_back: FiberPath) -> PhaseSeries:
-    """Two composed passes; ``path_out is path_back`` models a same-fiber loop."""
-    return propagate(propagate(input_phase, path_out), path_back)
 
 
 def detector_noise(cfg: DetectorConfig, carrier: Carrier, n, tau0, rng):
@@ -139,24 +93,6 @@ def detector_noise(cfg: DetectorConfig, carrier: Carrier, n, tau0, rng):
     fs = 1.0 / tau0
     sigma_rad = cfg.floor_rad_per_rthz * np.sqrt(fs / 2.0)
     return rng.standard_normal(n) * (sigma_rad / (2.0 * np.pi * carrier.frequency_hz))
-
-
-def detect_phase(a: PhaseSeries, b: PhaseSeries, cfg: DetectorConfig,
-                 carrier: Carrier, rng=None) -> PhaseSeries:
-    """Phase difference a - b plus the detector's white noise floor.
-
-    Phase wraps are not modeled; the phase-time domain is unbounded.  A
-    generator is required whenever the configured floor is nonzero so runs
-    stay reproducible.
-    """
-    if not np.isclose(a.tau0, b.tau0, rtol=1e-9) or len(a) != len(b):
-        raise InvalidInputError("detector inputs must be aligned series")
-    diff = a.samples - b.samples
-    if cfg.floor_rad_per_rthz > 0.0:
-        if rng is None:
-            raise InvalidInputError("a seeded rng is required when the detector floor is nonzero")
-        diff = diff + detector_noise(cfg, carrier, diff.size, a.tau0, rng)
-    return PhaseSeries(diff, a.tau0, label="detected")
 
 
 class Lowpass:

@@ -1,5 +1,5 @@
 """Calibrated perturbation synthesis: power-law noise, diurnal drift,
-noise bursts, and correlated dual-fiber pairs.
+noise bursts, and the correlated dual-fiber pair.
 
 All noise is expressed as delay fluctuation in seconds (phase-time); it is
 carrier independent, and conversion to radians happens at the detection
@@ -19,8 +19,11 @@ convolution.  Nothing wraps around the record's ends, so Allan variance
 keeps its law out to half the record (walk FM exactly; flicker FM, filtered
 from rest, at 0.92 of it at tau = T/2), and walk FM can be drawn chunk by
 chunk.  Everything is deterministic for a given 64-bit seed; components
-draw from sub-streams keyed by (seed, component tag), so a composite spec
-is exactly the sum of its individually generated parts.
+draw from sub-streams keyed by (seed, component tag), so a spec of several
+power-law terms is exactly the sum of its terms generated one at a time.
+Diurnal drift and bursts have their own generators, and ``fiber_pair``
+mixes any per-fiber draw into two correlated fiber records; the scenario
+sums these parts for each fiber itself.
 """
 
 from __future__ import annotations
@@ -57,20 +60,6 @@ def component_rng(seed, *tags):
 
 
 @dataclass(frozen=True)
-class DiurnalSpec:
-    """Sinusoidal delay drift: amplitude is the peak excursion in seconds."""
-    amplitude_s: float
-    period_s: float = 86400.0
-    phase_rad: float = 0.0
-
-    def __post_init__(self):
-        if not self.period_s > 0:
-            raise InvalidInputError("diurnal period must be positive")
-        if self.amplitude_s < 0:
-            raise InvalidInputError("diurnal amplitude must be non-negative")
-
-
-@dataclass(frozen=True)
 class BurstSpec:
     """Poisson-arriving transient delay excursions (raised-cosine pulses).
 
@@ -92,10 +81,8 @@ class BurstSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Composite perturbation recipe for one fiber (or one oscillator)."""
-    powerlaw: tuple = ()            # ((alpha, h_alpha), ...)
-    diurnal: DiurnalSpec | None = None
-    bursts: BurstSpec | None = None
+    """Power-law recipe for one noise record: ((alpha, h_alpha), ...)."""
+    powerlaw: tuple = ()
 
     def __post_init__(self):
         seen = set()
@@ -281,17 +268,6 @@ def gen_bursts(spec: BurstSpec, n, tau0, seed) -> PhaseSeries:
     return PhaseSeries(BurstTrain(spec, n, tau0, seed).samples(0, n), tau0, label="bursts")
 
 
-def gen_noise(spec: NoiseSpec, n, tau0, seed) -> PhaseSeries:
-    """Full composite realization: power laws + diurnal + bursts."""
-    x = gen_power_law_phase(spec, n, tau0, seed).samples
-    if spec.diurnal is not None:
-        x = x + gen_diurnal(spec.diurnal.amplitude_s, spec.diurnal.period_s,
-                            spec.diurnal.phase_rad, n, tau0).samples
-    if spec.bursts is not None:
-        x = x + gen_bursts(spec.bursts, n, tau0, seed).samples
-    return PhaseSeries(x, tau0, label="noise")
-
-
 def fiber_pair(ratio, draw):
     """Two fiber records sharing a common mode, from unit realizations.
 
@@ -314,21 +290,3 @@ def fiber_pair(ratio, draw):
         x1 += d * draw(1)
         x2 += d * draw(2)
     return x1, x2
-
-
-def correlated_pair(spec: NoiseSpec, differential_ratio, n, tau0, seed):
-    """Two fiber noise records: the spec's stochastic parts combined by
-    ``fiber_pair``, plus its diurnal term as pure common mode."""
-    r = float(differential_ratio)
-    if not 0.0 <= r <= 1.0:
-        raise InvalidInputError(f"differential_ratio must be in [0, 1], got {r}")
-    stoch = NoiseSpec(powerlaw=spec.powerlaw, bursts=spec.bursts)
-    x1, x2 = fiber_pair(r, lambda j: gen_noise(
-        stoch, n, tau0, component_rng(seed, "pair", j).integers(2 ** 63)).samples)
-    if spec.diurnal is not None:
-        diurnal = gen_diurnal(spec.diurnal.amplitude_s, spec.diurnal.period_s,
-                              spec.diurnal.phase_rad, n, tau0).samples
-        x1 += diurnal
-        x2 += diurnal
-    return (PhaseSeries(x1, tau0, label="fiber1"),
-            PhaseSeries(x2, tau0, label="fiber2"))

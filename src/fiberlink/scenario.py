@@ -423,7 +423,7 @@ def _validate(data, read):
     if ok["link.length_km"] and ok["link.delay_per_km_s"]:
         step = data["link"]["step_s"]
         one_way = data["link"]["length_km"] * data["link"]["delay_per_km_s"]
-        if ok["link.step_s"] and not one_way / step > 0.5:   # zero delay steps
+        if ok["link.step_s"] and _delay_steps(data["link"]) < 1:
             problems.append(
                 f"link.step_s={step} too coarse to resolve the one-way delay {one_way:g} s")
         # Checked from the numbers alone: the servo's delay line would
@@ -472,9 +472,8 @@ def _validate(data, read):
                 and ok["link.delay_per_km_s"]:
             one_way = link_c["length_km"] * link_c["delay_per_km_s"]
             if 2 * one_way < run_c["fullrate_duration_s"]:
-                m = round(one_way / link_c["step_s"])
                 counts.append(("servo work (full-rate samples x (2 x one-way delay steps + 2))",
-                               samples * (2 * m + 2), _MAX_SERVO_WORK))
+                               samples * (2 * _delay_steps(link_c) + 2), _MAX_SERVO_WORK))
         # What the counting chain and Welch need of the settled record, in
         # samples as _run_fullrate counts them.
         if samples <= _MAX_FULLRATE_SAMPLES and ok["run.transient_discard_s"] \
@@ -527,6 +526,14 @@ def _validate(data, read):
 # Link realization helpers
 
 
+def _delay_steps(link):
+    """The one-way fiber delay in whole steps of ``link.step_s``: the servo's
+    m, and the delay of each fiber pass.  Load refuses a link where it is 0,
+    or inf (a step count that overflows a float)."""
+    steps = link["length_km"] * link["delay_per_km_s"] / link["step_s"]
+    return round(steps) if math.isfinite(steps) else math.inf
+
+
 def _chain_enbw_hz(measurement_bw_hz):
     # Equivalent noise bandwidth of the single-pole counting filter.
     return 0.5 * np.pi * measurement_bw_hz
@@ -568,8 +575,7 @@ def _run_fullrate(scn, seed, report):
     n = int(round(runc["fullrate_duration_s"] / dt))
     fs = 1.0 / dt
 
-    one_way_delay = link["length_km"] * link["delay_per_km_s"]
-    m = int(round(one_way_delay / dt))
+    m = _delay_steps(link)
 
     # Per-fiber noise: white PM (flat S_x) + common diurnal + walk + bursts,
     # each stream drawn chunk by chunk from its own source.
@@ -689,9 +695,7 @@ def _run_decimated(scn, seed, report):
     # Closed loop: slow content through the sensitivity function, which is
     # linear, so the round trip's two fibers go through it as one sum;
     # in-band detector noise is written onto the signal by each servo.
-    one_way_delay = link["length_km"] * link["delay_per_km_s"]
-    m = max(int(round(one_way_delay / link["step_s"])), 1)
-    rt_delay = 2.0 * m * link["step_s"]
+    rt_delay = 2.0 * _delay_steps(link) * link["step_s"]
     s_det_x = (link["detector"]["floor_rad_per_rthz"] ** 2
                / (2.0 * np.pi * link["carrier_return_hz"]) ** 2)
     sigma_written_rt = np.sqrt(2.0 * (s_det_x / 4.0) * enbw)

@@ -15,7 +15,7 @@ from fiberlink.comb import (BudgetEntry, CombParams, CounterChainConfig,
                             stability_budget)
 from fiberlink.control import critical_frequency, find_divergence_onset, \
     integrator_loop_diverges
-from fiberlink.noise import NoiseSpec, correlated_pair, gen_power_law_phase
+from fiberlink.noise import NoiseSpec, gen_power_law_phase
 from fiberlink.series import FracFreqSeries, PhaseSeries
 from fiberlink.stability import (allan_deviation, allan_deviation_phase,
                                  fit_power_law, one_way_from_round_trip)
@@ -59,31 +59,32 @@ def test_02_slope_laws():
     report(2, "slope-laws", ok, ", ".join(details) + " +/- 0.05")
 
 
-def test_03_round_trip_halving():
-    # Fully correlated dual fiber: one-way Allan equals half the round-trip
-    # Allan within 5% for tau in [1, 100] s.
+def test_03_round_trip_halving(open_passes, power_law_pair):
+    # Fully correlated dual fiber through the link model with its servos off,
+    # at a delay it resolves and that is far below the smallest tau (2 steps
+    # of 10 ms each way): one-way Allan equals half the round-trip Allan
+    # within 5% for tau in [1, 100] s.
+    dt = 1e-2
     spec = NoiseSpec(powerlaw=((0, 4e-24), (-2, 1e-28)))
-    n1, n2 = correlated_pair(spec, 0.0, 4096, 1.0, 515)
-    path1 = fl.FiberPath(length_km=43.0, noise=n1)
-    path2 = fl.FiberPath(length_km=43.0, noise=n2)
-    zeros = PhaseSeries(np.zeros(len(n1)), 1.0)
-    one_way = fl.propagate(zeros, path1)
-    rt = fl.round_trip(zeros, path1, path2)
+    n1, n2 = power_law_pair(spec, 0.0, 40_960, dt, 515)
+    res = open_passes(n1, n2, dt, 2)
     taus = [1, 2, 5, 10, 20, 50, 100]
-    ow = allan_deviation_phase(one_way, taus, "overlapping")
-    halved = one_way_from_round_trip(allan_deviation_phase(rt, taus, "overlapping"))
+    ow = allan_deviation_phase(PhaseSeries(res.one_way, dt), taus, "overlapping")
+    halved = one_way_from_round_trip(
+        allan_deviation_phase(PhaseSeries(res.round_trip, dt), taus, "overlapping"))
     err = np.max(np.abs(halved.sigmas / ow.sigmas - 1.0))
     ok = err <= 0.05
     report(3, "round-trip-halving", ok,
-           f"max |one_way / (rt/2) - 1| = {err:.2e} over tau in [1, 100] s")
+           f"max |one_way / (rt/2) - 1| = {err:.2e} over tau in [1, 100] s "
+           f"at a {2 * dt:g} s one-way delay")
 
 
-def test_04_correlated_pair_target():
+def test_04_correlated_pair_target(power_law_pair):
     spec = NoiseSpec(powerlaw=((2, 1.9e-28),))
-    f1, f2 = correlated_pair(spec, 0.1, 200_000, 1.0, 99)
-    diff = PhaseSeries(f1.samples - f2.samples, 1.0)
+    f1, f2 = power_law_pair(spec, 0.1, 200_000, 1.0, 99)
+    diff = PhaseSeries(f1 - f2, 1.0)
     ratio = (allan_deviation_phase(diff, [1.0]).sigmas[0]
-             / allan_deviation_phase(f1, [1.0]).sigmas[0])
+             / allan_deviation_phase(PhaseSeries(f1, 1.0), [1.0]).sigmas[0])
     ok = abs(ratio - 0.1) <= 0.30 * 0.1
     report(4, "correlated-pair", ok,
            f"Allan(diff)/Allan(single) at 1 s = {ratio:.4f} (target 0.1 +/- 30%)")

@@ -173,3 +173,33 @@ class TestMicrohertzDecimals:
     def test_total_beyond_int64_hz_refused(self, tmp_path, nominal):
         with pytest.raises(InvalidInputError):
             fio.write_measurement_csv(tmp_path / "g.csv", _record(Fraction(nominal), [0.0]))
+
+
+# ----------------------------------------------------------------------
+# Reading an Allan CSV back: malformed files are refused, not raised.
+
+ADEV_HEADER = b"# metadata: version=0.1.0 seed=1 estimator=overlapping\ntau_s,sigma,n_pairs\n"
+MALFORMED_ADEV = {
+    "non_number_cell": ADEV_HEADER + b"1,abc,3\n",
+    "fractional_n_pairs": ADEV_HEADER + b"1,2e-14,2.5\n",
+    "n_pairs_beyond_int64": ADEV_HEADER + b"1,2e-14,100000000000000000000\n",
+    "two_cells": ADEV_HEADER + b"1,2e-14\n",
+    "not_utf8": b"\xff\xfe",
+}
+
+
+class TestReadAdevCsv:
+    def test_empty_estimator_keeps_the_default(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"# metadata: estimator=\ntau_s,sigma,n_pairs\n1,2e-14,3\n")
+        assert fio.read_adev_csv(path).estimator == "standard"
+
+    @pytest.mark.parametrize("content", MALFORMED_ADEV.values(), ids=MALFORMED_ADEV.keys())
+    def test_malformed_file_refused(self, tmp_path, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(InvalidInputError) as err:
+            fio.read_adev_csv(path)
+        assert str(path) in str(err.value)
+        if content.startswith(ADEV_HEADER):
+            assert "at line 3" in str(err.value)

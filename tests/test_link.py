@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import fiberlink as fl
 from fiberlink.control import ControllerConfig, LinkLoopConfig, run_closed_loop
 from fiberlink.errors import InvalidInputError
-from fiberlink.link import (ActuatorState, Carrier, DetectorConfig, FiberPath, actuator_alpha,
-                            detect_phase, measurement_lowpass, propagate,
-                            round_trip, sample_every, to_radians)
+from fiberlink.link import (ActuatorState, Carrier, DetectorConfig, actuator_alpha,
+                            detector_noise, measurement_lowpass, sample_every,
+                            to_radians)
+from fiberlink.scenario import _delay_steps
 from fiberlink.series import PhaseSeries
 from fiberlink.stability import psd_welch
 
@@ -31,106 +31,81 @@ class TestToRadians:
 
 
 class TestPropagate:
-    def test_adds_noise_and_delays_input(self):
+    def test_adds_noise_and_delays_input(self, open_passes):
+        # Fiber 1's arrival is the input to the 3-step pass through fiber 2.
         tau0 = 1e-4
         n = 100
-        ramp = PhaseSeries(np.arange(n) * 1e-12, tau0)
-        noise = flat_noise(1e-12, n, tau0)
-        # base delay = exactly 3 steps: no sub-step remainder
-        path = FiberPath(length_km=3 * tau0 / 5e-6, noise=noise)
-        steps, remainder = path.delay_steps()
-        assert steps == 3 and remainder == pytest.approx(0.0, abs=1e-20)
-        out = propagate(ramp, path)
-        assert np.allclose(out.samples[3:], ramp.samples[:-3] + 1e-12)
+        ramp = np.arange(n) * 1e-12
+        res = open_passes(ramp, np.full(n, 1e-12), tau0, 2, 3)
+        assert np.array_equal(res.one_way, ramp)
+        assert np.allclose(res.round_trip[3:], ramp[:-3] + 1e-12)
 
-    def test_sub_step_remainder_is_static_offset(self):
-        tau0 = 1e-4
-        zeros = PhaseSeries(np.zeros(50), tau0)
-        noise = flat_noise(0.0, 50, tau0)
-        path = FiberPath(length_km=43.0, noise=noise)   # 0.215 ms -> 2 steps
-        steps, remainder = path.delay_steps()
-        assert steps == 2
-        assert remainder == pytest.approx(0.215e-3 - 2e-4)
-        out = propagate(zeros, path)
-        assert np.allclose(out.samples, -remainder)
-
-    def test_tau0_mismatch_rejected(self):
-        x = PhaseSeries(np.zeros(10), 1e-4)
-        noise = PhaseSeries(np.zeros(10), 1e-3)
-        path = FiberPath(length_km=43.0, noise=noise)
-        with pytest.raises(InvalidInputError):
-            propagate(x, path)
-
-    def test_fractional_error_is_noise_derivative(self):
+    def test_fractional_error_is_noise_derivative(self, open_passes):
         # d(delta_tau)/dt oracle by finite differences.
         tau0 = 1e-3
         n = 5000
         rng = np.random.default_rng(8)
         slow = np.cumsum(rng.standard_normal(n)) * 1e-15
-        noise = PhaseSeries(slow, tau0)
-        path = FiberPath(length_km=tau0 / 5e-6, noise=noise)  # delay = 1 step
-        zeros = PhaseSeries(np.zeros(n), tau0)
-        y = np.diff(propagate(zeros, path).samples) / tau0
+        res = open_passes(slow, np.zeros(n), tau0, 1)   # delay = 1 step
+        y = np.diff(res.one_way) / tau0
         assert np.allclose(y, np.diff(slow) / tau0)
 
 
 class TestRoundTrip:
-    def test_pure_delay_composition(self):
+    def test_pure_delay_composition(self, open_passes):
+        # Noise-free fiber 2: the round trip is fiber 1's record delayed by
+        # fiber 2's pass, its pre-history held at the first value; the probe
+        # adds fiber 1's record to itself delayed by fiber 1's pass.
         tau0 = 1e-4
         n = 200
-        ramp = PhaseSeries(np.arange(n) * 1e-13, tau0)
-        noise = flat_noise(0.0, n, tau0)
-        path = FiberPath(length_km=2 * tau0 / 5e-6, noise=noise)  # 2 steps each way
-        out = round_trip(ramp, path, path)
-        assert np.allclose(out.samples[4:], ramp.samples[:-4])
+        ramp = np.arange(1, n + 1) * 1e-13
+        res = open_passes(ramp, np.zeros(n), tau0, 2, 3)
+        assert np.array_equal(res.round_trip[3:], ramp[:-3])
+        assert np.all(res.round_trip[:3] == ramp[0])
+        assert np.array_equal(res.probe_rt[2:], ramp[:-2] + ramp[2:])
 
-    def test_same_fiber_doubles_slow_noise(self):
+    def test_same_fiber_doubles_slow_noise(self, open_passes):
+        # Both passes share the noise: the round trip is twice the slow
+        # record, off by at most its change over the 1-step delay.
         tau0 = 1.0
         n = 500
         rng = np.random.default_rng(4)
         slow = np.cumsum(rng.standard_normal(n)) * 1e-13
-        noise = PhaseSeries(slow, tau0)
-        path = FiberPath(length_km=43.0, noise=noise)   # rounds to 0 steps at 1 s
-        zeros = PhaseSeries(np.zeros(n), tau0)
-        out = round_trip(zeros, path, path)
-        static = 2 * path.delay_steps()[1]
-        assert np.allclose(out.samples + static, 2 * slow)
+        res = open_passes(slow, slow, tau0, 1)
+        assert np.max(np.abs(res.round_trip - 2 * slow)) <= np.max(np.abs(np.diff(slow)))
 
     def test_86km_round_trip_delay(self):
-        # 86 km at 5 us/km is 0.43 ms, the reported ~0.4 ms loop delay.
-        noise = flat_noise(0.0, 10, 1e-4)
-        path = FiberPath(length_km=43.0, noise=noise)
-        assert 2 * path.base_delay_s == pytest.approx(0.43e-3)
-        assert 2 * path.delay_steps()[0] * 1e-4 == pytest.approx(0.4e-3)
+        # 86 km at 5 us/km is 0.43 ms, the reported ~0.4 ms loop delay: each
+        # 0.215 ms pass is 2 steps of 0.1 ms.
+        link = {"length_km": 43.0, "delay_per_km_s": 5e-6, "step_s": 1e-4}
+        assert 2 * link["length_km"] * link["delay_per_km_s"] == pytest.approx(0.43e-3)
+        assert _delay_steps(link) == 2
+        assert 2 * _delay_steps(link) * link["step_s"] == pytest.approx(0.4e-3)
 
 
 class TestDetectPhase:
+    """The detector's white floor as the scenario draws it for each loop."""
+
     def test_equal_inputs_zero_floor(self):
-        a = flat_noise(2e-12, 64, 1.0)
-        out = detect_phase(a, a, DetectorConfig(), Carrier(1e8))
-        assert np.all(out.samples == 0.0)
+        out = detector_noise(DetectorConfig(), Carrier(1e8), 64, 1.0,
+                             np.random.default_rng(0))
+        assert np.all(out == 0.0)
 
-    def test_constant_offset(self):
-        a = flat_noise(5e-12, 64, 1.0)
-        b = flat_noise(2e-12, 64, 1.0)
-        out = detect_phase(a, b, DetectorConfig(), Carrier(1e8))
-        assert np.allclose(out.samples, 3e-12)
-
-    def test_floor_requires_rng(self):
-        a = flat_noise(0.0, 64, 1.0)
-        cfg = DetectorConfig(floor_rad_per_rthz=1e-6)
-        with pytest.raises(InvalidInputError):
-            detect_phase(a, a, cfg, Carrier(1e8))
+    def test_constant_offset(self, open_passes):
+        # The probe's detector record adds to what the probe detects.
+        n = 64
+        res = open_passes(np.full(n, 2e-12), np.zeros(n), 1.0, 2,
+                          probe_det=np.full(n, 3e-12))
+        assert np.allclose(res.probe_rt, 7e-12)
 
     def test_floor_reproduces_psd_level(self):
         # -120 dBrad^2/Hz floor at 100 MHz measures back within 1 dB at 1 Hz.
         tau0 = 1e-3
         n = 300_000
-        a = PhaseSeries(np.zeros(n), tau0)
         cfg = DetectorConfig(floor_rad_per_rthz=1e-6)
         carrier = Carrier(1e8)
-        out = detect_phase(a, a, cfg, carrier, rng=np.random.default_rng(12))
-        psd = psd_welch(to_radians(out, carrier), segment=4096)
+        out = detector_noise(cfg, carrier, n, tau0, np.random.default_rng(12))
+        psd = psd_welch(to_radians(PhaseSeries(out, tau0), carrier), segment=4096)
         level_db = 10 * np.log10(psd.band_mean(0.8, 1.25))
         assert level_db == pytest.approx(-120.0, abs=1.0)
 

@@ -3,10 +3,9 @@ import pytest
 
 import fiberlink as fl
 from fiberlink.errors import InvalidInputError
-from fiberlink.noise import (BurstSpec, BurstTrain, DiurnalSpec, NoiseSpec,
-                             WalkPhase, _shaped_frac_freq, _white_scale,
-                             burst_pulse, component_rng, correlated_pair,
-                             fiber_pair, gen_bursts, gen_diurnal, gen_noise,
+from fiberlink.noise import (BurstSpec, BurstTrain, NoiseSpec, WalkPhase,
+                             _shaped_frac_freq, _white_scale, burst_pulse,
+                             component_rng, fiber_pair, gen_bursts, gen_diurnal,
                              gen_power_law_phase)
 from fiberlink.series import PhaseSeries
 from fiberlink.stability import allan_deviation_phase, fit_power_law
@@ -238,9 +237,9 @@ class TestBursts:
 class TestCorrelatedPair:
     spec = NoiseSpec(powerlaw=((2, 1.9e-28),))
 
-    def test_ratio_zero_identical(self):
-        f1, f2 = correlated_pair(self.spec, 0.0, 2000, 1.0, 7)
-        assert np.array_equal(f1.samples, f2.samples)
+    def test_ratio_zero_identical(self, power_law_pair):
+        f1, f2 = power_law_pair(self.spec, 0.0, 2000, 1.0, 7)
+        assert np.array_equal(f1, f2)
 
     def test_fiber_pair_mix(self):
         # fiber_i = c u_0 + d u_i exactly; r = 0 never draws u_1 or u_2.
@@ -255,50 +254,36 @@ class TestCorrelatedPair:
         assert drawn == [0]
         assert np.array_equal(x1, u[0]) and np.array_equal(x2, u[0])
 
-    def test_ratio_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            correlated_pair(self.spec, 1.5, 100, 1.0, 7)
-        with pytest.raises(InvalidInputError):
-            correlated_pair(self.spec, -0.1, 100, 1.0, 7)
-
-    def test_ratio_sets_difference_allan(self):
+    def test_ratio_sets_difference_allan(self, power_law_pair):
         # ratio 0.1: the fiber difference sits 10x below a single fiber.
-        f1, f2 = correlated_pair(self.spec, 0.1, 200_000, 1.0, 99)
-        diff = PhaseSeries(f1.samples - f2.samples, 1.0)
-        a_single = allan_deviation_phase(f1, [1.0]).sigmas[0]
-        a_diff = allan_deviation_phase(diff, [1.0]).sigmas[0]
+        f1, f2 = power_law_pair(self.spec, 0.1, 200_000, 1.0, 99)
+        a_single = allan_deviation_phase(PhaseSeries(f1, 1.0), [1.0]).sigmas[0]
+        a_diff = allan_deviation_phase(PhaseSeries(f1 - f2, 1.0), [1.0]).sigmas[0]
         assert a_diff / a_single == pytest.approx(0.1, rel=0.30)
 
-    def test_full_ratio_residual_correlation(self):
+    def test_full_ratio_residual_correlation(self, power_law_pair):
         # r in [0, 1] cannot reach independence (that needs r = sqrt(2)), so
         # the contract is corr = 1 - r^2/2: 0.5 at r = 1.
-        f1, f2 = correlated_pair(self.spec, 1.0, 100_000, 1.0, 13)
-        cc = np.corrcoef(np.diff(f1.samples), np.diff(f2.samples))[0, 1]
+        f1, f2 = power_law_pair(self.spec, 1.0, 100_000, 1.0, 13)
+        cc = np.corrcoef(np.diff(f1), np.diff(f2))[0, 1]
         assert cc == pytest.approx(0.5, abs=0.05)
 
-    def test_single_fiber_level_preserved(self):
-        ref = gen_noise(NoiseSpec(powerlaw=self.spec.powerlaw), 100_000, 1.0, 1)
+    def test_single_fiber_level_preserved(self, power_law_pair):
+        ref = gen_power_law_phase(self.spec, 100_000, 1.0, 1)
         base = allan_deviation_phase(ref, [1.0]).sigmas[0]
         for ratio in (0.0, 0.5, 1.0):
-            f1, _ = correlated_pair(self.spec, ratio, 100_000, 1.0, 21)
-            level = allan_deviation_phase(f1, [1.0]).sigmas[0]
+            f1, _ = power_law_pair(self.spec, ratio, 100_000, 1.0, 21)
+            level = allan_deviation_phase(PhaseSeries(f1, 1.0), [1.0]).sigmas[0]
             assert level == pytest.approx(base, rel=0.05)
-
-    def test_diurnal_is_common_mode(self):
-        spec = NoiseSpec(powerlaw=((2, 1e-30),),
-                         diurnal=DiurnalSpec(amplitude_s=1e-11, period_s=100.0))
-        f1, f2 = correlated_pair(spec, 1.0, 1000, 1.0, 5)
-        diff = f1.samples - f2.samples
-        # the sinusoid cancels in the difference: residual is stochastic only
-        stoch1, stoch2 = correlated_pair(NoiseSpec(powerlaw=((2, 1e-30),)),
-                                         1.0, 1000, 1.0, 5)
-        assert np.allclose(diff, stoch1.samples - stoch2.samples, atol=1e-18)
 
 
 def test_gen_noise_composite_determinism():
-    spec = NoiseSpec(powerlaw=((0, 1e-28),),
-                     diurnal=DiurnalSpec(amplitude_s=1e-11, period_s=500.0),
-                     bursts=BurstSpec(rate_per_s=1e-2, amp_median_s=1e-12))
-    a = gen_noise(spec, 5000, 1.0, 17)
-    b = gen_noise(spec, 5000, 1.0, 17)
-    assert np.array_equal(a.samples, b.samples)
+    # One fiber's record as the scenario sums it: power law, diurnal drift
+    # and bursts, each drawn from the seed.
+    def composite(seed):
+        return (gen_power_law_phase(NoiseSpec(powerlaw=((0, 1e-28),)), 5000, 1.0, seed).samples
+                + gen_diurnal(1e-11, 500.0, 0.0, 5000, 1.0).samples
+                + gen_bursts(BurstSpec(rate_per_s=1e-2, amp_median_s=1e-12),
+                             5000, 1.0, seed).samples)
+    assert np.array_equal(composite(17), composite(17))
+    assert not np.array_equal(composite(17), composite(18))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fiberlink as fl
 from fiberlink import cli
 from fiberlink.errors import InvalidInputError, ScenarioValidationError
-from fiberlink.io import read_adev_csv
+from fiberlink.io import write_adev_csv
 from fiberlink.scenario import (PRESETS, Scenario, _comb_objects, _loop_config,
                                 compare_curves, load_scenario, run)
 from fiberlink.stability import welch_segments
@@ -649,6 +649,7 @@ class TestCli:
         {"preset": "fig1", "link": {"length_km": 2.39e7}},
         {"preset": "fig1", "outputs": {"psd_segment_s": 1e-4}},
         {"preset": "fig1", "outputs": {"psd_overlap": 0.999999}},
+        {"preset": "fig1", "link": {"length_km": 1e300, "step_s": 1e-300}},
     ])
     def test_run_refuses_at_load_exit_1(self, tmp_path, override):
         # Each of these once passed validation and ended the run in a traceback
@@ -697,9 +698,23 @@ class TestCli:
     def test_compare_command(self, tmp_path, budget_report):
         c = fl.AdevCurve([1.0, 10.0], [2e-14, 2e-15], [9, 9], "standard")
         h = fl.AdevCurve([1.0, 10.0], [1e-14, 1e-15], [9, 9], "standard")
-        from fiberlink.io import write_adev_csv
         write_adev_csv(tmp_path / "a.csv", c, seed=1)
         write_adev_csv(tmp_path / "b.csv", h, seed=1)
         proc = run_cli(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
         assert proc.returncode == 0
         assert "max ratio 2" in proc.stdout
+
+    @pytest.mark.parametrize("content", [b"tau_s,sigma,n_pairs\n1,abc,3\n",
+                                         b"tau_s,sigma,n_pairs\n1,2e-14,2.5\n",
+                                         b"\xff\xfe"],
+                             ids=["non_number_cell", "fractional_n_pairs", "not_utf8"])
+    def test_compare_refuses_malformed_csv(self, tmp_path, content):
+        # Each once ended the command in a traceback.
+        good = tmp_path / "good.csv"
+        write_adev_csv(good, fl.AdevCurve([1.0], [1e-14], [9], "standard"))
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        proc = run_cli(["compare", str(good), str(bad)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"compare failed: {bad}: ")
+        assert "Traceback" not in proc.stderr

@@ -227,17 +227,16 @@ class TestOneWayFromRoundTrip:
         with pytest.raises(InvalidInputError):
             one_way_from_round_trip(empty)
 
-    def test_correlated_simulation_agreement(self):
-        # Fully correlated dual fiber at a resolved delay: one-way Allan and
-        # halved round-trip Allan agree within 5% for tau >= 1 s.
+    def test_correlated_simulation_agreement(self, open_passes):
+        # Fully correlated dual fiber at a resolved delay (1 step of 10 ms
+        # each way): one-way Allan and halved round-trip Allan agree within
+        # 5% for tau >= 1 s.
+        dt = 1e-2
         spec = fl.NoiseSpec(powerlaw=((0, 2e-24),))
-        noise = fl.gen_noise(spec, 60_000, 1e-1, 77)
-        path = fl.FiberPath(length_km=43.0, noise=noise)
-        zeros = PhaseSeries(np.zeros(len(noise)), 1e-1)
-        one_way = fl.propagate(zeros, path)
-        rt = fl.round_trip(zeros, path, path)
+        noise = fl.gen_power_law_phase(spec, 60_000, dt, 77).samples
+        res = open_passes(noise, noise, dt, 1)
         taus = [1.0, 2.0, 5.0, 10.0]
-        ow_curve = allan_deviation_phase(one_way, taus, "overlapping")
-        rt_curve = allan_deviation_phase(rt, taus, "overlapping")
+        ow_curve = allan_deviation_phase(PhaseSeries(res.one_way, dt), taus, "overlapping")
+        rt_curve = allan_deviation_phase(PhaseSeries(res.round_trip, dt), taus, "overlapping")
         deduced = one_way_from_round_trip(rt_curve)
         assert np.allclose(deduced.sigmas, ow_curve.sigmas, rtol=0.05)
