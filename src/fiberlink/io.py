@@ -8,6 +8,12 @@ The data rows are streamed: ``_write_rows`` formats a fixed number of rows
 at a time from the column arrays, so a writer never holds the whole file
 (or the list of its row strings) in memory.  The comb gate CSV's optical
 frequencies are exact microhertz decimals, computed in integer arithmetic.
+
+The PSD CSV holds log-frequency band means, ``_BANDS_PER_DECADE`` bands per
+decade (``stability.log_band_average``), not the raw Welch bins: its
+``rbw_hz`` column is each band's width, and its metadata adds
+``bands_per_decade``, the Welch bin spacing ``bin_hz`` and the Welch
+resolution bandwidth ``welch_rbw_hz``.
 """
 
 from __future__ import annotations
@@ -17,10 +23,17 @@ import numpy as np
 from . import __version__
 from .errors import InvalidInputError
 from .series import AdevCurve, PhaseSeries, PsdEstimate
+from .stability import log_band_average
 
 
 # Rows formatted and written per ``write`` call by ``_write_rows``.
 _CHUNK_ROWS = 8192
+
+# Log-frequency bands per decade of the PSD CSV: the base-10 third-octave
+# bands of IEC 61260-1.  Band 0 spans 0.891-1.122 Hz, so the rows in
+# 0.9-1.1 Hz average nearly the Welch bins that criterion 5 averages; at 20
+# per decade that row would span only 0.944-1.059 Hz.
+_BANDS_PER_DECADE = 10
 
 _UHZ = 10 ** 6
 
@@ -108,9 +121,12 @@ def read_adev_csv(path) -> AdevCurve:
 
 
 def write_psd_csv(path, psd: PsdEstimate, seed=None, **extra):
-    lines = metadata_lines(seed, **extra)
+    """One row per log-frequency band of ``psd``: the band's mean frequency,
+    its mean PSD and, as ``rbw_hz``, its width (``log_band_average``)."""
+    lines = metadata_lines(seed, bands_per_decade=_BANDS_PER_DECADE, bin_hz=_fmt(psd.bin_hz),
+                           welch_rbw_hz=_fmt(psd.rbw_hz), **extra)
     lines.append("freq_hz,psd,rbw_hz")
-    _write_rows(path, lines, f"%.17g,%.17g,{_fmt(psd.rbw_hz)}", (psd.freqs, psd.values))
+    _write_rows(path, lines, "%.17g,%.17g,%.17g", log_band_average(psd, _BANDS_PER_DECADE))
 
 
 def write_phase_csv(path, series: PhaseSeries, seed=None, **extra):

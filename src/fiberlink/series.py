@@ -155,9 +155,11 @@ class PsdEstimate:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "values", values)
 
-    def value_at(self, freq_hz):
-        """PSD value at the bin closest to ``freq_hz``."""
-        return float(self.values[int(np.argmin(np.abs(self.freqs - freq_hz)))])
+    @property
+    def bin_hz(self):
+        """Spacing of the (uniform) frequency grid: the first two bins'
+        distance, or ``rbw_hz`` for an estimate of fewer than two bins."""
+        return float(self.freqs[1] - self.freqs[0]) if self.freqs.size > 1 else self.rbw_hz
 
     def band_mean(self, f_lo, f_hi):
         """Mean PSD over bins with f_lo <= f <= f_hi."""

@@ -12,6 +12,7 @@ the conversion.  Estimators are pure functions over immutable series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,35 @@ def psd_welch(x: PhaseSeries, segment: int, overlap=0.5) -> PsdEstimate:
     acc = WelchAccumulator(len(x), x.tau0, segment, overlap)
     acc.add(x.samples)
     return acc.result()
+
+
+def log_band_average(psd: PsdEstimate, bands_per_decade):
+    """``(freqs, values, widths)`` of ``psd`` averaged over log-frequency
+    bands, a fixed number per decade, as in LPSD (Troebs and Heinzel,
+    Measurement 39, 120, 2006) but from the one Welch grid.
+
+    The DC bin is its own row.  A bin at f > 0 falls in band
+    ``j = round(bands_per_decade * log10(f))``, whose edges are at
+    ``10**((j -/+ 1/2) / bands_per_decade)``; the bins of one band make one
+    row.  A row's frequency and value are the means over its bins, each sum
+    correctly rounded by ``math.fsum``, so a one-bin row is its bin exactly
+    and no row depends on summation order.  Its width is its bin count times
+    ``psd.bin_hz``, so ``sum(values * widths)`` is the estimate's
+    rectangle-rule integral ``sum(psd.values) * psd.bin_hz``.
+    """
+    f = psd.freqs
+    if f.size and f[0] < 0:
+        raise InvalidInputError("log-band averaging needs a one-sided PSD (freqs >= 0)")
+    with np.errstate(divide="ignore"):
+        band = np.rint(bands_per_decade * np.log10(f))    # -inf for the DC bin
+    first = np.ones(f.size, dtype=bool)
+    first[1:] = band[1:] != band[:-1]
+    starts = np.flatnonzero(first).tolist()
+    spans = list(zip(starts, starts[1:] + [f.size]))
+    counts = np.array([b - a for a, b in spans], dtype=float)
+    means = [np.array([math.fsum(memoryview(col[a:b])) for a, b in spans]) / counts
+             for col in (f, psd.values)]
+    return means[0], means[1], counts * psd.bin_hz
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Streamed CSV writers against the per-row reference writers they replace."""
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -49,10 +50,22 @@ def ref_write_adev_csv(path, curve, seed=None, **extra):
 
 
 def ref_write_psd_csv(path, psd, seed=None, **extra):
-    lines = fio.metadata_lines(seed, **extra)
+    """One row per run of bins sharing ``round(bands * log10(f))`` (the DC bin
+    alone): the mean frequency, the mean value, count x bin spacing."""
+    bands = fio._BANDS_PER_DECADE
+    freqs, values = psd.freqs.tolist(), psd.values.tolist()
+    bin_hz = freqs[1] - freqs[0] if len(freqs) > 1 else psd.rbw_hz
+    rows = {}
+    for f, v in zip(freqs, values):
+        rows.setdefault(round(bands * math.log10(f)) if f > 0 else "dc", []).append((f, v))
+    lines = fio.metadata_lines(seed, bands_per_decade=bands, bin_hz=_ref_fmt(bin_hz),
+                               welch_rbw_hz=_ref_fmt(psd.rbw_hz), **extra)
     lines.append("freq_hz,psd,rbw_hz")
-    for f, v in zip(psd.freqs, psd.values):
-        lines.append(f"{_ref_fmt(f)},{_ref_fmt(v)},{_ref_fmt(psd.rbw_hz)}")
+    for members in rows.values():
+        fs, vs = zip(*members)
+        n = len(members)
+        lines.append(f"{_ref_fmt(math.fsum(fs) / n)},{_ref_fmt(math.fsum(vs) / n)},"
+                     f"{_ref_fmt(n * bin_hz)}")
     _ref_write(path, lines)
 
 
@@ -203,3 +216,20 @@ class TestReadAdevCsv:
         assert str(path) in str(err.value)
         if content.startswith(ADEV_HEADER):
             assert "at line 3" in str(err.value)
+
+
+# ----------------------------------------------------------------------
+# The PSD CSV as the benchmark reads it (perfbench/checks.py: the standard
+# library only, three fields a row, the mean of the rows in 0.9-1.1 Hz).
+
+def test_fig1_psd_band_reads_as_in_memory(fig1_report):
+    report, out = fig1_report
+    with open(out / "round_trip_psd.csv", encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip() and not line.startswith("#")]
+    assert lines[0] == "freq_hz,psd,rbw_hz"
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(row) == 3 for row in rows)
+    band = [float(v) for f, v, _ in rows if 0.9 <= float(f) <= 1.1]
+    assert band
+    in_memory = report.results["fullrate"]["psd_rt"].band_mean(0.9, 1.1)
+    assert abs(10 * math.log10(sum(band) / len(band) / in_memory)) <= 0.5

@@ -47,7 +47,8 @@ def test_psd_invariants():
     with pytest.raises(InvalidInputError):
         PsdEstimate([1.0, 2.0], [0.1, -0.1], 1.0)    # negative value
     p = PsdEstimate([0.5, 1.0, 2.0], [1.0, 2.0, 4.0], 0.5)
-    assert p.value_at(1.1) == 2.0
+    assert p.bin_hz == 0.5
+    assert PsdEstimate([3.0], [1.0], 0.25).bin_hz == 0.25
     assert p.band_mean(0.9, 2.1) == pytest.approx(3.0)
 
 
@@ -74,8 +75,13 @@ def test_phase_and_psd_csv(tmp_path):
     assert lines[1] == "t_s,x_s"
     assert len(lines) == 5
 
-    p = PsdEstimate([1.0, 2.0], [1e-12, 1e-13], 0.5)
-    write_psd_csv(tmp_path / "p.csv", p, seed=7)
+    # On a 1 Hz grid up to 7 Hz only 6 and 7 Hz share a band
+    # (round(10 * log10(f)) = 8), so 8 bins make 7 rows.
+    values = np.full(8, 1e-12)
+    values[7] = 3e-12
+    write_psd_csv(tmp_path / "p.csv", PsdEstimate(np.arange(8.0), values, 1.5), seed=7)
     lines = (tmp_path / "p.csv").read_text().splitlines()
+    assert "bands_per_decade=10 bin_hz=1 welch_rbw_hz=1.5" in lines[0]
     assert lines[1] == "freq_hz,psd,rbw_hz"
-    assert len(lines) == 4
+    rows = [tuple(map(float, line.split(","))) for line in lines[2:]]
+    assert rows == [(float(f), 1e-12, 1.0) for f in range(6)] + [(6.5, 2e-12, 2.0)]

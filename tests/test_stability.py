@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
 from fiberlink.errors import InvalidInputError
-from fiberlink.series import FracFreqSeries, PhaseSeries
+from fiberlink.series import FracFreqSeries, PhaseSeries, PsdEstimate
 from fiberlink.stability import (WelchAccumulator, allan_deviation,
                                  allan_deviation_phase, fit_power_law,
-                                 one_way_from_round_trip, phase_to_frac_freq,
-                                 psd_welch)
+                                 log_band_average, one_way_from_round_trip,
+                                 phase_to_frac_freq, psd_welch)
 
 
 class TestPhaseToFracFreq:
@@ -166,6 +166,68 @@ class TestPsdWelch:
         for chunk in np.array_split(x, 37):
             acc.add(chunk)
         assert np.array_equal(acc.result().values, psd.values)
+
+
+BANDS = 10
+ESTIMATES = {
+    "welch": lambda: psd_welch(PhaseSeries(np.cumsum(
+        np.random.default_rng(8).standard_normal(40_000)) * 1e-12, 1e-4), segment=8000),
+    "grid": lambda: PsdEstimate(np.arange(8193) * 0.1,
+                                np.random.default_rng(9).random(8193) * 1e-20, rbw_hz=0.1),
+}
+
+
+class TestLogBandAverage:
+    @pytest.fixture(params=ESTIMATES.values(), ids=ESTIMATES.keys())
+    def psd(self, request):
+        return request.param()
+
+    @staticmethod
+    def _spans(psd, widths):
+        """(start, stop) bin indices of each row, from its width."""
+        counts = np.rint(widths / psd.bin_hz).astype(int)
+        assert np.array_equal(counts * psd.bin_hz, widths) and counts.min() >= 1
+        stops = np.cumsum(counts)
+        return list(zip(stops - counts, stops))
+
+    def test_every_bin_in_exactly_one_row_and_rows_increase(self, psd):
+        freqs, values, widths = log_band_average(psd, BANDS)
+        spans = self._spans(psd, widths)
+        assert spans[-1][1] == psd.freqs.size
+        with np.errstate(divide="ignore"):
+            band = np.rint(BANDS * np.log10(psd.freqs))
+        row_bands = []
+        for (a, b), f in zip(spans, freqs):
+            assert np.unique(band[a:b]).size == 1
+            assert psd.freqs[a] <= f <= psd.freqs[b - 1]
+            row_bands.append(band[a])
+        assert np.all(np.diff(row_bands) > 0)
+        assert np.all(np.diff(freqs) > 0)
+
+    def test_dc_and_single_bin_rows_are_their_bins(self, psd):
+        freqs, values, widths = log_band_average(psd, BANDS)
+        assert (freqs[0], values[0], widths[0]) == (0.0, psd.values[0], psd.bin_hz)
+        singles = [a for a, b in self._spans(psd, widths) if b - a == 1]
+        rows = np.flatnonzero(widths == psd.bin_hz)
+        assert len(singles) == rows.size > 5
+        assert freqs[rows].tobytes() == psd.freqs[singles].tobytes()
+        assert values[rows].tobytes() == psd.values[singles].tobytes()
+
+    def test_integral_preserved(self, psd):
+        _, values, widths = log_band_average(psd, BANDS)
+        raw = np.sum(psd.values) * psd.bin_hz
+        assert abs(np.sum(values * widths) / raw - 1) <= 1e-12
+
+    def test_row_count_set_by_decades_not_bins(self, psd):
+        # round(b) - round(a) + 1 <= b - a + 2 bands span [f_1, f_max], plus DC.
+        freqs, _, _ = log_band_average(psd, BANDS)
+        decades = np.log10(psd.freqs[-1] / psd.freqs[1])
+        assert freqs.size <= BANDS * decades + 3 < psd.freqs.size / 10
+
+    def test_empty_and_negative_grids(self):
+        assert all(a.size == 0 for a in log_band_average(PsdEstimate([], [], 1.0), BANDS))
+        with pytest.raises(InvalidInputError):
+            log_band_average(PsdEstimate([-1.0, 1.0], [1.0, 1.0], 1.0), BANDS)
 
 
 class TestFitPowerLaw:
