@@ -24,6 +24,8 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .series import FracFreqSeries
 
+COUNTER_RESOLUTION_HZ = 1e-6       # the counter's frequency resolution per gate
+
 
 def as_fraction(value) -> Fraction:
     """Exact rational from int, float, str or Fraction input."""
@@ -93,10 +95,6 @@ class FreqSeries:
     def __len__(self):
         return self.offsets_hz.size
 
-    def values_hz(self):
-        """Float view (fine for plotting; not for comb arithmetic)."""
-        return float(self.nominal_hz) + self.offsets_hz
-
     def fractional(self) -> FracFreqSeries:
         nom = float(self.nominal_hz)
         return FracFreqSeries(self.offsets_hz / nom, self.tau0)
@@ -125,17 +123,13 @@ class CounterChainConfig:
     final_shift_target_hz: float = 68.0
     filter_bw_hz: float = 10.0
     gate_s: float = 1.0
-    counter_resolution_hz: float = 1e-6
-    counter_noise_hz: float = 0.0          # white technical noise per gate
 
     def __post_init__(self):
         object.__setattr__(self, "lo_freq_hz", as_fraction(self.lo_freq_hz))
         for name in ("if_target_hz", "final_shift_target_hz", "filter_bw_hz",
-                     "gate_s", "counter_resolution_hz"):
+                     "gate_s"):
             if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be positive")
-        if self.counter_noise_hz < 0:
-            raise InvalidInputError("counter noise must be non-negative")
         if self.filter_bw_hz >= self.if_target_hz:
             raise InvalidInputError("filter bandwidth must sit below the IF frequencies")
 
@@ -168,8 +162,7 @@ class MeasurementRecord:
 
 
 def count_chain(f_rep: FreqSeries, reference_fractional: FracFreqSeries,
-                cfg: CounterChainConfig, params: CombParams,
-                seed=None) -> MeasurementRecord:
+                cfg: CounterChainConfig, params: CombParams) -> MeasurementRecord:
     """Run the counting chain and reconstruct the optical frequency per gate.
 
     The LO and shift synthesizers inherit the reference's fractional error
@@ -216,14 +209,7 @@ def count_chain(f_rep: FreqSeries, reference_fractional: FracFreqSeries,
             f"outside the {cfg.filter_bw_hz:g} Hz filter")
 
     gated = beat[: n_gates * gate_samples].reshape(n_gates, gate_samples).mean(axis=1)
-    if cfg.counter_noise_hz > 0.0:
-        from .noise import component_rng
-        if seed is None:
-            raise InvalidInputError("counter noise requires a seed")
-        gated = gated + component_rng(seed, "counter").standard_normal(n_gates) \
-            * cfg.counter_noise_hz
-    res = cfg.counter_resolution_hz
-    counted = np.round(gated / res) * res
+    counted = np.round(gated / COUNTER_RESOLUTION_HZ) * COUNTER_RESOLUTION_HZ
 
     # Deduced repetition rate per gate, then f_opt = q * f_rep +/- delta:
     # the nominal part stays exact, only small offsets ride on floats.

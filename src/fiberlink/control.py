@@ -3,17 +3,17 @@
 Both loops share one structure: the measured round-trip error is halved
 (conjugation: the perturbation splits evenly between the two passes under
 reciprocity) and fed to a proportional-plus-integral filter whose output is
-accumulated into the applied correction.  The open-loop transfer is then
-
-    L(s) = (kp / s + ki / s**2) * exp(-s * tau_rt)
-
-with kp = 2 pi f_unity and ki = kp * 2 pi f_corner.  The round-trip delay
-tau_rt enters as a transport delay; with a pure integrator the loop turns
-unstable at 1 / (4 tau_rt), which is what limits the usable bandwidth.
-``critical_frequency`` and ``loop_gain`` are these continuous closed forms.
-A simulated loop is a discrete recurrence, stable exactly when every root
-of its denominator polynomial in z^-1 lies inside the unit circle;
-``integrator_loop_diverges`` decides the delay-limited boundary that way.
+accumulated into the applied correction.  In continuous time the open-loop
+transfer is L(s) = (kp / s + ki / s**2) * exp(-s * tau_rt), with
+kp = 2 pi f_unity and ki = kp * 2 pi f_corner.  The round-trip delay tau_rt
+enters as a transport delay; with a pure integrator the loop turns unstable
+at 1 / (4 tau_rt), which is what limits the usable bandwidth, and
+``critical_frequency`` is that closed form.  A simulated loop is a discrete
+recurrence (``_loop_filter_polys``: sampling at dt, a 2M-step delay and the
+actuator's first-order lag), stable exactly when every root of its
+denominator polynomial in z^-1 lies inside the unit circle;
+``integrator_loop_diverges`` decides the delay-limited boundary that way,
+and ``loop_sensitivity`` is the same loop's sensitivity on the unit circle.
 
 The near-end loop corrects fiber 1 with an RF phase shift on the
 transmitted carrier, so only the served carrier is corrected.  The far-end
@@ -38,8 +38,8 @@ that step, a running maximum, since a chunked run cannot know the inputs
 still to come.  The run topology (``RUN_TOPOLOGIES``) says what the far-end
 loop sees: "series" feeds it the near-end loop's corrected arrival,
 "independent" only fiber 2's own round trip, and "off" opens both loops.
-``loop_suppression`` is the decimated-time model: the closed-loop
-sensitivity applied to slow records in the frequency domain.
+``loop_suppression`` is the decimated-time model: the simulated servo's
+discrete sensitivity applied to slow records in the frequency domain.
 """
 
 from __future__ import annotations
@@ -182,16 +182,21 @@ class LoopRunResult:
     state: LoopState | None = None
 
 
-def _loop_filter_polys(cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):
-    """(b, a) of applied-correction vs -(w/2) for the discrete servo.
+def _loop_terms(cfg: ControllerConfig, actuator_bw_hz, dt):
+    """The discrete servo's (b0, b1) and actuator lag: its denominator is
+    (1 - z^-1)^2 (1 - lag z^-1) + z^-2M (b0 + b1 z^-1).
 
     Controller: pe_k = u_k - app_{k-2M};  I_k = I_{k-1} + dt pe_k;
     cmd_k = cmd_{k-1} + dt (kp pe_k + ki I_k);  app = first-order lag of cmd.
     """
     kp, ki = cfg.gains()
     alpha = actuator_alpha(actuator_bw_hz, dt)
-    b = np.array([alpha * dt * (kp + ki * dt), -alpha * dt * kp])
-    lag = 1.0 - alpha
+    return np.array([alpha * dt * (kp + ki * dt), -alpha * dt * kp]), 1.0 - alpha
+
+
+def _loop_filter_polys(cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):
+    """(b, a) of applied-correction vs -(w/2) for the discrete servo."""
+    b, lag = _loop_terms(cfg, actuator_bw_hz, dt)
     d = np.convolve([1.0, -2.0, 1.0], [1.0, -lag])       # (1 - z^-1)^2 (1 - lag z^-1)
     order = max(d.size, 2 * delay_steps + 2)
     a = np.zeros(order)
@@ -199,6 +204,32 @@ def _loop_filter_polys(cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):
     a[2 * delay_steps] += b[0]
     a[2 * delay_steps + 1] += b[1]
     return b, a
+
+
+def loop_sensitivity(freqs_hz, cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):
+    """The residual over the input of the servo ``_loop_filter_polys`` builds,
+    S = d / (d + z^-2M (b0 + b1 z^-1)) at z = exp(j 2 pi f dt).  d is kept
+    factored, with 1 - z^-1 = 2j sin(pi f dt) exp(-j pi f dt): expanded, it
+    loses 5e-4 of S to cancellation at 1 mHz.  S(0) = 0; S repeats every 1/dt.
+    """
+    b, lag = _loop_terms(cfg, actuator_bw_hz, dt)
+    half = np.pi * dt * np.asarray(freqs_hz, dtype=float)
+    # Built in three complex arrays: a 10-day decimated record has 432,001 bins.
+    zinv = np.exp(-1j * half)                      # z^(-1/2)
+    d = np.sin(half) * 2j
+    d *= zinv                                      # 1 - z^-1
+    d *= d
+    zinv *= zinv                                   # z^-1
+    a = zinv * -lag
+    a += 1.0
+    d *= a                                         # (1 - z^-1)^2 (1 - lag z^-1)
+    np.multiply(zinv, b[1], out=a)
+    a += b[0]
+    np.multiply(half, -4j * delay_steps, out=zinv)
+    a *= np.exp(zinv, out=zinv)                    # z^-2M (b0 + b1 z^-1)
+    a += d
+    d /= a
+    return d
 
 
 def _at_rest(cfg, n1, n2):
@@ -446,32 +477,15 @@ _ENGINES = {"lfilter": _run_linear, "stepped": _run_stepped}
 # Low-frequency (decimated) closed-loop model
 
 
-def loop_gain(freqs_hz, cfg: ControllerConfig, round_trip_delay_s):
-    """Complex open-loop transfer L(f) for f > 0."""
-    kp, ki = cfg.gains()
-    f = np.asarray(freqs_hz, dtype=float)
-    s = 2j * np.pi * f
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = (kp / s + ki / s ** 2) * np.exp(-s * round_trip_delay_s)
-    return L
-
-
-def loop_suppression(x: PhaseSeries, cfg: ControllerConfig,
-                     round_trip_delay_s) -> PhaseSeries:
-    """Apply the closed-loop sensitivity 1/(1+L) to a slow perturbation record.
-
-    This is the decimated-time representation of the servo: valid for
-    content far below the loop bandwidth, where the time-domain transient
-    structure is irrelevant.  The DC bin is fully suppressed (infinite
-    integrator gain).
+def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
+                     dt, delay_steps) -> PhaseSeries:
+    """The decimated-time model of one loop: the record's spectrum times the
+    ``loop_sensitivity`` of the servo that ``run_closed_loop`` simulates at
+    step ``dt``.  The record's frequencies must stay below 1/(2 dt); its DC
+    bin is fully suppressed (infinite integrator gain).
     """
     n = len(x)
     spec = np.fft.rfft(x.samples)
-    spec[0] = 0.0
-    # 1/(1+L) over the other bins, built in L's array.
-    sens = loop_gain(np.fft.rfftfreq(n, x.tau0)[1:], cfg, round_trip_delay_s)
-    sens += 1.0
-    np.divide(1.0, sens, out=sens)
-    spec[1:] *= sens
-    del sens
+    spec *= loop_sensitivity(np.fft.rfftfreq(n, x.tau0), cfg, actuator_bw_hz, dt,
+                             delay_steps)
     return PhaseSeries(np.fft.irfft(spec, n=n), x.tau0, label=f"{x.label}|closed")

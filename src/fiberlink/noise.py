@@ -224,11 +224,6 @@ def _pulse_len(duration_s, tau0):
     return max(int(round(duration_s / tau0)), 2) + 1
 
 
-def burst_pulse(amplitude_s, duration_s, tau0):
-    """Raised-cosine pulse samples; peak value equals the amplitude."""
-    return _pulse_piece(amplitude_s, duration_s, tau0, 0, _pulse_len(duration_s, tau0))
-
-
 class BurstTrain:
     """The pulses of one ``gen_bursts`` record, drawn once and evaluated over
     any range of its samples, so a record can be built chunk by chunk."""

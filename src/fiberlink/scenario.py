@@ -9,9 +9,9 @@ measured quantity is listed under ``assumed`` in the resolved echo.
 
 Long runs use a dual-rate scheme: a full-rate simulation resolves the servo
 band (default 0.1 ms step), while day-scale statistics come from a 1 s step
-model in which the loops act through their low-frequency suppression
-function.  The decimated model is validated against the full-rate one over
-their overlap in the test suite.
+model in which the loops act through the simulated servo's sensitivity
+(``control.loop_sensitivity``).  The decimated model is validated against
+the full-rate one over their overlap in the test suite.
 
 The full-rate simulation is one pipeline over chunks of ``_CHUNK`` samples:
 each chunk's noise is drawn, run through both servo loops (which carry
@@ -434,6 +434,12 @@ def _validate(data, read):
                 problems.append(
                     f"round-trip delay 2 x link.length_km x link.delay_per_km_s = "
                     f"{2 * one_way:g} s must be shorter than {dur_key}={duration:g}")
+    # The decimated model applies the servo's sensitivity, periodic in 1 / link.step_s.
+    if ok["run.decimated_step_s"] and ok["link.step_s"] \
+            and run_c["decimated_step_s"] < data["link"]["step_s"]:
+        problems.append(
+            f"run.decimated_step_s={run_c['decimated_step_s']:g} must not be finer "
+            f"than the servo's link.step_s={data['link']['step_s']:g}")
     if ok["run.transient_discard_s"] and ok["run.fullrate_duration_s"] \
             and run_c["transient_discard_s"] >= run_c["fullrate_duration_s"]:
         problems.append(
@@ -638,18 +644,15 @@ def _run_fullrate(scn, seed, report):
             "m": m, "dt": dt}
 
 
-def _controller(ctl):
-    # Both loops share the gains; only the far-end loop reads the crossover.
-    return ControllerConfig(unity_gain_hz=ctl["unity_gain_hz"],
-                            integrator_corner_hz=ctl["integrator_corner_hz"],
-                            crossover_hz=ctl["crossover_hz"])
-
-
 def _loop_config(scn, m):
     ctl = scn["controllers"]
+    # Both loops share the gains; only the far-end loop reads the crossover.
+    controller = ControllerConfig(unity_gain_hz=ctl["unity_gain_hz"],
+                                  integrator_corner_hz=ctl["integrator_corner_hz"],
+                                  crossover_hz=ctl["crossover_hz"])
     return LinkLoopConfig(
         dt=scn["link"]["step_s"], m1=m, m2=m,
-        controller1=_controller(ctl), controller2=_controller(ctl),
+        controller1=controller, controller2=controller,
         rf_shifter=ActuatorState("rf_phase_shifter", ctl["rf_shifter_range_s"],
                                  ctl["rf_shifter_bandwidth_hz"]),
         piezo=ActuatorState("piezo_stretcher", ctl["piezo_range_s"],
@@ -692,17 +695,18 @@ def _run_decimated(scn, seed, report):
     open_rt = PhaseSeries(2.0 * (slow1 + white1), step, label="open_rt_decimated")
     del white1
 
-    # Closed loop: slow content through the sensitivity function, which is
-    # linear, so the round trip's two fibers go through it as one sum;
-    # in-band detector noise is written onto the signal by each servo.
-    rt_delay = 2.0 * _delay_steps(link) * link["step_s"]
+    # Closed loop: slow content through the near-end servo's sensitivity,
+    # which is linear, so the round trip's two fibers go through it as one
+    # sum; in-band detector noise is written onto the signal by each servo.
+    loop = _loop_config(scn, _delay_steps(link))
     s_det_x = (link["detector"]["floor_rad_per_rthz"] ** 2
                / (2.0 * np.pi * link["carrier_return_hz"]) ** 2)
     sigma_written_rt = np.sqrt(2.0 * (s_det_x / 4.0) * enbw)
     closed = component_rng(seed, "dec-det").standard_normal(n) * sigma_written_rt
     slow1 += slow2
     del slow2
-    closed += loop_suppression(PhaseSeries(slow1, step), _controller(ctl), rt_delay).samples
+    closed += loop_suppression(PhaseSeries(slow1, step), loop.controller1,
+                               loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1).samples
     del slow1
     if ctl["closed_floor_walk_fm_h"] > 0:
         closed += _walk(ctl["closed_floor_walk_fm_h"], n, step, seed, "dec-closed-floor")
@@ -721,8 +725,7 @@ def _run_decimated(scn, seed, report):
         "closed_rt": allan_deviation_phase(closed_rt, taus, estimator="overlapping"),
     }
     return {"curves": curves,
-            "series": {"open_rt": open_rt, "closed_rt": closed_rt},
-            "rt_delay": rt_delay}
+            "series": {"open_rt": open_rt, "closed_rt": closed_rt}}
 
 
 def _reference_model_curves(scn, seed):
@@ -780,7 +783,7 @@ def _run_comb(scn, seed, report):
     reference_at_lpl = FracFreqSeries(y_ref.samples + y_link.samples, gate)
 
     f_rep = rep_rate_lock(y_opt, params)
-    record = count_chain(f_rep, reference_at_lpl, cfg, params, seed=seed)
+    record = count_chain(f_rep, reference_at_lpl, cfg, params)
 
     taus = [t for t in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
             if 4 * t <= n * gate]
@@ -811,7 +814,7 @@ def _run_budget(scn, seed, report):
         y_opt = FracFreqSeries(y.samples + true_offset / f_opt, cfg.gate_s)
         f_rep = rep_rate_lock(y_opt, params)
         ref = FracFreqSeries(np.zeros(b["record_gates"]), cfg.gate_s)
-        records.append(count_chain(f_rep, ref, cfg, params, seed=seed))
+        records.append(count_chain(f_rep, ref, cfg, params))
     nu_ref = params.optical_nominal_hz + as_fraction(b["nu_ref_offset_hz"])
     mean_offset, sigma = absolute_freq_estimate(records, nu_ref)
     return {"budget": budget, "records": records,

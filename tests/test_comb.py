@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
-from fiberlink.comb import (BudgetEntry, CombParams, CounterChainConfig,
-                            FreqSeries, absolute_freq_estimate, count_chain,
-                            optical_from_rep_rate, rep_rate_from_optical,
+from fiberlink.comb import (COUNTER_RESOLUTION_HZ, BudgetEntry, CombParams,
+                            CounterChainConfig, FreqSeries, absolute_freq_estimate,
+                            count_chain, optical_from_rep_rate, rep_rate_from_optical,
                             rep_rate_lock, stability_budget)
 from fiberlink.errors import ConfigError, InvalidInputError
 from fiberlink.series import FracFreqSeries
@@ -107,7 +107,7 @@ class TestCountChain:
         rec = count_chain(f, ref, CounterChainConfig(), PARAMS)
         f_opt = float(PARAMS.optical_nominal_hz)
         recovered = rec.mean_optical_offset_hz() / f_opt
-        quant_bound = PARAMS.q * CounterChainConfig().counter_resolution_hz / f_opt
+        quant_bound = PARAMS.q * COUNTER_RESOLUTION_HZ / f_opt
         assert abs(recovered - 1e-13) <= quant_bound
 
     def test_reference_noise_enters_comparison(self):
@@ -121,17 +121,6 @@ class TestCountChain:
         rec = count_chain(f, ref, CounterChainConfig(), PARAMS)
         a = fl.allan_deviation(rec.optical_fractional(), [1.0]).sigmas[0]
         assert a == pytest.approx(8e-15, rel=0.10)
-
-    def test_counter_noise_needs_seed_and_is_deterministic(self):
-        cfg = CounterChainConfig(counter_noise_hz=1e-3)
-        y = FracFreqSeries(np.zeros(10), 1.0)
-        f = rep_rate_lock(y, PARAMS)
-        ref = FracFreqSeries(np.zeros(10), 1.0)
-        with pytest.raises(InvalidInputError):
-            count_chain(f, ref, cfg, PARAMS)
-        a = count_chain(f, ref, cfg, PARAMS, seed=5)
-        b = count_chain(f, ref, cfg, PARAMS, seed=5)
-        assert np.array_equal(a.counted_hz, b.counted_hz)
 
     def test_beat_outside_filter_is_config_error(self):
         # A large repetition-rate excursion pushes the beat out of the
@@ -246,7 +235,7 @@ class TestAbsoluteFreqEstimate:
         offs = [-1.0, 2.5, 7.25]
         recs = [self._chain_record(o) for o in offs + [0.0]]
         mean, _ = absolute_freq_estimate(recs, PARAMS.optical_nominal_hz)
-        quant = PARAMS.q * CounterChainConfig().counter_resolution_hz / 2
+        quant = PARAMS.q * COUNTER_RESOLUTION_HZ / 2
         assert mean == pytest.approx(np.mean(offs + [0.0]), abs=quant)
 
 

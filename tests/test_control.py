@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 import fiberlink as fl
 from fiberlink.control import (ControllerConfig, LinkLoopConfig, _loop_filter_polys,
                                critical_frequency, find_divergence_onset,
-                               integrator_loop_diverges, loop_gain,
+                               integrator_loop_diverges, loop_sensitivity,
                                loop_suppression, run_closed_loop)
 from fiberlink.errors import DivergenceError, InvalidInputError
 from fiberlink.link import ActuatorState
@@ -15,6 +16,24 @@ ENGINES = ("lfilter", "stepped")
 CFG = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0)
 CFG_OPT = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0,
                            crossover_hz=0.1)
+
+
+# The fig1 servo: 0.1 ms step, m = 2 one-way delay steps, 50 kHz RF shifter.
+DT, M, RF_BW = 1e-4, 2, 5e4
+
+
+def open_loop(f, cfg=CFG):
+    """The simulated near-end loop's open-loop gain L = 1/S - 1 at ``f``."""
+    return 1.0 / loop_sensitivity([f], cfg, RF_BW, DT, M)[0] - 1.0
+
+
+def margins(cfg=CFG):
+    """(unity-gain crossing in Hz, phase margin in deg, gain margin in dB)."""
+    f_u = brentq(lambda f: abs(open_loop(f, cfg)) - 1.0, 100.0, 500.0, xtol=1e-12)
+    # arg L = -180 deg where -L is real and positive.
+    f_180 = brentq(lambda f: np.angle(-open_loop(f, cfg)), 500.0, 1000.0, xtol=1e-12)
+    return (f_u, 180.0 + np.degrees(np.angle(open_loop(f_u, cfg))),
+            -20.0 * np.log10(abs(open_loop(f_180, cfg))))
 
 
 def make_link(dt=1e-4, m=2, topology="series", c1=CFG, c2=CFG_OPT,
@@ -33,21 +52,17 @@ class TestCriticalFrequency:
         # 0.4 ms round trip puts the instability boundary at 625 Hz.
         assert critical_frequency(0.4e-3) == pytest.approx(625.0)
 
-    def test_default_margin_from_loop_gain(self):
-        # |kp/s + ki/s^2| = 1 solves in closed form for the unity-gain
-        # frequency; the phase there is -90 deg - atan(ki/(kp w)) - w tau.
-        tau = 0.4e-3
-        cfg = ControllerConfig()
-        kp, ki = cfg.gains()
-        w_u = np.sqrt((kp ** 2 + np.sqrt(kp ** 4 + 4 * ki ** 2)) / 2)
-        f_u = w_u / (2 * np.pi)
-        L = loop_gain([f_u], cfg, tau)[0]
-        assert abs(L) == pytest.approx(1.0, rel=1e-12)
-        margin = 180.0 + np.degrees(np.angle(L))
-        analytic = 90.0 - np.degrees(np.arctan(ki / (kp * w_u)) + w_u * tau)
-        assert margin == pytest.approx(analytic, abs=1e-9)
-        assert margin == pytest.approx(40.90, abs=0.005)
-        assert f_u / critical_frequency(tau) == pytest.approx(0.482, abs=5e-4)
+    def test_default_margin_from_loop_sensitivity(self):
+        # The margins of the loop the servo simulates, from its discrete
+        # sensitivity.  The continuous L(s) = (kp/s + ki/s^2) exp(-s tau),
+        # with no sampling and no actuator lag, reads a unity-gain crossing
+        # of 301.48 Hz, a phase margin of 40.90 deg, f_u/f_crit = 0.482 and
+        # a gain margin of 6.09 dB.
+        f_u, phase_margin, gain_margin = margins()
+        assert f_u == pytest.approx(304.72, abs=0.005)
+        assert phase_margin == pytest.approx(46.05, abs=0.005)
+        assert f_u / critical_frequency(2 * M * DT) == pytest.approx(0.4876, abs=1e-4)
+        assert gain_margin == pytest.approx(7.14, abs=0.005)
 
     def test_inverse_proportionality(self):
         assert critical_frequency(0.8e-3) == pytest.approx(312.5)
@@ -282,27 +297,75 @@ class TestLoopPolynomialOracle:
                 run_closed_loop(cfg, n1, z, z, z)
 
 
+class TestLoopSensitivity:
+    """``loop_sensitivity`` is the loop that ``run_closed_loop`` simulates."""
+
+    @pytest.mark.parametrize("f", [1.0, 10.0, 100.0, 300.0, 1000.0])
+    def test_engine_residual_is_s_times_input(self, f):
+        # A cosine on fiber 1 reaches the near-end detector as
+        # w1 = Re(W), W = (1 + z^-m) exp(j 2 pi f t); once the transient has
+        # died the residual w1 + 2 z^-2m c1 is Re(S W).  The continuous
+        # 1/(1 + L) misses by 6e-4 at 1 Hz and by over 0.1 at 300 Hz.
+        cfg = make_link(dt=DT, m=M, topology="independent", rf_range=1e100,
+                        pz_range=1e100, th_range=1e100)
+        k = np.arange(40_000)
+        n1 = np.cos(2 * np.pi * f * DT * k)
+        z = np.zeros(k.size)
+        c1 = run_closed_loop(cfg, n1, z, z, z).c1_applied
+        residual = (n1[M:-M] + n1[2 * M:] + 2.0 * c1[:-2 * M])[-5000:]
+        t = k[2 * M:][-5000:]
+        W = (1.0 + np.exp(-2j * np.pi * f * DT * M)) * np.exp(2j * np.pi * f * DT * t)
+        want = (loop_sensitivity([f], CFG, RF_BW, DT, M)[0] * W).real
+        assert np.max(np.abs(residual - want)) <= 1e-8 * np.max(np.abs(want))
+
+    def test_gain_margin_is_where_the_roots_cross(self):
+        # L is linear in unity_gain_hz, so raising it by the gain margin
+        # puts |L| = 1 at arg L = -180 deg: the spectral radius of the
+        # servo's denominator crosses 1 there.
+        edge = CFG.unity_gain_hz * 10 ** (margins()[2] / 20.0)
+        assert edge == pytest.approx(682.61, abs=0.005)
+        for scale, outside in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
+            _, a = _loop_filter_polys(ControllerConfig(unity_gain_hz=edge * scale),
+                                      RF_BW, DT, M)
+            assert (np.max(np.abs(np.roots(a))) > 1.0) == outside
+
+    @pytest.mark.parametrize("f", [1e-3, 1e-2, 0.1])
+    def test_low_frequency_limit_is_the_continuous_loop(self, f):
+        # Far below the loop bandwidth the servo is the continuous loop.  Its
+        # two backward-Euler integrators advance it by one step, so the
+        # limit's delay is (2M - 1) dt; against tau = 2M dt the two differ by
+        # 2 pi f dt (6.3e-7 at 1 mHz).  The expanded denominator, evaluated
+        # with np.polyval, loses 5.3e-4 at 1 mHz to cancellation.
+        kp, ki = CFG.gains()
+        s = 2j * np.pi * f
+        want = s ** 2 / (s ** 2 + (kp * s + ki) * np.exp(-s * (2 * M - 1) * DT))
+        got = loop_sensitivity([f], CFG, RF_BW, DT, M)[0]
+        assert abs(got / want - 1.0) <= 1e-5
+
+    def test_dc_fully_suppressed(self):
+        assert loop_sensitivity([0.0], CFG, RF_BW, DT, M)[0] == 0.0
+
+
 class TestLowFreqModel:
     def test_suppression_magnitude(self):
         # At 1 Hz the loop gain is ~ (300/1)*(30/1): suppression > 1e3.
-        L = loop_gain(np.array([1.0]), CFG, 0.4e-3)
-        assert abs(L[0]) > 5e3
+        assert abs(open_loop(1.0)) > 5e3
 
     def test_slow_sine_suppressed(self):
         n = 4096
         x = PhaseSeries(1e-11 * np.sin(2 * np.pi * np.arange(n) / 1024), 1.0)
-        out = loop_suppression(x, CFG, 0.4e-3)
+        out = loop_suppression(x, CFG, RF_BW, DT, M)
         assert np.max(np.abs(out.samples)) < 1e-6 * np.max(np.abs(x.samples))
 
     @pytest.mark.parametrize("n", [1000, 1001])
     @pytest.mark.parametrize("b", [1, 30, 63, 499])
     def test_cosine_on_a_bin_oracle(self, n, b):
-        # A cosine on FFT bin b comes out scaled by |S| and shifted by arg S,
-        # S = 1/(1 + L(f)); 10 Hz to 4.99 kHz at the full-rate step.
-        tau0, amp, phase = 1e-4, 2e-12, 0.3
+        # A cosine on FFT bin b comes out scaled by |S| and shifted by arg S;
+        # 10 Hz to 4.99 kHz at the full-rate step.
+        tau0, amp, phase = DT, 2e-12, 0.3
         arg = 2 * np.pi * (b * np.arange(n) % n) / n + phase     # reduced exactly
-        sens = 1.0 / (1.0 + loop_gain(np.array([b / (n * tau0)]), CFG, 0.4e-3)[0])
-        out = loop_suppression(PhaseSeries(amp * np.cos(arg), tau0), CFG, 0.4e-3).samples
+        sens = loop_sensitivity([b / (n * tau0)], CFG, RF_BW, DT, M)[0]
+        out = loop_suppression(PhaseSeries(amp * np.cos(arg), tau0), CFG, RF_BW, DT, M).samples
         want = amp * abs(sens) * np.cos(arg + np.angle(sens))
         assert np.max(np.abs(out - want)) <= 1e-12 * amp * abs(sens)
 

@@ -2,8 +2,9 @@
 
 Importing scipy.signal takes about 0.9 s and 75 MB, so only the functions
 that filter (the linear servo and the counting low-pass) import it.  Loading,
-validating, Welch, the comb chain, the budget and ``compare`` must not.  Each
-case runs in a fresh interpreter and reports whether the module was loaded.
+validating, Welch, the decimated loop model, the comb chain, the budget and
+``compare`` must not.  Each case runs in a fresh interpreter and reports
+whether the module was loaded.
 """
 
 import json
@@ -87,6 +88,16 @@ class TestScipySignalImport:
             "import numpy as np\nimport fiberlink\n"
             "x = fiberlink.PhaseSeries(np.arange(1000.0) ** 2, 1e-3)\n"
             "assert fiberlink.psd_welch(x, 100).values.size == 51")
+
+    def test_decimated_suppression(self):
+        # The decimated model's sensitivity is plain numpy.
+        assert not loads_scipy_signal(
+            "import numpy as np\nimport fiberlink\n"
+            "from fiberlink.control import loop_sensitivity, loop_suppression\n"
+            "cfg = fiberlink.ControllerConfig()\n"
+            "assert loop_sensitivity([1.0], cfg, 5e4, 1e-4, 2).size == 1\n"
+            "x = fiberlink.PhaseSeries(np.arange(1000.0), 1.0)\n"
+            "assert len(loop_suppression(x, cfg, 5e4, 1e-4, 2)) == 1000")
 
     def test_link_run_loads_it(self, files):
         # The probe itself works: a full-rate link run filters.

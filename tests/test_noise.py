@@ -4,7 +4,7 @@ import pytest
 import fiberlink as fl
 from fiberlink.errors import InvalidInputError
 from fiberlink.noise import (BurstSpec, BurstTrain, NoiseSpec, WalkPhase,
-                             _shaped_frac_freq, _white_scale, burst_pulse,
+                             _pulse_len, _pulse_piece, _shaped_frac_freq, _white_scale,
                              component_rng, fiber_pair, gen_bursts, gen_diurnal,
                              gen_power_law_phase)
 from fiberlink.series import PhaseSeries
@@ -205,7 +205,8 @@ class TestBursts:
         assert np.all(x.samples == 0.0)
 
     def test_pulse_peak_identity(self):
-        pulse = burst_pulse(10e-12, 10.0, 0.1)
+        # The raised-cosine pulse peaks at its amplitude.
+        pulse = _pulse_piece(10e-12, 10.0, 0.1, 0, _pulse_len(10.0, 0.1))
         assert np.max(np.abs(pulse)) == pytest.approx(10e-12, rel=1e-12)
 
     def test_poisson_count(self):

@@ -650,6 +650,9 @@ class TestCli:
         {"preset": "fig1", "outputs": {"psd_segment_s": 1e-4}},
         {"preset": "fig1", "outputs": {"psd_overlap": 0.999999}},
         {"preset": "fig1", "link": {"length_km": 1e300, "step_s": 1e-300}},
+        # Decimated bins up to 10 kHz, past the 0.1 ms servo's 5 kHz Nyquist.
+        {"preset": "fig1", "run": {"decimated_step_s": 5e-5, "decimated_duration_s": 40.0},
+         "outputs": {"adev_taus_s": [1, 2, 5, 10]}},
     ])
     def test_run_refuses_at_load_exit_1(self, tmp_path, override):
         # Each of these once passed validation and ended the run in a traceback
