@@ -210,7 +210,8 @@ def loop_sensitivity(freqs_hz, cfg: ControllerConfig, actuator_bw_hz, dt, delay_
     """The residual over the input of the servo ``_loop_filter_polys`` builds,
     S = d / (d + z^-2M (b0 + b1 z^-1)) at z = exp(j 2 pi f dt).  d is kept
     factored, with 1 - z^-1 = 2j sin(pi f dt) exp(-j pi f dt): expanded, it
-    loses 5e-4 of S to cancellation at 1 mHz.  S(0) = 0; S repeats every 1/dt.
+    loses 5e-4 of S to cancellation at 1 mHz.  S(0) = 0, its limit also when
+    ki = 0 makes d and a share a factor 1 - z^-1.  S repeats every 1/dt.
     """
     b, lag = _loop_terms(cfg, actuator_bw_hz, dt)
     half = np.pi * dt * np.asarray(freqs_hz, dtype=float)
@@ -228,7 +229,7 @@ def loop_sensitivity(freqs_hz, cfg: ControllerConfig, actuator_bw_hz, dt, delay_
     np.multiply(half, -4j * delay_steps, out=zinv)
     a *= np.exp(zinv, out=zinv)                    # z^-2M (b0 + b1 z^-1)
     a += d
-    d /= a
+    np.divide(d, a, out=d, where=half != 0.0)
     return d
 
 

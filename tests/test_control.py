@@ -342,8 +342,16 @@ class TestLoopSensitivity:
         got = loop_sensitivity([f], CFG, RF_BW, DT, M)[0]
         assert abs(got / want - 1.0) <= 1e-5
 
-    def test_dc_fully_suppressed(self):
-        assert loop_sensitivity([0.0], CFG, RF_BW, DT, M)[0] == 0.0
+    @pytest.mark.parametrize("corner_hz", [30.0, 0.0])
+    def test_dc_fully_suppressed(self, corner_hz):
+        # With no integrator corner, d and a both vanish at DC (0/0); the
+        # servo's own integration still holds S(0) at 0.
+        cfg = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=corner_hz)
+        assert loop_sensitivity([0.0], cfg, RF_BW, DT, M)[0] == 0.0
+        x = PhaseSeries(1e-11 + 1e-12 * np.sin(np.arange(4096) / 100.0), 1.0)
+        out = loop_suppression(x, cfg, RF_BW, DT, M).samples
+        assert np.all(np.isfinite(out))
+        assert abs(np.mean(out)) <= 1e-15 * 1e-11
 
 
 class TestLowFreqModel:

@@ -650,9 +650,6 @@ class TestCli:
         {"preset": "fig1", "outputs": {"psd_segment_s": 1e-4}},
         {"preset": "fig1", "outputs": {"psd_overlap": 0.999999}},
         {"preset": "fig1", "link": {"length_km": 1e300, "step_s": 1e-300}},
-        # Decimated bins up to 10 kHz, past the 0.1 ms servo's 5 kHz Nyquist.
-        {"preset": "fig1", "run": {"decimated_step_s": 5e-5, "decimated_duration_s": 40.0},
-         "outputs": {"adev_taus_s": [1, 2, 5, 10]}},
     ])
     def test_run_refuses_at_load_exit_1(self, tmp_path, override):
         # Each of these once passed validation and ended the run in a traceback
@@ -664,6 +661,35 @@ class TestCli:
         assert proc.stderr.startswith("scenario validation failed:\n  - ")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_run_refuses_decimated_step_finer_than_servo(self, tmp_path):
+        # This ran at load and to the end, but its decimated bins reach
+        # 10 kHz, past the 0.1 ms servo's 5 kHz Nyquist: the servo's
+        # sensitivity repeats every 1 / link.step_s.
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({
+            "seed": 1, "preset": "fig1",
+            "run": {"decimated_step_s": 5e-5, "decimated_duration_s": 40.0},
+            "outputs": {"adev_taus_s": [1, 2, 5, 10]}}))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "scenario validation failed:",
+            "  - run.decimated_step_s=5e-05 must not be finer than the servo's "
+            "link.step_s=0.0001"]
+        assert not (tmp_path / "out").exists()
+
+    def test_run_without_integrator_corner(self, tmp_path):
+        # integrator_corner_hz = 0 leaves ki = 0, where the decimated
+        # model's sensitivity is 0/0 at DC unless its limit 0 is taken.
+        data = json.loads(json.dumps(SHORT_FIG1))
+        data["controllers"] = {"integrator_corner_hz": 0}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "closed_loop.csv").exists()
 
     def test_run_writes_outputs(self, tmp_path):
         path = tmp_path / "scn.json"
