@@ -27,6 +27,8 @@ SEED = 1
 
 # Short forms of the benchmark's workloads (perfbench/workloads.py): 20 s
 # at full rate, a 2-day decimated model with walk FM on, 3,600 comb gates.
+# ``comb_20k`` writes 20,000 gates, more than two of ``io._CHUNK_ROWS``, so
+# its gate CSV crosses the writer's chunk boundaries.
 SCENARIOS = {
     "fig1": {"preset": "fig1",
              "run": {"fullrate_duration_s": 20, "transient_discard_s": 5},
@@ -38,6 +40,7 @@ SCENARIOS = {
                                  "adev_taus_s": [1, 10, 100, 1000, 10000, 43200]}},
     "comb_3d": {"preset": "fig4", "comb": {"n_gates": 3600},
                 "budget": {"enabled": True}},
+    "comb_20k": {"preset": "fig4", "comb": {"n_gates": 20000}},
 }
 
 
