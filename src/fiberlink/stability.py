@@ -128,7 +128,10 @@ class WelchAccumulator:
         # Periodic Hann, as scipy.signal.get_window("hann", segment) builds it.
         self._window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment + 1)[:-1])
         t = np.arange(segment) - (segment - 1) / 2.0
-        self._unit_t = t / np.sqrt(t @ t)   # the line's direction, orthogonal to 1
+        # The dot products are ``np.add.reduce`` sums, not BLAS ones: a BLAS
+        # sum's order, so its last bit, depends on the thread count and the
+        # CPU kernel.  ``_unit_t`` is the line's direction, orthogonal to 1.
+        self._unit_t = t / np.sqrt(np.add.reduce(t * t))
         self._buffer = np.empty(segment)
         self._filled = 0
         self._done = 0
@@ -144,7 +147,7 @@ class WelchAccumulator:
             samples = samples[take:]
             if self._filled == seg:
                 x = self._buffer - self._buffer.mean()
-                x -= (self._unit_t @ x) * self._unit_t
+                x -= np.add.reduce(self._unit_t * x) * self._unit_t
                 spectrum = np.fft.rfft(x * self._window)
                 self._sum += spectrum.real ** 2 + spectrum.imag ** 2
                 self._done += 1

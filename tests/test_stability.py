@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +13,8 @@ from fiberlink.stability import (WelchAccumulator, allan_deviation,
                                  allan_deviation_phase, fit_power_law,
                                  log_band_average, one_way_from_round_trip,
                                  phase_to_frac_freq, psd_welch)
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fl.__file__)))
 
 
 class TestPhaseToFracFreq:
@@ -166,6 +172,30 @@ class TestPsdWelch:
         for chunk in np.array_split(x, 37):
             acc.add(chunk)
         assert np.array_equal(acc.result().values, psd.values)
+
+    # A 50,000-sample segment (fig1's 5 s at 0.1 ms) is long enough that a
+    # BLAS dot product splits across threads; SkylakeX and Haswell are
+    # OpenBLAS kernels with different sum orders.
+    @pytest.mark.parametrize("setting", ["OPENBLAS_NUM_THREADS=2", "OPENBLAS_CORETYPE=Haswell",
+                                         "OPENBLAS_CORETYPE=SkylakeX"])
+    def test_bytes_independent_of_blas(self, setting):
+        def digest(setting):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            env.update([setting.split("=")])
+            code = ("import hashlib, numpy as np\n"
+                    "from fiberlink.series import PhaseSeries\n"
+                    "from fiberlink.stability import psd_welch\n"
+                    "x = np.cumsum(np.random.default_rng(7).standard_normal(150_000)) * 1e-12\n"
+                    "psd = psd_welch(PhaseSeries(x, 1e-4), segment=50_000)\n"
+                    "print(hashlib.sha256(psd.values.tobytes()).hexdigest())")
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.strip()
+
+        assert digest(setting) == digest("OPENBLAS_NUM_THREADS=1")
 
 
 BANDS = 10
