@@ -4,10 +4,15 @@ Every file starts with ``# metadata:`` comment lines carrying at least the
 seed and package version, then a header row, then data rows.  Floats are
 written with repr-level precision so repeated runs are byte-identical.
 
-The data rows are streamed: ``_write_rows`` formats a fixed number of rows
-at a time from the column arrays, so a writer never holds the whole file
-(or the list of its row strings) in memory.  The comb gate CSV's optical
-frequencies are exact microhertz decimals, computed in integer arithmetic.
+The data rows are streamed: ``_write_rows`` formats ``_CHUNK_ROWS`` rows at
+a time from column arrays, so a writer never holds the whole file (or the
+list of its row strings) in memory.  A chunk whose columns repeat their
+values is formatted column by column into a byte matrix: each distinct
+float or string once, integers as vectorized digits.  Other chunks are
+formatted row by row.  Both forms write the same bytes.  The comb gate CSV's
+optical frequencies are exact microhertz decimals, computed in integer
+arithmetic a chunk at a time; its counted beats, quantized to the counter's
+1 uHz, repeat, so its chunks take the column form.
 
 The PSD CSV holds log-frequency band means, ``_BANDS_PER_DECADE`` bands per
 decade (``stability.log_band_average``), not the raw Welch bins: its
@@ -17,6 +22,8 @@ resolution bandwidth ``welch_rbw_hz``.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -37,26 +44,122 @@ _BANDS_PER_DECADE = 10
 
 _UHZ = 10 ** 6
 
+# One conversion of a printf-style row format, and the integer conversions
+# ("%d", "%06d") whose cells ``_int_cells`` makes.
+_CONVERSION = re.compile(r"%[-+ #0-9.]*[a-zA-Z]")
+_INT_SPEC = re.compile(r"%(?:0(\d+))?d")
+# 1, 10, ..., 10**19: a magnitude ``m`` has ``searchsorted(.., m, "right")`` digits.
+_POWERS_OF_10 = np.array([10 ** i for i in range(20)], dtype=np.uint64)
+
 
 def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _write_rows(path, header_lines, row_fmt, columns):
+def _row_chunks(*columns):
+    """The rows of the equal-length ``columns``, ``_CHUNK_ROWS`` at a time:
+    one tuple of column slices per chunk."""
+    columns = [np.asarray(c) for c in columns]
+    return (tuple(c[start:start + _CHUNK_ROWS] for c in columns)
+            for start in range(0, len(columns[0]), _CHUNK_ROWS))
+
+
+def _int_cells(column, pad):
+    """``"%0<pad>d" % v`` for each ``v`` of a signed-integer ``column`` as a
+    ``(k, width)`` byte matrix, NUL-padded; ``pad`` 0 is ``"%d"``."""
+    values = column.astype(np.int64, copy=False)
+    neg = values < 0
+    # The magnitude as uint64 (two's complement), so -2**63 fits.
+    mag = values.view(np.uint64)
+    mag = np.where(neg, ~mag + np.uint64(1), mag)
+    # Python pads "%06d" % -5 to "-00005": the sign counts in the width.
+    n_digits = np.maximum(np.searchsorted(_POWERS_OF_10, mag, side="right"),
+                          np.maximum(pad - neg, 1))
+    width = int(n_digits.max())
+    # Built transposed, one contiguous row per character position.
+    cells = np.empty((width + 1, column.size), np.uint8)
+    cells[0] = neg * ord("-")
+    for place in range(width, 0, -1):
+        quotient = mag // 10
+        cells[place] = mag - quotient * 10 + ord("0")
+        mag = quotient
+    cells[1:] *= np.arange(width, 0, -1)[:, None] <= n_digits
+    return cells.T
+
+
+def _distinct_cells(spec, column):
+    """``spec % v`` for each ``v`` of ``column`` as a ``(k, width)`` byte
+    matrix, NUL-padded, formatting each distinct value once; None if more
+    than half the values are distinct.  Floats are told apart by their bits,
+    so ``-0.0`` and ``0.0`` are two values."""
+    key = column.view(np.int64) if column.dtype == np.float64 else column
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    if 2 * first.size > column.size:
+        return None
+    table = np.array([(spec % v).encode() for v in column[first].tolist()])
+    return table.view(np.uint8).reshape(first.size, -1)[inverse.reshape(-1)]
+
+
+def _columnar_cells(specs, chunk):
+    """The byte matrices of ``chunk``'s cells, one per column, or None if a
+    column that is not a ``%d`` integer has more than half its values
+    distinct.  Those columns are made first, so a chunk that falls back to
+    the per-row form costs no digits."""
+    pads = []
+    for spec, column in zip(specs, chunk):
+        match = _INT_SPEC.fullmatch(spec)
+        pads.append(int(match[1] or 0) if match and column.dtype.kind == "i" else None)
+    cells = [None] * len(specs)
+    for j, pad in enumerate(pads):
+        if pad is None:
+            cells[j] = _distinct_cells(specs[j], chunk[j])
+            if cells[j] is None:
+                return None
+    for j, pad in enumerate(pads):
+        if pad is not None:
+            cells[j] = _int_cells(chunk[j], pad)
+    return cells
+
+
+def _write_rows(path, header_lines, row_fmt, chunks):
     """Write ``header_lines`` then one ``row_fmt % row`` line per row.
 
-    ``columns`` are equal-length sequences (arrays or lists); row ``i`` is the
-    tuple of their ``i``-th items.  Rows are converted with ``.tolist()`` and
-    written ``_CHUNK_ROWS`` at a time.
+    ``row_fmt`` is literal text (no ``%%``) and one conversion per column.
+    ``chunks`` yields non-empty tuples of equal-length column arrays, one
+    array per conversion; row ``i`` of a chunk is the tuple of the columns'
+    ``i``-th items (as ``.tolist()`` gives them).  Each chunk is written
+    with one ``write`` call, in one of two ways, chosen per chunk from its
+    values, with no setting:
+
+    - Columnar, when every column that is not a signed integer under ``%d``
+      or ``%0<width>d`` repeats its values (at most half of them distinct).
+      Each cell becomes a NUL-padded byte row: integers by vectorized
+      ``divmod`` digits, other columns by formatting each distinct value
+      once and gathering.  The chunk is a ``(k, width)`` byte matrix with
+      the format's literal text between the cells, written without its NULs.
+    - Per row, otherwise: ``row_fmt % row`` for each row, joined.  A
+      column of distinct values gains nothing from the columnar form.
+
+    Both give the bytes of the per-row form.
     """
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
+    specs = _CONVERSION.findall(row_fmt)
+    literals = [np.frombuffer(text.encode(), np.uint8)
+                for text in _CONVERSION.split(row_fmt + "\n")]
     line_fmt = row_fmt + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(header_lines) + "\n")
-        for start in range(0, n, _CHUNK_ROWS):
-            chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
-            fh.write("".join(map(line_fmt.__mod__, zip(*chunk))))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header_lines) + "\n").encode())
+        for chunk in chunks:
+            cells = _columnar_cells(specs, chunk)
+            if cells is None:
+                rows = zip(*(c.tolist() for c in chunk))
+                fh.write("".join(map(line_fmt.__mod__, rows)).encode())
+                continue
+            k = len(chunk[0])
+            pieces = [np.broadcast_to(literals[0], (k, literals[0].size))]
+            for cell, literal in zip(cells, literals[1:]):
+                pieces += [cell, np.broadcast_to(literal, (k, literal.size))]
+            matrix = np.concatenate(pieces, axis=1)
+            fh.write(matrix[matrix != 0].tobytes())
 
 
 def metadata_lines(seed=None, **extra):
@@ -75,7 +178,8 @@ def write_adev_csv(path, curve: AdevCurve, seed=None, **extra):
     for tau in curve.omitted_taus:
         lines.append(f"# omitted: tau_s={_fmt(tau)} (insufficient data)")
     lines.append("tau_s,sigma,n_pairs")
-    _write_rows(path, lines, "%.17g,%.17g,%d", (curve.taus, curve.sigmas, curve.n_pairs))
+    _write_rows(path, lines, "%.17g,%.17g,%d",
+                _row_chunks(curve.taus, curve.sigmas, curve.n_pairs))
 
 
 def read_adev_csv(path) -> AdevCurve:
@@ -126,32 +230,46 @@ def write_psd_csv(path, psd: PsdEstimate, seed=None, **extra):
     lines = metadata_lines(seed, bands_per_decade=_BANDS_PER_DECADE, bin_hz=_fmt(psd.bin_hz),
                            welch_rbw_hz=_fmt(psd.rbw_hz), **extra)
     lines.append("freq_hz,psd,rbw_hz")
-    _write_rows(path, lines, "%.17g,%.17g,%.17g", log_band_average(psd, _BANDS_PER_DECADE))
+    _write_rows(path, lines, "%.17g,%.17g,%.17g",
+                _row_chunks(*log_band_average(psd, _BANDS_PER_DECADE)))
 
 
 def write_phase_csv(path, series: PhaseSeries, seed=None, **extra):
     lines = metadata_lines(seed, label=series.label or "phase", **extra)
     lines.append("t_s,x_s")
-    _write_rows(path, lines, "%.17g,%.17g", (series.times(), series.samples))
+    _write_rows(path, lines, "%.17g,%.17g", _row_chunks(series.times(), series.samples))
 
 
-def _decimal_uhz_columns(nominal_hz, offsets_hz):
-    """Columns ``(sign, whole_hz, frac_uhz)`` of ``nominal_hz + offsets_hz``.
+def _nominal_uhz(nominal_hz, offsets_hz):
+    """``(whole_hz, frac_uhz)`` of the exact rational ``nominal_hz`` rounded
+    to the microhertz, after checking ``offsets_hz`` against it.
 
-    Each total is rounded to the microhertz: the exact rational nominal
-    once, each float offset half-to-even (as ``round`` does on a float).
-    Row ``i`` reads ``f"{sign}{whole_hz}.{frac_uhz:06d}"``.  Offsets whose
-    microhertz count does not fit in int64 are refused.
+    Offsets whose microhertz count does not fit in int64, and totals beyond
+    2**63 Hz in magnitude, are refused.  Rounding to the microhertz is
+    monotone, so the smallest and largest offsets decide both.
     """
-    with np.errstate(over="ignore"):
-        off_uhz = np.rint(np.asarray(offsets_hz, dtype=float) * 1e6)
-    if not np.all(np.abs(off_uhz) < 2.0 ** 63):
-        raise InvalidInputError("optical offsets must be finite and below 2**63 microhertz")
     nominal_whole, nominal_frac = divmod(round(nominal_hz * _UHZ), _UHZ)
-    off_whole, off_frac = np.divmod(off_uhz.astype(np.int64), _UHZ)
-    if off_uhz.size and not (-2 ** 63 < nominal_whole + int(off_whole.min())
-                             and nominal_whole + int(off_whole.max()) + 1 < 2 ** 63):
-        raise InvalidInputError("optical frequencies must stay below 2**63 Hz in magnitude")
+    if offsets_hz.size:
+        with np.errstate(over="ignore"):
+            low, high = np.rint(np.array([offsets_hz.min(), offsets_hz.max()]) * 1e6)
+        if not (abs(low) < 2.0 ** 63 and abs(high) < 2.0 ** 63):
+            raise InvalidInputError("optical offsets must be finite and below 2**63 microhertz")
+        if not (-2 ** 63 < nominal_whole + int(low) // _UHZ
+                and nominal_whole + int(high) // _UHZ + 1 < 2 ** 63):
+            raise InvalidInputError("optical frequencies must stay below 2**63 Hz in magnitude")
+    return nominal_whole, nominal_frac
+
+
+def _decimal_uhz_columns(nominal_uhz, offsets_hz):
+    """Columns ``(sign, whole_hz, frac_uhz)`` of ``nominal + offsets_hz``.
+
+    ``nominal_uhz`` is ``_nominal_uhz``'s, which has checked the offsets;
+    each float offset is rounded to the microhertz half-to-even (as
+    ``round`` does on a float).  Row ``i`` reads
+    ``f"{sign}{whole_hz}.{frac_uhz:06d}"``.
+    """
+    nominal_whole, nominal_frac = nominal_uhz
+    off_whole, off_frac = np.divmod(np.rint(offsets_hz * 1e6).astype(np.int64), _UHZ)
     carry, frac = np.divmod(off_frac + nominal_frac, _UHZ)
     whole = off_whole + carry + nominal_whole
     # A negative total whole + frac/1e6 (0 <= frac < 1e6) is written from its
@@ -167,14 +285,23 @@ def write_measurement_csv(path, record, seed=None, **extra):
     """Counting-chain record: gate_index,counted_hz,f_opt_hz.
 
     Optical frequencies are written as exact microhertz decimals (the
-    counter resolution); floats cannot carry that at 30 THz.
+    counter resolution); floats cannot carry that at 30 THz.  Every column
+    is made one chunk of rows at a time, so the writer's memory does not
+    grow with the record.
     """
+    offsets = np.asarray(record.optical_offsets_hz, dtype=float)
+    nominal_uhz = _nominal_uhz(record.optical_nominal_hz, offsets)
     lines = metadata_lines(seed, gate_s=_fmt(record.gate_s), **extra)
     lines.append("gate_index,counted_hz,f_opt_hz")
-    sign, whole, frac = _decimal_uhz_columns(record.optical_nominal_hz,
-                                             record.optical_offsets_hz)
-    _write_rows(path, lines, "%d,%.17g,%s%d.%06d",
-                (np.arange(len(record.counted_hz)), record.counted_hz, sign, whole, frac))
+    counted = np.asarray(record.counted_hz)
+
+    def chunks():
+        for start in range(0, counted.size, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, counted.size)
+            yield (np.arange(start, stop), counted[start:stop],
+                   *_decimal_uhz_columns(nominal_uhz, offsets[start:stop]))
+
+    _write_rows(path, lines, "%d,%.17g,%s%d.%06d", chunks())
 
 
 def write_lines(path, lines):

@@ -1,6 +1,7 @@
 """Streamed CSV writers against the per-row reference writers they replace."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -103,6 +104,14 @@ def _record(nominal, offsets, counted=None):
                            optical_offsets_hz=offsets, gate_s=1.0)
 
 
+def _quantized_record(n, seed=0):
+    """A gate record whose counted beat is quantized to 1 uHz near 68 Hz, with
+    the optical offsets ``q * (68 - counted)`` that ``comb.count_chain`` makes."""
+    counted = np.round((68.0 + np.random.default_rng(seed).standard_normal(n) * 1e-4) / 1e-6) * 1e-6
+    return _record(Fraction(291_000_000_000_000_123, 10_000), 4e5 * (68.0 - counted),
+                   counted=counted)
+
+
 def _gate_column(tmp_path, record):
     path = tmp_path / "gates.csv"
     fio.write_measurement_csv(path, record)
@@ -137,6 +146,14 @@ class TestStreamedWritersMatchReference:
         rng = np.random.default_rng(n)
         rec = _record(Fraction(291_000_000_000_000_123, 10_000), rng.standard_normal(n) * 3.0,
                       counted=20e6 + rng.standard_normal(n))
+        _assert_same_file(tmp_path, fio.write_measurement_csv,
+                          ref_write_measurement_csv, rec, comb="fig4")
+
+    # A counter at 1 uHz resolution near 68 Hz repeats its readings, so these
+    # files take the columnar form, across chunk boundaries.
+    @pytest.mark.parametrize("n", ROW_COUNTS + [2 * CHUNK + 1])
+    def test_measurement_counter_quantized(self, tmp_path, n):
+        rec = _quantized_record(n)
         _assert_same_file(tmp_path, fio.write_measurement_csv,
                           ref_write_measurement_csv, rec, comb="fig4")
 
@@ -186,6 +203,81 @@ class TestMicrohertzDecimals:
     def test_total_beyond_int64_hz_refused(self, tmp_path, nominal):
         with pytest.raises(InvalidInputError):
             fio.write_measurement_csv(tmp_path / "g.csv", _record(Fraction(nominal), [0.0]))
+
+
+# ----------------------------------------------------------------------
+# ``_write_rows`` against per-row ``%`` formatting, on chunks whose values
+# repeat (the columnar form) or do not (the per-row form).
+
+FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.25e-300, 5e-324, 0.1, 68.000001]
+INTS = [-2 ** 63, 2 ** 63 - 1, 0, -1, 7, -123_456, 10 ** 18]
+STRINGS = ["", "-", "ab"]
+CONVERSIONS = [("%.17g", FLOATS, np.float64), ("%.3e", FLOATS, np.float64),
+               ("%d", INTS, np.int64), ("%06d", INTS, np.int64), ("%s", STRINGS, str)]
+
+
+def _per_row_bytes(header_lines, row_fmt, chunks):
+    rows = [row for chunk in chunks for row in zip(*(c.tolist() for c in chunk))]
+    return "".join(line + "\n" for line in header_lines + [row_fmt % row for row in rows]).encode()
+
+
+def _assert_rows_match(tmp_path, row_fmt, chunks):
+    path = tmp_path / "rows.csv"
+    fio._write_rows(path, ["# h", "a,b"], row_fmt, iter(chunks))
+    assert path.read_bytes() == _per_row_bytes(["# h", "a,b"], row_fmt, chunks)
+
+
+@st.composite
+def row_files(draw):
+    columns = draw(st.lists(st.sampled_from(CONVERSIONS), min_size=1, max_size=4))
+    separators = draw(st.lists(st.sampled_from(["", ",", ".", ";x"]),
+                               min_size=len(columns) + 1, max_size=len(columns) + 1))
+    row_fmt = separators[0] + "".join(spec + sep for (spec, _, _), sep
+                                      in zip(columns, separators[1:]))
+    chunks = []
+    for k in draw(st.lists(st.integers(1, 40), max_size=4)):
+        chunks.append(tuple(np.array(draw(st.lists(st.sampled_from(pool), min_size=k,
+                                                    max_size=k)), dtype=dtype)
+                            for _, pool, dtype in columns))
+    return row_fmt, chunks
+
+
+class TestWriteRows:
+    @settings(max_examples=150, deadline=None)
+    @given(row_files())
+    def test_matches_per_row_formatting(self, tmp_path_factory, file):
+        row_fmt, chunks = file
+        _assert_rows_match(tmp_path_factory.mktemp("rows"), row_fmt, chunks)
+
+    def test_file_with_both_forms(self, tmp_path):
+        repeated = np.array([0.0, -0.0, math.nan, 1.5] * 6)
+        distinct = np.arange(24) * 0.1
+        index = np.arange(24) + np.iinfo(np.int64).min
+        chunks = [(index, repeated), (index, distinct), (index[:3], repeated[:3]),
+                  (index, repeated[::-1].copy())]
+        specs = ["%d", "%.17g"]
+        forms = [fio._columnar_cells(specs, chunk) is not None for chunk in chunks]
+        assert forms == [True, False, False, True]
+        _assert_rows_match(tmp_path, "%d,%.17g", chunks)
+
+    def test_negative_zero_padded_integers(self, tmp_path):
+        values = np.array([-2 ** 63, -5, -1, 0, 5, 123_456_789, 2 ** 63 - 1] * 3)
+        _assert_rows_match(tmp_path, "%06d|%d|%01d", [(values, values, values)])
+
+    def test_gate_writer_memory_flat_in_rows(self, tmp_path):
+        # Peak traced memory over the input record, which exists beforehand.
+        def peak(n):
+            record = _quantized_record(n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fio.write_measurement_csv(tmp_path / "g.csv", record)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2 ** 16), peak(2 ** 19)
+        assert large <= 1.1 * small, (small, large)
 
 
 # ----------------------------------------------------------------------
