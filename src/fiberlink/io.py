@@ -134,13 +134,14 @@ def _write_rows(path, header_lines, row_fmt, chunks):
     - Columnar, when every column that is not a signed integer under ``%d``
       or ``%0<width>d`` repeats its values (at most half of them distinct).
       Each cell becomes a NUL-padded byte row: integers by vectorized
-      ``divmod`` digits, other columns by formatting each distinct value
+      decimal digits, other columns by formatting each distinct value
       once and gathering.  The chunk is a ``(k, width)`` byte matrix with
       the format's literal text between the cells, written without its NULs.
-    - Per row, otherwise: ``row_fmt % row`` for each row, joined.  A
-      column of distinct values gains nothing from the columnar form.
+    - Per row, otherwise: ``row_fmt`` repeated once per row, applied by
+      one ``%`` to the chunk's items in row order.  A column of distinct
+      values gains nothing from the columnar form.
 
-    Both give the bytes of the per-row form.
+    Both write the bytes of ``row_fmt % row`` for each row in turn.
     """
     specs = _CONVERSION.findall(row_fmt)
     literals = [np.frombuffer(text.encode(), np.uint8)
@@ -149,12 +150,15 @@ def _write_rows(path, header_lines, row_fmt, chunks):
     with open(path, "wb") as fh:
         fh.write(("\n".join(header_lines) + "\n").encode())
         for chunk in chunks:
+            k = len(chunk[0])
             cells = _columnar_cells(specs, chunk)
             if cells is None:
-                rows = zip(*(c.tolist() for c in chunk))
-                fh.write("".join(map(line_fmt.__mod__, rows)).encode())
+                # The chunk's items in row order, formatted by one ``%``.
+                items = [None] * (k * len(chunk))
+                for j, column in enumerate(chunk):
+                    items[j::len(chunk)] = column.tolist()
+                fh.write(((line_fmt * k) % tuple(items)).encode())
                 continue
-            k = len(chunk[0])
             pieces = [np.broadcast_to(literals[0], (k, literals[0].size))]
             for cell, literal in zip(cells, literals[1:]):
                 pieces += [cell, np.broadcast_to(literal, (k, literal.size))]

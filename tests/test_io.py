@@ -104,10 +104,11 @@ def _record(nominal, offsets, counted=None):
                            optical_offsets_hz=offsets, gate_s=1.0)
 
 
-def _quantized_record(n, seed=0):
+def _quantized_record(n):
     """A gate record whose counted beat is quantized to 1 uHz near 68 Hz, with
     the optical offsets ``q * (68 - counted)`` that ``comb.count_chain`` makes."""
-    counted = np.round((68.0 + np.random.default_rng(seed).standard_normal(n) * 1e-4) / 1e-6) * 1e-6
+    beat = 68.0 + np.random.default_rng(n).standard_normal(n) * 1e-4
+    counted = np.round(beat / 1e-6) * 1e-6
     return _record(Fraction(291_000_000_000_000_123, 10_000), 4e5 * (68.0 - counted),
                    counted=counted)
 
