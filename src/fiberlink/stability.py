@@ -22,6 +22,10 @@ from .series import AdevCurve, FracFreqSeries, PhaseSeries, PsdEstimate
 
 ESTIMATORS = ("standard", "overlapping")
 
+# Samples per block of the overlapping estimator's pass: a block of each of
+# its three reads and its write stays in cache between the four operations.
+_ADEV_BLOCK = 2 ** 16
+
 
 def phase_to_frac_freq(x: PhaseSeries) -> FracFreqSeries:
     """First-difference a phase-time record: y_n = (x_{n+1} - x_n) / tau0.
@@ -43,13 +47,33 @@ def _tau_multiple(tau, tau0):
     return mi
 
 
+def _second_difference_squares(x, m, out):
+    """Fill ``out`` with ``(x[i + 2m] - 2.0 * x[i + m] + x[i]) ** 2``, block
+    by block, in the operation order of the whole-array expression."""
+    for start in range(0, out.size, _ADEV_BLOCK):
+        d = out[start:start + _ADEV_BLOCK]
+        stop = start + d.size
+        np.multiply(x[m + start:m + stop], 2.0, out=d)
+        np.subtract(x[2 * m + start:2 * m + stop], d, out=d)
+        np.add(d, x[start:stop], out=d)
+        np.multiply(d, d, out=d)
+
+
 def allan_deviation(y: FracFreqSeries, taus, estimator="standard") -> AdevCurve:
     """Allan deviation of fractional-frequency data at the requested taus.
 
     Each tau must be an integer multiple m*tau0.  The standard estimator
     averages y into contiguous m-sample means and differences adjacent means;
-    the overlapping estimator uses every m-span.  Taus with fewer than one
-    difference pair are omitted and flagged on the returned curve.
+    the overlapping estimator uses every m-span (NIST SP 1065, Riley 2008).
+    Taus with fewer than one difference pair are omitted and flagged on the
+    returned curve.
+
+    The overlapping estimator holds two record-sized buffers: the
+    integrated phase x and one work buffer.  For each tau it fills the work
+    buffer with the squared second differences of x in one pass, in blocks
+    of ``_ADEV_BLOCK`` samples that stay in cache, and takes one pairwise
+    ``np.mean`` over the whole buffer, so each sigma is bit for bit the one
+    from ``np.mean(dd * dd)`` with ``dd = x[2m:] - 2.0 * x[m:-m] + x[:-2m]``.
     """
     if estimator not in ESTIMATORS:
         raise InvalidInputError(f"estimator must be one of {ESTIMATORS}")
@@ -59,10 +83,14 @@ def allan_deviation(y: FracFreqSeries, taus, estimator="standard") -> AdevCurve:
     if taus.size == 0:
         raise InvalidInputError("no taus requested")
 
-    # Integrated phase (x_0 = 0) serves the overlapping estimator.
-    xph = None
+    # Integrated phase (x_0 = 0) and one work buffer serve the overlapping
+    # estimator.
     if estimator == "overlapping":
-        xph = np.concatenate(([0.0], np.cumsum(yv))) * y.tau0
+        xph = np.empty(n + 1)
+        xph[0] = 0.0
+        np.cumsum(yv, out=xph[1:])
+        xph *= y.tau0
+        work = np.empty(n - 1)
 
     out_t, out_s, out_p, omitted = [], [], [], []
     for tau in taus:
@@ -77,12 +105,13 @@ def allan_deviation(y: FracFreqSeries, taus, estimator="standard") -> AdevCurve:
             out_s.append(float(np.sqrt(0.5 * np.mean(d * d))))
             out_p.append(d.size)
         else:
-            if n - 2 * m + 1 < 1:
+            k = n - 2 * m + 1
+            if k < 1:
                 omitted.append(float(tau))
                 continue
-            dd = xph[2 * m:] - 2.0 * xph[m:-m] + xph[:-2 * m]
-            out_s.append(float(np.sqrt(0.5 * np.mean(dd * dd)) / (m * y.tau0)))
-            out_p.append(dd.size)
+            _second_difference_squares(xph, m, work[:k])
+            out_s.append(float(np.sqrt(0.5 * np.mean(work[:k])) / (m * y.tau0)))
+            out_p.append(k)
         out_t.append(float(m * y.tau0))
 
     return AdevCurve(np.array(out_t), np.array(out_s), np.array(out_p, dtype=int),

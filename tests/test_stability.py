@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
+from fiberlink import stability
 from fiberlink.errors import InvalidInputError
 from fiberlink.series import FracFreqSeries, PhaseSeries, PsdEstimate
 from fiberlink.stability import (WelchAccumulator, allan_deviation,
@@ -107,6 +109,89 @@ class TestAllanDeviation:
         base = allan_deviation(FracFreqSeries(y0, 1.0), [1, 4]).sigmas
         shifted = allan_deviation(FracFreqSeries(y0 + c, 1.0), [1, 4]).sigmas
         assert np.allclose(shifted, base, rtol=1e-9, atol=1e-15)
+
+
+def _ref_overlapping(y, taus):
+    """``(sigmas, n_pairs)`` of the overlapping estimator as one whole-array
+    expression per tau."""
+    xph = np.concatenate(([0.0], np.cumsum(y.samples))) * y.tau0
+    sigmas, pairs = [], []
+    for tau in np.unique(np.asarray(taus, dtype=float)):
+        m = int(round(tau / y.tau0))
+        if len(y) - 2 * m + 1 < 1:
+            continue
+        dd = xph[2 * m:] - 2.0 * xph[m:-m] + xph[:-2 * m]
+        sigmas.append(float(np.sqrt(0.5 * np.mean(dd * dd)) / (m * y.tau0)))
+        pairs.append(dd.size)
+    return np.array(sigmas), np.array(pairs, dtype=int)
+
+
+def _assert_overlapping_matches_reference(y, taus):
+    curve = allan_deviation(y, taus, "overlapping")
+    sigmas, pairs = _ref_overlapping(y, taus)
+    assert np.array_equal(curve.sigmas, sigmas)
+    assert np.array_equal(curve.n_pairs, pairs)
+    return curve
+
+
+BLOCK = stability._ADEV_BLOCK
+# The days-scale taus of a 10-day decimated run at a 1 s step.
+DAY_SCALE_TAUS = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000,
+                  10000, 20000, 40000, 43200, 86400, 172800]
+
+
+class TestOverlappingKernel:
+    """The blocked overlapping pass gives the bytes of the whole-array
+    expression: the same sigmas and pair counts, bit for bit."""
+
+    # k = n - 2m + 1 terms: one, and either side of one and two blocks.
+    @pytest.mark.parametrize("k", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_term_counts_around_the_block(self, k, m):
+        n = k + 2 * m - 1
+        y = FracFreqSeries(np.random.default_rng(k + m).standard_normal(n) * 1e-13, 1.0)
+        curve = _assert_overlapping_matches_reference(y, [m, 1, 2])
+        assert curve.n_pairs[list(curve.taus).index(m)] == k
+
+    def test_omitted_tau(self):
+        y = FracFreqSeries(np.random.default_rng(4).standard_normal(BLOCK + 9) * 1e-13, 1.0)
+        too_long = float(BLOCK)
+        curve = _assert_overlapping_matches_reference(y, [1, 3, 1000, too_long])
+        assert curve.omitted_taus == (too_long,)
+        assert list(curve.taus) == [1.0, 3.0, 1000.0]
+
+    @pytest.mark.parametrize("tau0", [1.0, 0.5, 1e-4])
+    def test_sampling_intervals(self, tau0):
+        y = FracFreqSeries(np.random.default_rng(5).standard_normal(3 * BLOCK) * 1e-13, tau0)
+        _assert_overlapping_matches_reference(y, [m * tau0 for m in (1, 2, 5, 100, 3000)])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.floats(min_value=-1e-6, max_value=1e-6),
+                              st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308])),
+                    min_size=1, max_size=300),
+           st.lists(st.integers(min_value=1, max_value=160), min_size=1, max_size=6),
+           st.sampled_from([1.0, 0.5, 1e-4]),
+           st.integers(min_value=1, max_value=9))
+    def test_property_matches_reference(self, values, multiples, tau0, block):
+        # A small block puts several block edges inside these short records.
+        y = FracFreqSeries(np.array(values), tau0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stability, "_ADEV_BLOCK", block)
+            _assert_overlapping_matches_reference(y, [m * tau0 for m in multiples])
+
+    def test_memory_two_record_buffers(self):
+        # Peak traced memory over the input record, which exists beforehand:
+        # the integrated phase and one work buffer, nothing per tau.
+        n = 2 ** 19
+        y = FracFreqSeries(np.random.default_rng(6).standard_normal(n) * 1e-13, 1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            allan_deviation(y, DAY_SCALE_TAUS, "overlapping")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n, peak / (8 * n)
 
 
 class TestPsdWelch:
