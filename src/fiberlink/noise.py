@@ -263,7 +263,7 @@ def gen_bursts(spec: BurstSpec, n, tau0, seed) -> PhaseSeries:
     return PhaseSeries(BurstTrain(spec, n, tau0, seed).samples(0, n), tau0, label="bursts")
 
 
-def fiber_pair(ratio, draw):
+def fiber_pair(ratio, draw, count=2):
     """Two fiber records sharing a common mode, from unit realizations.
 
     ``draw(j)`` returns realization j: 0 is the common mode, 1 and 2 the
@@ -277,11 +277,14 @@ def fiber_pair(ratio, draw):
     identical records without drawing u_1 or u_2.  Full independence would
     require r = sqrt(2), outside the accepted [0, 1] range, so the residual
     inter-fiber correlation at r = 1 is 0.5.
+
+    ``count=1`` returns a one-tuple of fiber 1 alone, the same bytes as
+    the pair's first record, and never draws u_2.
     """
     x1 = np.sqrt(1.0 - 0.5 * ratio * ratio) * draw(0)
-    x2 = x1.copy()
+    fibers = (x1,) + tuple(x1.copy() for _ in range(1, count))
     if ratio > 0.0:
         d = ratio / np.sqrt(2.0)
-        x1 += d * draw(1)
-        x2 += d * draw(2)
-    return x1, x2
+        for j, x in enumerate(fibers, 1):
+            x += d * draw(j)
+    return fibers

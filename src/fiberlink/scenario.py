@@ -689,8 +689,8 @@ def _run_decimated(scn, seed, report):
 
     # Measurement-band white content of each 1 s sample.
     sigma_fiber = np.sqrt(noise["white_pm_sx_s2_per_hz"] * enbw)
-    white1, _ = fiber_pair(ratio, lambda j: component_rng(
-        seed, "dec-white", j).standard_normal(n) * sigma_fiber)
+    (white1,) = fiber_pair(ratio, lambda j: component_rng(
+        seed, "dec-white", j).standard_normal(n) * sigma_fiber, count=1)
 
     open_rt = PhaseSeries(2.0 * (slow1 + white1), step, label="open_rt_decimated")
     del white1

@@ -255,6 +255,15 @@ class TestCorrelatedPair:
         assert drawn == [0]
         assert np.array_equal(x1, u[0]) and np.array_equal(x2, u[0])
 
+    def test_fiber_pair_first_fiber_alone(self):
+        # count=1 is the pair's first record, bit for bit, without u_2.
+        u = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-4.0, 0.25])]
+        for r in (0.0, 0.3, 1.0):
+            drawn = []
+            (x1,) = fiber_pair(r, lambda j: drawn.append(j) or u[j], count=1)
+            assert drawn == ([0, 1] if r > 0 else [0])
+            assert x1.tobytes() == fiber_pair(r, lambda j: u[j])[0].tobytes()
+
     def test_ratio_sets_difference_allan(self, power_law_pair):
         # ratio 0.1: the fiber difference sits 10x below a single fiber.
         f1, f2 = power_law_pair(self.spec, 0.1, 200_000, 1.0, 99)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import fiberlink as fl
 from fiberlink import cli
 from fiberlink.errors import InvalidInputError, ScenarioValidationError
 from fiberlink.io import write_adev_csv
+from fiberlink.noise import component_rng
 from fiberlink.scenario import (PRESETS, Scenario, _comb_objects, _loop_config,
-                                compare_curves, load_scenario, run)
+                                _run_decimated, compare_curves, load_scenario, run)
 from fiberlink.stability import welch_segments
 
 
@@ -512,6 +514,21 @@ class TestDeterminism:
         data = (tmp_path / "a" / name).read_bytes()
         assert data.count(b"\n") > 4000
         assert data == (tmp_path / "b" / name).read_bytes()
+
+    def test_decimated_model_draws_no_second_white_fiber(self, monkeypatch):
+        # Only fiber 1's measurement-band white noise is used, so fiber 2's
+        # own part is never drawn.
+        tags = []
+
+        def recording_rng(seed, *tag):
+            tags.append(tag)
+            return component_rng(seed, *tag)
+
+        monkeypatch.setattr("fiberlink.scenario.component_rng", recording_rng)
+        scn = load_scenario(SHORT_FIG1)
+        _run_decimated(scn, 3, SimpleNamespace(warnings=[]))
+        assert ("dec-white", 0) in tags and ("dec-white", 1) in tags
+        assert ("dec-white", 2) not in tags
 
     def test_seed_override_changes_outputs(self, tmp_path):
         scn = load_scenario(self.SCN)
