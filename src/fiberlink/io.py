@@ -239,9 +239,18 @@ def write_psd_csv(path, psd: PsdEstimate, seed=None, **extra):
 
 
 def write_phase_csv(path, series: PhaseSeries, seed=None, **extra):
+    """Phase record: t_s,x_s.  The times are ``series.times()``, made one
+    chunk of rows at a time."""
     lines = metadata_lines(seed, label=series.label or "phase", **extra)
     lines.append("t_s,x_s")
-    _write_rows(path, lines, "%.17g,%.17g", _row_chunks(series.times(), series.samples))
+    x = series.samples
+
+    def chunks():
+        for start in range(0, x.size, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, x.size)
+            yield np.arange(start, stop) * series.tau0, x[start:stop]
+
+    _write_rows(path, lines, "%.17g,%.17g", chunks())
 
 
 def _nominal_uhz(nominal_hz, offsets_hz):

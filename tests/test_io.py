@@ -280,6 +280,22 @@ class TestWriteRows:
         small, large = peak(2 ** 16), peak(2 ** 19)
         assert large <= 1.1 * small, (small, large)
 
+    def test_phase_writer_memory_flat_in_rows(self, tmp_path):
+        # Peak traced memory over the input series, which exists beforehand:
+        # the time column is made a chunk at a time, like the samples' rows.
+        def peak(n):
+            series = PhaseSeries(np.random.default_rng(n).standard_normal(n) * 1e-12, 1e-4)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fio.write_phase_csv(tmp_path / "x.csv", series)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2 ** 16), peak(2 ** 19)
+        assert large <= 1.1 * small, (small, large)
+
 
 # ----------------------------------------------------------------------
 # Reading an Allan CSV back: malformed files are refused, not raised.
