@@ -703,11 +703,16 @@ def _run_decimated(scn, seed, report):
                / (2.0 * np.pi * link["carrier_return_hz"]) ** 2)
     sigma_written_rt = np.sqrt(2.0 * (s_det_x / 4.0) * enbw)
     closed = component_rng(seed, "dec-det").standard_normal(n) * sigma_written_rt
-    slow1 += slow2
-    del slow2
-    closed += loop_suppression(PhaseSeries(slow1, step), loop.controller1,
-                               loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1).samples
-    del slow1
+    # The sum is zero-padded to a 5-smooth length, where the suppression's
+    # transforms are fast (864,001 = 31*47*593 points take 8x as long as
+    # 874,800); the closed record is the first n samples of that circular map.
+    from scipy.fft import next_fast_len
+    slow = np.zeros(next_fast_len(n, real=True))
+    np.add(slow1, slow2, out=slow[:n])
+    del slow1, slow2
+    closed += loop_suppression(PhaseSeries(slow, step), loop.controller1,
+                               loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1).samples[:n]
+    del slow
     if ctl["closed_floor_walk_fm_h"] > 0:
         closed += _walk(ctl["closed_floor_walk_fm_h"], n, step, seed, "dec-closed-floor")
     closed_rt = PhaseSeries(closed, step, label="closed_rt_decimated")

@@ -6,7 +6,8 @@ The bytes depend on the numpy and scipy builds (and may depend on the
 CPU features numpy dispatches on), so the table records the versions it
 was made with and the test skips under any others.  After a
 change that moves bytes on purpose, regenerate the table and say in
-``CHANGES.md`` which files moved and why:
+``CHANGES.md`` which files moved and why; the regeneration prints the
+(scenario, file) entries that differ from the committed table:
 
     PYTHONPATH=src python tests/test_csv_digests.py
 """
@@ -64,8 +65,22 @@ def test_csv_bytes_match_table(tmp_path, name):
     assert csv_digests(name, tmp_path) == table["digests"][name]
 
 
+def moved_entries(old, new):
+    """The (scenario, file) entries whose digest differs between two
+    ``digests`` tables, or that only one of them has."""
+    def flat(digests):
+        return {(name, f): d for name, files in digests.items() for f, d in files.items()}
+    old, new = flat(old), flat(new)
+    return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: csv_digests(name, pathlib.Path(tmp) / name) for name in SCENARIOS}
+    committed = json.loads(TABLE.read_text())
+    if committed["versions"] != installed_versions():
+        print(f"versions: {committed['versions']} -> {installed_versions()}")
+    for name, f in moved_entries(committed["digests"], digests):
+        print(f"moved: {name} {f}")
     TABLE.write_text(json.dumps({"versions": installed_versions(), "seed": SEED,
                                  "digests": digests}, indent=2) + "\n")

@@ -7,14 +7,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
 
 import fiberlink as fl
 from fiberlink import cli
+from fiberlink.control import loop_suppression
 from fiberlink.errors import InvalidInputError, ScenarioValidationError
 from fiberlink.io import write_adev_csv
 from fiberlink.noise import component_rng
 from fiberlink.scenario import (PRESETS, Scenario, _comb_objects, _loop_config,
                                 _run_decimated, compare_curves, load_scenario, run)
+from fiberlink.series import PhaseSeries
 from fiberlink.stability import welch_segments
 
 
@@ -537,6 +540,48 @@ class TestDeterminism:
         name = "closed_loop.csv"
         assert (tmp_path / "a" / name).read_bytes() \
             != (tmp_path / "b" / name).read_bytes()
+
+
+class TestDecimatedSuppressionLength:
+    """The decimated model suppresses its slow sum at a 5-smooth FFT length,
+    zero-padded, and keeps the first n samples of the result."""
+
+    @staticmethod
+    def _run(duration_s, monkeypatch, **override):
+        calls = []
+
+        def spy(x, *args):
+            calls.append((x.samples.copy(), args))
+            return loop_suppression(x, *args)
+
+        monkeypatch.setattr("fiberlink.scenario.loop_suppression", spy)
+        scn = load_scenario(dict(SHORT_FIG1, run=dict(
+            SHORT_FIG1["run"], decimated_duration_s=duration_s), **override))
+        out = _run_decimated(scn, 3, SimpleNamespace(warnings=[]))
+        (call,) = calls
+        return call, out["series"]["closed_rt"].samples
+
+    def test_padded_to_a_fast_length(self, monkeypatch):
+        # n = 20,001 = 3 x 59 x 113 is not 5-smooth.
+        n = 20_001
+        (x, _), closed = self._run(20_000.0, monkeypatch)
+        assert len(x) == next_fast_len(n, real=True) == 20_250
+        assert np.any(x[:n] != 0.0)
+        assert np.all(x[n:] == 0.0)
+        assert len(closed) == n
+
+    def test_a_fast_length_is_not_padded(self, monkeypatch):
+        # n = 4,050 = 2 x 3^4 x 5^2.  With no detector noise and no closed
+        # floor the closed record is the suppressed sum alone, so it is bit
+        # for bit the circular map at n, as before padding existed.
+        n = 4050
+        (x, args), closed = self._run(
+            4049.0, monkeypatch,
+            link={"detector": {"floor_rad_per_rthz": 0.0}},
+            controllers={"closed_floor_walk_fm_h": 0.0})
+        assert len(x) == n
+        want = loop_suppression(PhaseSeries(x, 1.0), *args).samples
+        assert np.array_equal(closed, want)
 
 
 class TestCompareCurves:
