@@ -39,7 +39,10 @@ still to come.  The run topology (``RUN_TOPOLOGIES``) says what the far-end
 loop sees: "series" feeds it the near-end loop's corrected arrival,
 "independent" only fiber 2's own round trip, and "off" opens both loops.
 ``loop_suppression`` is the decimated-time model: the simulated servo's
-discrete sensitivity applied to slow records in the frequency domain.
+discrete sensitivity applied to slow records in the frequency domain, an
+exact circular map at its input's length.  Its caller in ``scenario`` pads
+the record with zeros to a 5-smooth length, where the transforms are fast,
+and keeps the first n samples of the result.
 """
 
 from __future__ import annotations
@@ -215,7 +218,8 @@ def loop_sensitivity(freqs_hz, cfg: ControllerConfig, actuator_bw_hz, dt, delay_
     """
     b, lag = _loop_terms(cfg, actuator_bw_hz, dt)
     half = np.pi * dt * np.asarray(freqs_hz, dtype=float)
-    # Built in three complex arrays: a 10-day decimated record has 432,001 bins.
+    # Built in three complex arrays: a 10-day decimated record, padded to
+    # 874,800 samples, has 437,401 bins.
     zinv = np.exp(-1j * half)                      # z^(-1/2)
     d = np.sin(half) * 2j
     d *= zinv                                      # 1 - z^-1
@@ -484,6 +488,12 @@ def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
     ``loop_sensitivity`` of the servo that ``run_closed_loop`` simulates at
     step ``dt``.  The record's frequencies must stay below 1/(2 dt); its DC
     bin is fully suppressed (infinite integrator gain).
+
+    The map is circular at ``len(x)``, whatever that length is: the
+    transforms are those of ``x`` itself.  A caller that wants fast
+    transforms pads ``x`` with zeros to a 5-smooth length
+    (``scipy.fft.next_fast_len(n, real=True)``) and keeps the first n
+    samples, as the decimated model in ``scenario`` does.
     """
     n = len(x)
     spec = np.fft.rfft(x.samples)

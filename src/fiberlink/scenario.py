@@ -704,7 +704,7 @@ def _run_decimated(scn, seed, report):
     sigma_written_rt = np.sqrt(2.0 * (s_det_x / 4.0) * enbw)
     closed = component_rng(seed, "dec-det").standard_normal(n) * sigma_written_rt
     # The sum is zero-padded to a 5-smooth length, where the suppression's
-    # transforms are fast (864,001 = 31*47*593 points take 8x as long as
+    # transforms are fast (864,001 = 31*47*593 points take 6x as long as
     # 874,800); the closed record is the first n samples of that circular map.
     from scipy.fft import next_fast_len
     slow = np.zeros(next_fast_len(n, real=True))
