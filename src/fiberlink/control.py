@@ -489,11 +489,10 @@ def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
     step ``dt``.  The record's frequencies must stay below 1/(2 dt); its DC
     bin is fully suppressed (infinite integrator gain).
 
-    The map is circular at ``len(x)``, whatever that length is: the
-    transforms are those of ``x`` itself.  A caller that wants fast
-    transforms pads ``x`` with zeros to a 5-smooth length
+    The map is circular at ``len(x)``.  A caller that wants fast transforms
+    pads ``x`` with zeros to a 5-smooth length
     (``scipy.fft.next_fast_len(n, real=True)``) and keeps the first n
-    samples, as the decimated model in ``scenario`` does.
+    samples of the result, as the decimated model in ``scenario`` does.
     """
     n = len(x)
     spec = np.fft.rfft(x.samples)

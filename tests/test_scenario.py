@@ -573,7 +573,7 @@ class TestDecimatedSuppressionLength:
     def test_a_fast_length_is_not_padded(self, monkeypatch):
         # n = 4,050 = 2 x 3^4 x 5^2.  With no detector noise and no closed
         # floor the closed record is the suppressed sum alone, so it is bit
-        # for bit the circular map at n, as before padding existed.
+        # for bit the circular map at n.
         n = 4050
         (x, args), closed = self._run(
             4049.0, monkeypatch,
