@@ -29,11 +29,16 @@ SEED = 1
 # Short forms of the benchmark's workloads (perfbench/workloads.py): 20 s
 # at full rate, a 2-day decimated model with walk FM on, 3,600 comb gates.
 # ``comb_20k`` writes 20,000 gates, more than two of ``io._CHUNK_ROWS``, so
-# its gate CSV crosses the writer's chunk boundaries.
+# its gate CSV crosses the writer's chunk boundaries.  ``fig1_wide``'s 10 s
+# PSD segments (100,000 samples) each fill across two or more full-rate
+# chunks (``scenario._CHUNK``).
 SCENARIOS = {
     "fig1": {"preset": "fig1",
              "run": {"fullrate_duration_s": 20, "transient_discard_s": 5},
              "outputs": {"psd_segment_s": 5, "fullrate_taus_s": [1, 2, 4]}},
+    "fig1_wide": {"preset": "fig1",
+                  "run": {"fullrate_duration_s": 20, "transient_discard_s": 5},
+                  "outputs": {"psd_segment_s": 10, "fullrate_taus_s": [1, 2, 4]}},
     "longterm_10d": {"preset": "fig1",
                      "link": {"noise": {"walk_fm_h": 1e-36}},
                      "run": {"fullrate_duration_s": 10, "transient_discard_s": 5},
