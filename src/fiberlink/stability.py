@@ -165,6 +165,7 @@ class WelchAccumulator:
         self._filled = 0
         self._done = 0
         self._sum = np.zeros(segment // 2 + 1)
+        self._spectrum = np.empty(segment // 2 + 1, dtype=complex)
 
     def add(self, samples):
         """Feed the record's next samples."""
@@ -175,13 +176,23 @@ class WelchAccumulator:
             self._filled += take
             samples = samples[take:]
             if self._filled == seg:
-                x = self._buffer - self._buffer.mean()
-                x -= np.add.reduce(self._unit_t * x) * self._unit_t
-                spectrum = np.fft.rfft(x * self._window)
-                self._sum += spectrum.real ** 2 + spectrum.imag ** 2
+                # Detrended, windowed and transformed in the buffer, once the
+                # samples the next segment shares are set aside; the
+                # spectrum's memory is also the line projection's scratch.
+                x = self._buffer
+                shared = x[self._hop:].copy()
+                x -= x.mean()
+                scratch = self._spectrum.view(float)[:seg]
+                coef = np.add.reduce(np.multiply(self._unit_t, x, out=scratch))
+                x -= np.multiply(coef, self._unit_t, out=scratch)
+                x *= self._window
+                spectrum = np.fft.rfft(x, out=self._spectrum)
+                power = np.multiply(spectrum.real, spectrum.real, out=x[: spectrum.size])
+                power += np.multiply(spectrum.imag, spectrum.imag, out=spectrum.imag)
+                self._sum += power
+                x[: shared.size] = shared
                 self._done += 1
-                self._buffer[: seg - self._hop] = self._buffer[self._hop:]
-                self._filled = seg - self._hop
+                self._filled = shared.size
 
     def result(self) -> PsdEstimate:
         if self._done < self._count:

@@ -282,6 +282,30 @@ class TestPsdWelch:
 
         assert digest(setting) == digest("OPENBLAS_NUM_THREADS=1")
 
+    def test_memory_held_and_per_segment(self):
+        # One 2.2 M-sample accumulation, fed in fig1's 65,536-sample chunks,
+        # with three 600,000-sample segments.  The accumulator holds its
+        # buffer, window, line, complex spectrum and running sum (4.5
+        # segments); adding a segment sets aside only the samples the next
+        # segment shares (half a segment at 50% overlap).  Detrending and
+        # windowing into new records took three segments more.
+        n, segment = 2_200_000, 600_000
+        x = np.random.default_rng(10).standard_normal(n)
+        tracemalloc.start()
+        try:
+            acc = WelchAccumulator(n, 1e-4, segment)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for start in range(0, n, 65_536):
+                acc.add(x[start:start + 65_536])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seg_bytes = 8 * segment
+        assert held <= 4.6 * seg_bytes, held / seg_bytes
+        assert peak - held <= 1.5 * seg_bytes, (peak - held) / seg_bytes
+        assert acc.result().values.size == segment // 2 + 1
+
 
 BANDS = 10
 ESTIMATES = {
