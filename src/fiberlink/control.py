@@ -26,10 +26,10 @@ two engines walking the same servo recurrence.  The linear engine
 ("lfilter") evaluates it as one IIR filter per loop; it reports, but does
 not enforce, actuator saturation, and it has no offload.  It runs a long
 record as consecutive chunks, carrying a ``LoopState`` (the filter states
-and the last 2 max(m1, m2) samples of each delayed record) from one chunk
-to the next, so memory does not grow with the record and the outputs are
-those of one pass over the whole record, byte for byte.  The stepped engine
-("stepped") walks the recurrence per sample over a whole record and clamps
+and one ``[history | chunk]`` line per record a delayed term reads, its
+history the last 2 max(m1, m2) samples) from one chunk to the next, so
+memory does not grow with the record and the outputs are those of one pass
+over the whole record, byte for byte.  The stepped engine ("stepped") walks the recurrence per sample over a whole record and clamps
 each actuator at its range, with anti-windup and the piezo-to-thermal
 offload; it is the nonlinear reference.  Both engines apply one divergence
 rule to their applied corrections: a loop is divergent when a correction
@@ -56,7 +56,7 @@ import numpy as np
 # and the stability probe never pay for it.
 
 from .errors import DivergenceError, InvalidInputError
-from .link import ActuatorState, actuator_alpha, delayed
+from .link import ActuatorState, actuator_alpha
 from .series import PhaseSeries
 
 RUN_TOPOLOGIES = ("series", "independent", "off")
@@ -159,12 +159,12 @@ class LinkLoopConfig:
 class LoopState:
     """What the linear engine carries from one chunk of a run to the next.
 
-    ``history`` holds the last ``2 * max(m1, m2)`` samples of the records
-    the delayed terms read; ``zi`` the two loop filters' states.
+    ``lines`` maps each record the delayed terms read to its last chunk's
+    ``[history | chunk]`` line; ``zi`` holds the two loop filters' states.
     """
     start: int                    # run index of the next chunk's first sample
     input_peak: float             # largest |input| of the run so far
-    history: dict
+    lines: dict
     zi: tuple
     beyond_range: tuple = (False, False)   # rf shifter, optical actuators
 
@@ -242,10 +242,20 @@ def _at_rest(cfg, n1, n2):
     records' first values, corrections at zero, both loops at rest."""
     h = 2 * max(cfg.m1, cfg.m2)
     zeros = np.zeros(h)
-    history = {"n1": np.full(h, n1[0]), "n2": np.full(h, n2[0]),
-               "c1": zeros, "a2": zeros, "arr": zeros}
+    lines = {"n1": np.full(h, n1[0]), "n2": np.full(h, n2[0]),
+             "c1": zeros, "a2": zeros, "arr": zeros}
     zi = tuple(np.zeros(2 * m + 1) for m in (cfg.m1, cfg.m2))
-    return LoopState(0, 0.0, history, zi)
+    return LoopState(0, 0.0, lines, zi)
+
+
+def _lag(line, steps, n):
+    """The last ``n`` samples of ``line``'s record delayed by ``steps``, a view."""
+    return line[line.size - n - steps: line.size - steps]
+
+
+def _peak(x):
+    """``np.max(np.abs(x))`` without the |x| temporary."""
+    return max(np.max(x), -np.min(x))
 
 
 def _running_limit(state, inputs):
@@ -261,12 +271,11 @@ def _running_limit(state, inputs):
 def _first_divergent(corr, state, inputs):
     """Index of the first step whose correction is non-finite or beyond the
     running limit, or None."""
-    mag = np.abs(corr)
     # The limit never falls during a run, so a chunk below its first
     # step's limit needs no per-step check.
-    if np.max(mag) <= DIVERGENCE_FLOOR_S + 1e3 * state.input_peak:
+    if _peak(corr) <= DIVERGENCE_FLOOR_S + 1e3 * state.input_peak:
         return None
-    over = ~(mag <= _running_limit(state, inputs))
+    over = ~(np.abs(corr) <= _running_limit(state, inputs))
     return int(np.argmax(over)) if np.any(over) else None
 
 
@@ -325,7 +334,7 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
     if not (n2.size == d1.size == d2.size == n):
         raise InvalidInputError("all input records must share one length")
     if probe_det is None:
-        probe_det = np.zeros(n)
+        probe_det = 0.0             # adds as a zero record would: -0.0 turns 0.0
     m1, m2 = cfg.m1, cfg.m2
 
     if engine not in _ENGINES:
@@ -335,28 +344,35 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
     elif engine != "lfilter":
         raise InvalidInputError("only the linear engine continues a run from a state")
     inputs = (n1, n2, d1, d2)
+    # Every delayed term is a view of its record's new line, which starts
+    # with the last 2 max(m1, m2) samples of the state's line; the engine
+    # fills the c1, a2 and arr chunks.
+    h = 2 * max(m1, m2)
+    lines = {name: np.empty(h + n) for name in state.lines}
+    for name, line in lines.items():
+        line[:h] = state.lines[name][-h:]
+    lines["n1"][h:], lines["n2"][h:] = n1, n2
+    c1app, a2app, arr = (lines[name][h:] for name in ("c1", "a2", "arr"))
     if cfg.topology == "off":
-        c1app = np.zeros(n)
-        a2app = np.zeros(n)
+        c1app[:] = 0.0
+        a2app[:] = 0.0
+        np.add(_lag(lines["c1"], m1, n), n1, out=arr)
         zi, warnings, beyond = state.zi, (), state.beyond_range
     else:
-        c1app, a2app, zi, warnings, beyond = _ENGINES[engine](cfg, inputs, state)
+        zi, warnings, beyond = _ENGINES[engine](cfg, inputs, state, lines)
 
-    hist = state.history
-    arr = delayed(c1app, m1, hist["c1"]) + n1
-    one_way = arr
-    round_trip = (delayed(c1app, m1 + m2, hist["c1"]) + delayed(n1, m2, hist["n1"])
-                  + delayed(a2app, m2, hist["a2"]) + n2)
-    probe_rt = delayed(n1, m1, hist["n1"]) + n1 + probe_det
+    round_trip = np.add(_lag(lines["c1"], m1 + m2, n), _lag(lines["n1"], m2, n))
+    round_trip += _lag(lines["a2"], m2, n)
+    round_trip += n2
+    probe_rt = np.add(_lag(lines["n1"], m1, n), n1)
+    probe_rt += probe_det
     next_state = None
     if engine == "lfilter":
-        records = {"n1": n1, "n2": n2, "c1": c1app, "a2": a2app, "arr": arr}
         next_state = LoopState(
             state.start + n,
-            max(state.input_peak, *(float(np.max(np.abs(r))) for r in inputs)),
-            {name: np.concatenate((hist[name], rec))[-hist[name].size:].copy()
-             for name, rec in records.items()}, zi, beyond)
-    return LoopRunResult(cfg.dt, one_way, round_trip, probe_rt,
+            max(state.input_peak, *(float(_peak(r)) for r in inputs)),
+            lines, zi, beyond)
+    return LoopRunResult(cfg.dt, arr, round_trip, probe_rt,
                          c1app, a2app, warnings=tuple(warnings), state=next_state)
 
 
@@ -365,36 +381,43 @@ _BEYOND_RANGE = (
     "optical actuators commanded beyond combined range (not clamped by linear engine)")
 
 
-def _run_linear(cfg, inputs, state):
+def _run_linear(cfg, inputs, state, lines):
     from scipy import signal
 
     n1, n2, d1, d2 = inputs
+    n = n1.size
     m1, m2 = cfg.m1, cfg.m2
-    hist = state.history
-    w1 = delayed(n1, m1, hist["n1"]) + n1 + d1
+    c1app, a2app, arr = (_lag(lines[name], 0, n) for name in ("c1", "a2", "arr"))
+    # One work record holds each loop's input, -(w / 2), in turn.
+    w = np.add(_lag(lines["n1"], m1, n), n1)
+    w += d1
+    w *= -0.5
     b1, a1 = _loop_filter_polys(cfg.controller1, cfg.rf_shifter.bandwidth_hz,
                                 cfg.dt, m1)
-    c1app, zi1 = signal.lfilter(b1, a1, -0.5 * w1, zi=state.zi[0])
+    c1app[:], zi1 = signal.lfilter(b1, a1, w, zi=state.zi[0])
 
     # A diverged near-end loop drives the far-end one with overflowing input.
     with np.errstate(over="ignore", invalid="ignore"):
-        arr = delayed(c1app, m1, hist["c1"]) + n1
-        w2 = delayed(n2, m2, hist["n2"]) + n2 + d2
+        np.add(_lag(lines["c1"], m1, n), n1, out=arr)
+        np.add(_lag(lines["n2"], m2, n), n2, out=w)
+        w += d2
         if cfg.topology == "series":
-            w2 = w2 + delayed(arr, 2 * m2, hist["arr"]) - arr
+            w += _lag(lines["arr"], 2 * m2, n)
+            w -= arr
+        w *= -0.5
         b2, a2 = _loop_filter_polys(cfg.controller2, cfg.piezo.bandwidth_hz,
                                     cfg.dt, m2)
-        a2app, zi2 = signal.lfilter(b2, a2, -0.5 * w2, zi=state.zi[1])
+        a2app[:], zi2 = signal.lfilter(b2, a2, w, zi=state.zi[1])
     _check_divergence((("near-end", c1app), ("far-end", a2app)), state, inputs)
 
     rf, optical = state.beyond_range
-    beyond = (rf or np.max(np.abs(c1app)) > cfg.rf_shifter.range_s,
-              optical or np.max(np.abs(a2app)) > cfg.piezo.range_s + cfg.thermal.range_s)
+    beyond = (rf or _peak(c1app) > cfg.rf_shifter.range_s,
+              optical or _peak(a2app) > cfg.piezo.range_s + cfg.thermal.range_s)
     warnings = [text for text, flag in zip(_BEYOND_RANGE, beyond) if flag]
-    return c1app, a2app, (zi1, zi2), warnings, beyond
+    return (zi1, zi2), warnings, beyond
 
 
-def _run_stepped(cfg, inputs, state):
+def _run_stepped(cfg, inputs, state, lines):
     """Per-sample reference engine with actuator clamping and offload."""
     n1, n2, d1, d2 = inputs
     n = n1.size
@@ -463,8 +486,9 @@ def _run_stepped(cfg, inputs, state):
         pz += a_pz * (t_pz - pz)
         a2app[k] = pz + th
 
-    c1app = np.array(c1app)
-    a2app = np.array(a2app)
+    for name, rec in (("c1", c1app), ("a2", a2app), ("arr", arr)):
+        _lag(lines[name], 0, n)[:] = rec
+    c1app, a2app = _lag(lines["c1"], 0, n), _lag(lines["a2"], 0, n)
     _check_divergence((("near-end", c1app), ("far-end", a2app)), state, inputs)
     warnings = []
     if sat_rf:
@@ -472,7 +496,7 @@ def _run_stepped(cfg, inputs, state):
     if sat_pz:
         warnings.append("piezo_stretcher saturated"
                         + (" (offload engaged)" if k_off > 0 else ""))
-    return c1app, a2app, state.zi, warnings, state.beyond_range
+    return state.zi, warnings, state.beyond_range
 
 
 _ENGINES = {"lfilter": _run_linear, "stepped": _run_stepped}

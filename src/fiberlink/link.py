@@ -76,23 +76,15 @@ def to_radians(x: PhaseSeries, carrier: Carrier) -> PhaseSeries:
                        label=f"{x.label}@{carrier.frequency_hz:g}Hz[rad]")
 
 
-def delayed(samples, steps, history):
-    """Shift a record right by whole steps.
-
-    ``history`` holds the samples just before the record, at least
-    ``steps`` of them.
-    """
-    h = history.size
-    return np.concatenate((history, samples))[h - steps: h - steps + samples.size]
-
-
 def detector_noise(cfg: DetectorConfig, carrier: Carrier, n, tau0, rng):
     """White detector noise converted to phase-time at the carrier."""
     if cfg.floor_rad_per_rthz == 0.0:
         return np.zeros(n)
     fs = 1.0 / tau0
     sigma_rad = cfg.floor_rad_per_rthz * np.sqrt(fs / 2.0)
-    return rng.standard_normal(n) * (sigma_rad / (2.0 * np.pi * carrier.frequency_hz))
+    x = rng.standard_normal(n)
+    x *= sigma_rad / (2.0 * np.pi * carrier.frequency_hz)
+    return x
 
 
 class Lowpass:

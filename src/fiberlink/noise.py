@@ -285,6 +285,8 @@ def fiber_pair(ratio, draw, count=2):
     fibers = (x1,) + tuple(x1.copy() for _ in range(1, count))
     if ratio > 0.0:
         d = ratio / np.sqrt(2.0)
+        # One scratch holds each d * u_i; the draws are left as they came.
+        scratch = np.empty_like(x1)
         for j, x in enumerate(fibers, 1):
-            x += d * draw(j)
+            x += np.multiply(draw(j), d, out=scratch)
     return fibers

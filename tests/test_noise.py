@@ -255,6 +255,17 @@ class TestCorrelatedPair:
         assert drawn == [0]
         assert np.array_equal(x1, u[0]) and np.array_equal(x2, u[0])
 
+    def test_fiber_pair_leaves_draws_unchanged(self):
+        # A caller may keep the arrays its draw returns: the mix writes
+        # neither into them nor into records that share their memory.
+        u = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-4.0, 0.25])]
+        kept = [x.copy() for x in u]
+        for r in (0.0, 0.3, 1.0):
+            for count in (1, 2):
+                fibers = fiber_pair(r, lambda j: u[j], count=count)
+                assert all(np.array_equal(a, b) for a, b in zip(u, kept))
+                assert not any(np.shares_memory(x, a) for x in fibers for a in u)
+
     def test_fiber_pair_first_fiber_alone(self):
         # count=1 is the pair's first record, bit for bit, without u_2.
         u = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-4.0, 0.25])]

@@ -9,7 +9,10 @@ import pytest
 
 import fiberlink as fl
 from fiberlink import cli, scenario
+from fiberlink.control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig,
+                               run_closed_loop)
 from fiberlink.errors import DivergenceError
+from fiberlink.link import ActuatorState
 from fiberlink.scenario import RunReport, _run_fullrate
 
 # A 4 s full-rate run at a 2 ms step (2000 samples): 800 km gives m = 2
@@ -139,3 +142,77 @@ def test_memory_flat_in_fullrate_duration(walk_fm_h):
     short = _peak_bytes(20.0, walk_fm_h)
     long = _peak_bytes(80.0, walk_fm_h)
     assert long <= 1.1 * short, (short, long)
+
+
+
+# run_closed_loop continued chunk by chunk, on its own: unequal delays (m1 =
+# 2, m2 = 5) and every topology.  The far-end gain sits below its m2 = 5
+# stability edge (250 Hz).  The actuator ranges are small enough that both
+# "beyond range" warnings turn on partway through the record.
+M1, M2 = 2, 5
+LOOP_N = 2000
+LOOP_FIELDS = ("round_trip", "one_way", "probe_rt", "c1_applied", "a2_applied")
+
+
+def _loop_config(topology, near_unity_hz=100.0):
+    def ctl(unity_gain_hz):
+        return ControllerConfig(unity_gain_hz=unity_gain_hz, integrator_corner_hz=10.0)
+
+    return LinkLoopConfig(
+        dt=1e-4, m1=M1, m2=M2, controller1=ctl(near_unity_hz), controller2=ctl(100.0),
+        rf_shifter=ActuatorState("rf_phase_shifter", 2e-13, 5e4),
+        piezo=ActuatorState("piezo_stretcher", 1e-13, 5e3),
+        thermal=ActuatorState("thermal_spool", 1e-13, 0.3),
+        topology=topology)
+
+
+def _loop_inputs():
+    rng = np.random.default_rng(17)
+    walks = [np.cumsum(rng.standard_normal(LOOP_N)) * 1e-14 for _ in range(2)]
+    return walks + [rng.standard_normal(LOOP_N) * 1e-14 for _ in range(3)]
+
+
+def _loop_chunked(cfg, records, chunk):
+    """The outputs of consecutive ``chunk``-sample calls, joined, and the
+    last call's warnings."""
+    parts, state = [], None
+    for start in range(0, LOOP_N, chunk):
+        n1, n2, d1, d2, dp = (r[start:start + chunk] for r in records)
+        res = run_closed_loop(cfg, n1, n2, d1, d2, probe_det=dp, state=state)
+        state = res.state
+        parts.append(res)
+    joined = {f: np.concatenate([getattr(p, f) for p in parts]) for f in LOOP_FIELDS}
+    return joined, res.warnings
+
+
+@pytest.mark.parametrize("topology", RUN_TOPOLOGIES)
+@pytest.mark.parametrize("chunk", [1, 3, 2 * max(M1, M2) + 1, 777])
+def test_loop_continued_equals_one_pass(topology, chunk):
+    cfg = _loop_config(topology)
+    records = _loop_inputs()
+    kept = [r.copy() for r in records]
+    whole, whole_warnings = _loop_chunked(cfg, records, LOOP_N)
+    part, part_warnings = _loop_chunked(cfg, records, chunk)
+    for f in LOOP_FIELDS:
+        assert whole[f].tobytes() == part[f].tobytes(), f
+    assert part_warnings == whole_warnings
+    if topology != "off":
+        assert len(whole_warnings) == 2
+    assert all(np.array_equal(r, k) for r, k in zip(records, kept))
+
+
+@pytest.mark.parametrize("topology", ["series", "independent"])
+@pytest.mark.parametrize("chunk", [1, 3, 2 * max(M1, M2) + 1, 777])
+def test_loop_continued_diverges_at_the_same_step(topology, chunk):
+    # A near-end gain beyond its m1 = 2 stability edge (625 Hz): it diverges
+    # at step 1205, inside the second 777-sample chunk.
+    cfg = _loop_config(topology, near_unity_hz=750.0)
+    records = _loop_inputs()
+    errors = []
+    for size in (LOOP_N, chunk):
+        with pytest.raises(DivergenceError) as err:
+            _loop_chunked(cfg, records, size)
+        errors.append(err.value)
+    whole, part = errors
+    assert part.step == whole.step > 777
+    assert str(part) == str(whole)
