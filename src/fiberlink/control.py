@@ -29,8 +29,9 @@ record as consecutive chunks, carrying a ``LoopState`` (the filter states
 and one ``[history | chunk]`` line per record a delayed term reads, its
 history the last 2 max(m1, m2) samples) from one chunk to the next, so
 memory does not grow with the record and the outputs are those of one pass
-over the whole record, byte for byte.  The stepped engine ("stepped") walks the recurrence per sample over a whole record and clamps
-each actuator at its range, with anti-windup and the piezo-to-thermal
+over the whole record, byte for byte.  The stepped engine ("stepped")
+walks the recurrence per sample over a whole record and clamps each
+actuator at its range, with anti-windup and the piezo-to-thermal
 offload; it is the nonlinear reference.  Both engines apply one divergence
 rule to their applied corrections: a loop is divergent when a correction
 exceeds ``DIVERGENCE_FLOOR_S`` plus 1e3 x the largest |input| seen up to
@@ -344,9 +345,8 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
     elif engine != "lfilter":
         raise InvalidInputError("only the linear engine continues a run from a state")
     inputs = (n1, n2, d1, d2)
-    # Every delayed term is a view of its record's new line, which starts
-    # with the last 2 max(m1, m2) samples of the state's line; the engine
-    # fills the c1, a2 and arr chunks.
+    # Each delayed term is a view of a new line that starts with the last
+    # 2 max(m1, m2) samples of the state's; the engine fills c1, a2 and arr.
     h = 2 * max(m1, m2)
     lines = {name: np.empty(h + n) for name in state.lines}
     for name, line in lines.items():

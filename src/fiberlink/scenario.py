@@ -69,7 +69,7 @@ _CHUNK = 2 ** 16    # samples per chunk of the full-rate pipeline
 # alone, so an oversized run is refused as a listed problem instead of
 # failing in the allocator.  Sizes are for a 2-vCPU host.
 # Full-rate samples run in chunks, so memory stays flat and this bounds run
-# time (~0.45 us a sample at the default delay, under a minute): 1.9 h at the
+# time (~0.3 us a sample at the default delay, ~20 s at the cap): 1.9 h at the
 # 0.1 ms step.
 _MAX_FULLRATE_SAMPLES = 2 ** 26
 # Welch transforms PSD segments x segment samples, ~50 ns each (51 segments

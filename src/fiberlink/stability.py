@@ -137,12 +137,13 @@ class WelchAccumulator:
     """One-sided Welch PSD (Welch, IEEE Trans. Audio Electroacoust. 15, 70,
     1967) of an ``n``-sample record fed in consecutive chunks of any size.
 
-    It holds one segment of samples.  Each complete segment has its mean
-    and least-squares line removed, is multiplied by the periodic Hann
-    window, and adds its ``|rfft|^2`` to one running sum, in segment order,
-    so every chunking gives the same bytes.  Trailing samples that do not
-    fill a segment are ignored.  It agrees with ``scipy.signal.welch`` (Hann,
-    linear detrend) to rounding, not bit for bit.
+    It holds one segment, one complex spectrum and one running sum.  Each
+    complete segment has its mean and least-squares line removed, is
+    multiplied by the periodic Hann window, and adds its ``|rfft|^2`` to the
+    sum in segment order, all in its own buffer once the samples the next
+    segment shares are copied out, so every chunking gives the same bytes.
+    Trailing samples that do not fill a segment are ignored.  It agrees with
+    ``scipy.signal.welch`` (Hann, linear detrend) to rounding, not bit for bit.
     """
 
     def __init__(self, n, tau0, segment, overlap=0.5):
@@ -176,9 +177,8 @@ class WelchAccumulator:
             self._filled += take
             samples = samples[take:]
             if self._filled == seg:
-                # Detrended, windowed and transformed in the buffer, once the
-                # samples the next segment shares are set aside; the
-                # spectrum's memory is also the line projection's scratch.
+                # The spectrum's memory is also the line projection's
+                # scratch, and its imaginary part takes imag ** 2.
                 x = self._buffer
                 shared = x[self._hop:].copy()
                 x -= x.mean()
