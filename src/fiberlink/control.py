@@ -26,24 +26,24 @@ two engines walking the same servo recurrence.  The linear engine
 ("lfilter") evaluates it as one IIR filter per loop; it reports, but does
 not enforce, actuator saturation, and it has no offload.  It runs a long
 record as consecutive chunks, carrying a ``LoopState`` (the filter states
-and one ``[history | chunk]`` line per record a delayed term reads, its
-history the last 2 max(m1, m2) samples) from one chunk to the next, so
-memory does not grow with the record and the outputs are those of one pass
-over the whole record, byte for byte.  The stepped engine ("stepped")
-walks the recurrence per sample over a whole record and clamps each
-actuator at its range, with anti-windup and the piezo-to-thermal
-offload; it is the nonlinear reference.  Both engines apply one divergence
-rule to their applied corrections: a loop is divergent when a correction
-exceeds ``DIVERGENCE_FLOOR_S`` plus 1e3 x the largest |input| seen up to
-that step, a running maximum, since a chunked run cannot know the inputs
+and the last 2 max(m1, m2) samples of each delayed record) from one chunk
+to the next, so memory does not grow with the record and the outputs are
+those of one pass over the whole record, byte for byte; within a chunk,
+every delayed term is a view of one ``[history | chunk]`` line per record.
+The stepped engine ("stepped") walks the recurrence per sample over a whole
+record and clamps each actuator at its range, with anti-windup and the
+piezo-to-thermal offload; it is the nonlinear reference.  Both engines apply
+one divergence rule to their applied corrections: a loop is divergent when a
+correction exceeds ``DIVERGENCE_FLOOR_S`` plus 1e3 x the largest |input| seen
+up to that step, a running maximum, since a chunked run cannot know the inputs
 still to come.  The run topology (``RUN_TOPOLOGIES``) says what the far-end
 loop sees: "series" feeds it the near-end loop's corrected arrival,
 "independent" only fiber 2's own round trip, and "off" opens both loops.
 ``loop_suppression`` is the decimated-time model: the simulated servo's
-discrete sensitivity applied to slow records in the frequency domain, an
-exact circular map at its input's length.  Its caller in ``scenario`` pads
-the record with zeros to a 5-smooth length, where the transforms are fast,
-and keeps the first n samples of the result.
+discrete sensitivity applied to slow records in the frequency domain, an exact
+circular map at its input's length.  Its caller in ``scenario`` pads the record
+with zeros to a 5-smooth length, where the transforms are fast, and keeps the
+first n samples of the result.
 """
 
 from __future__ import annotations
@@ -160,12 +160,12 @@ class LinkLoopConfig:
 class LoopState:
     """What the linear engine carries from one chunk of a run to the next.
 
-    ``lines`` maps each record the delayed terms read to its last chunk's
-    ``[history | chunk]`` line; ``zi`` holds the two loop filters' states.
+    ``history`` holds the last ``2 * max(m1, m2)`` samples of the records
+    the delayed terms read; ``zi`` the two loop filters' states.
     """
     start: int                    # run index of the next chunk's first sample
     input_peak: float             # largest |input| of the run so far
-    lines: dict
+    history: dict
     zi: tuple
     beyond_range: tuple = (False, False)   # rf shifter, optical actuators
 
@@ -243,10 +243,10 @@ def _at_rest(cfg, n1, n2):
     records' first values, corrections at zero, both loops at rest."""
     h = 2 * max(cfg.m1, cfg.m2)
     zeros = np.zeros(h)
-    lines = {"n1": np.full(h, n1[0]), "n2": np.full(h, n2[0]),
-             "c1": zeros, "a2": zeros, "arr": zeros}
+    history = {"n1": np.full(h, n1[0]), "n2": np.full(h, n2[0]),
+               "c1": zeros, "a2": zeros, "arr": zeros}
     zi = tuple(np.zeros(2 * m + 1) for m in (cfg.m1, cfg.m2))
-    return LoopState(0, 0.0, lines, zi)
+    return LoopState(0, 0.0, history, zi)
 
 
 def _lag(line, steps, n):
@@ -345,12 +345,12 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
     elif engine != "lfilter":
         raise InvalidInputError("only the linear engine continues a run from a state")
     inputs = (n1, n2, d1, d2)
-    # Each delayed term is a view of a new line that starts with the last
-    # 2 max(m1, m2) samples of the state's; the engine fills c1, a2 and arr.
+    # Each delayed term is a view of one [history | chunk] line per record;
+    # the engine fills the c1, a2 and arr chunks.
     h = 2 * max(m1, m2)
-    lines = {name: np.empty(h + n) for name in state.lines}
+    lines = {name: np.empty(h + n) for name in state.history}
     for name, line in lines.items():
-        line[:h] = state.lines[name][-h:]
+        line[:h] = state.history[name]
     lines["n1"][h:], lines["n2"][h:] = n1, n2
     c1app, a2app, arr = (lines[name][h:] for name in ("c1", "a2", "arr"))
     if cfg.topology == "off":
@@ -371,7 +371,7 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
         next_state = LoopState(
             state.start + n,
             max(state.input_peak, *(float(_peak(r)) for r in inputs)),
-            lines, zi, beyond)
+            {name: line[n:].copy() for name, line in lines.items()}, zi, beyond)
     return LoopRunResult(cfg.dt, arr, round_trip, probe_rt,
                          c1app, a2app, warnings=tuple(warnings), state=next_state)
 

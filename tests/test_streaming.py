@@ -174,14 +174,18 @@ def _loop_inputs():
 
 def _loop_chunked(cfg, records, chunk):
     """The outputs of consecutive ``chunk``-sample calls, joined, and the
-    last call's warnings."""
+    last call's warnings.  Each call's outputs are copied and then
+    overwritten, as a caller may reuse them: the next call must not read
+    them."""
     parts, state = [], None
     for start in range(0, LOOP_N, chunk):
         n1, n2, d1, d2, dp = (r[start:start + chunk] for r in records)
         res = run_closed_loop(cfg, n1, n2, d1, d2, probe_det=dp, state=state)
         state = res.state
-        parts.append(res)
-    joined = {f: np.concatenate([getattr(p, f) for p in parts]) for f in LOOP_FIELDS}
+        parts.append({f: getattr(res, f).copy() for f in LOOP_FIELDS})
+        for f in LOOP_FIELDS:
+            getattr(res, f)[:] = np.nan
+    joined = {f: np.concatenate([p[f] for p in parts]) for f in LOOP_FIELDS}
     return joined, res.warnings
 
 
