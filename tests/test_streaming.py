@@ -144,7 +144,6 @@ def test_memory_flat_in_fullrate_duration(walk_fm_h):
     assert long <= 1.1 * short, (short, long)
 
 
-
 # run_closed_loop continued chunk by chunk, on its own: unequal delays (m1 =
 # 2, m2 = 5) and every topology.  The far-end gain sits below its m2 = 5
 # stability edge (250 Hz).  The actuator ranges are small enough that both
