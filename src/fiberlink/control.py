@@ -40,10 +40,10 @@ still to come.  The run topology (``RUN_TOPOLOGIES``) says what the far-end
 loop sees: "series" feeds it the near-end loop's corrected arrival,
 "independent" only fiber 2's own round trip, and "off" opens both loops.
 ``loop_suppression`` is the decimated-time model: the simulated servo's
-discrete sensitivity applied to slow records in the frequency domain, an exact
-circular map at its input's length.  Its caller in ``scenario`` pads the record
-with zeros to a 5-smooth length, where the transforms are fast, and keeps the
-first n samples of the result.
+discrete sensitivity applied to slow records in the frequency domain, block by
+block of bins, an exact circular map at its input's length.  Its caller in
+``scenario`` pads the record with zeros to a 5-smooth length, where the
+transforms are fast, and keeps the first n samples of the result.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ from .series import PhaseSeries
 
 RUN_TOPOLOGIES = ("series", "independent", "off")
 DIVERGENCE_FLOOR_S = 1e-6     # floor of the divergence limit on a correction
+# Most bins per block of ``loop_suppression``'s sensitivity work arrays.
+_SENSITIVITY_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -219,8 +221,7 @@ def loop_sensitivity(freqs_hz, cfg: ControllerConfig, actuator_bw_hz, dt, delay_
     """
     b, lag = _loop_terms(cfg, actuator_bw_hz, dt)
     half = np.pi * dt * np.asarray(freqs_hz, dtype=float)
-    # Built in three complex arrays: a 10-day decimated record, padded to
-    # 874,800 samples, has 437,401 bins.
+    # Built in three complex arrays of the frequencies' length.
     zinv = np.exp(-1j * half)                      # z^(-1/2)
     d = np.sin(half) * 2j
     d *= zinv                                      # 1 - z^-1
@@ -517,9 +518,18 @@ def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
     pads ``x`` with zeros to a 5-smooth length
     (``scipy.fft.next_fast_len(n, real=True)``) and keeps the first n
     samples of the result, as the decimated model in ``scenario`` does.
+    The sensitivity is made and applied in blocks of at most
+    ``_SENSITIVITY_BLOCK`` bins at ``np.fft.rfftfreq``'s frequencies: the
+    whole-spectrum product's bytes, with no record-sized work arrays.
     """
     n = len(x)
     spec = np.fft.rfft(x.samples)
-    spec *= loop_sensitivity(np.fft.rfftfreq(n, x.tau0), cfg, actuator_bw_hz, dt,
-                             delay_steps)
+    df = 1.0 / (n * x.tau0)         # as np.fft.rfftfreq builds its bins
+    # Equal blocks, so none holds a single bin: numpy squares a one-element
+    # complex array in place with other rounding than a longer one.
+    blocks = -(-spec.size // _SENSITIVITY_BLOCK)
+    for i in range(blocks):
+        lo, hi = spec.size * i // blocks, spec.size * (i + 1) // blocks
+        spec[lo:hi] *= loop_sensitivity(np.arange(lo, hi) * df, cfg, actuator_bw_hz,
+                                        dt, delay_steps)
     return PhaseSeries(np.fft.irfft(spec, n=n), x.tau0, label=f"{x.label}|closed")

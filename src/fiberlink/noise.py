@@ -14,11 +14,11 @@ component is synthesized in the time domain (Kasdin and Walter, Proc. FCS
 rest goes through the filter (1 - z^-1)^(alpha/2), whose one-sided PSD tends
 to h_alpha * f**alpha at low frequency, and is then integrated to
 phase-time.  Walk FM is a cumulative sum, white FM the draw itself, white PM
-one difference of it; only flicker takes a (linear, zero-padded) FFT
-convolution.  Nothing wraps around the record's ends, so Allan variance
-keeps its law out to half the record (walk FM exactly; flicker FM, filtered
-from rest, at 0.92 of it at tau = T/2), and walk FM can be drawn chunk by
-chunk.  Everything is deterministic for a given 64-bit seed; components
+one difference of it; only flicker takes a linear FFT convolution,
+partitioned into blocks of ``_FLICKER_BLOCK`` samples.  Nothing wraps around
+the record's ends, so Allan variance keeps its law out to half the record
+(walk FM exactly; flicker FM, filtered from rest, at 0.92 of it at
+tau = T/2), and walk FM can be drawn chunk by chunk.  Everything is deterministic for a given 64-bit seed; components
 draw from sub-streams keyed by (seed, component tag), so a spec of several
 power-law terms is exactly the sum of its terms generated one at a time.
 Diurnal drift and bursts have their own generators, and ``fiber_pair``
@@ -37,6 +37,9 @@ from .errors import InvalidInputError
 from .series import PhaseSeries
 
 SUPPORTED_ALPHAS = (-2, -1, 0, 1, 2)
+# Samples per block of the flicker convolution, which keeps two spectra per
+# block and multiplies (blocks^2) / 2 pairs of them.
+_FLICKER_BLOCK = 2 ** 16
 
 # Allan variance of pure white FM: sigma_y^2(tau) = h0 / (2 tau).
 def white_fm_level_for(sigma_at_1s):
@@ -122,33 +125,48 @@ def _shaped_frac_freq(alpha, level, n_y, tau0, rng):
     """
     if level == 0.0:
         return np.zeros(n_y)
-    # Flicker is a linear convolution by FFT, zero-padded to a fast length
-    # that nothing of the record wraps into.  The draw goes straight into the
-    # padded buffer, which then holds the coefficients and then the result,
-    # so at most two padded spectra exist at once.
-    flicker = alpha in (-1, 1)
-    if flicker:
-        from scipy.fft import next_fast_len
-        size = next_fast_len(2 * n_y - 1, real=True)
-    buf = np.zeros(size) if flicker else np.empty(n_y)
-    w = buf[:n_y]
-    rng.standard_normal(out=w)
-    w *= _white_scale(alpha, level, tau0)
-    if alpha == 0:                  # h = 1
-        return w
-    if alpha == -2:                 # h = 1, 1, 1, ...
-        return np.cumsum(w, out=w)
-    if alpha == 2:                  # h = 1, -1
-        return np.diff(w, prepend=0.0)
-    spec = np.fft.rfft(buf)
-    h = w                           # the draw is spent: the buffer takes h
-    k = np.arange(1.0, n_y)
-    h[0] = 1.0
-    h[1:] = (k - 1.0 - alpha / 2.0) / k
-    del k
-    np.cumprod(h, out=h)
-    spec *= np.fft.rfft(buf)
-    return np.fft.irfft(spec, size, out=buf)[:n_y]
+    scale = _white_scale(alpha, level, tau0)
+    if alpha not in (-1, 1):
+        w = rng.standard_normal(n_y)
+        w *= scale
+        if alpha == 0:              # h = 1
+            return w
+        if alpha == -2:             # h = 1, 1, 1, ...
+            return np.cumsum(w, out=w)
+        return np.diff(w, prepend=0.0)      # alpha = 2: h = 1, -1
+    # Flicker is a uniformly partitioned linear convolution: draw and h are
+    # cut into blocks of B samples, each transformed zero-padded to a fast
+    # length that nothing wraps into, and output block s, the inverse of
+    # sum_{j <= s} W_{s-j} H_j, is overlap-added.  The draw's spectrum comes
+    # first in each product, so a one-block record is the single transform.
+    from scipy.fft import next_fast_len
+    block = min(_FLICKER_BLOCK, n_y)
+    size = next_fast_len(2 * block - 1, real=True)
+    buf = np.empty(size)
+    draws, coefs = [], []           # W_j and H_j
+    y = np.zeros(n_y)
+    for lo in range(0, n_y, block):
+        b = min(block, n_y - lo)
+        part = buf[:b]
+        buf[b:] = 0.0
+        rng.standard_normal(out=part)
+        part *= scale
+        draws.append(np.fft.rfft(buf))
+        # h continues the one cumprod: the block's first ratio takes the
+        # previous block's last h, as the running product would.
+        k = np.arange(max(lo, 1), lo + b, dtype=float)
+        part[b - k.size:] = (k - 1.0 - alpha / 2.0) / k
+        part[0] = 1.0 if lo == 0 else part[0] * carry
+        np.cumprod(part, out=part)
+        carry = part[-1]
+        coefs.append(np.fft.rfft(buf))
+        acc = draws[-1] * coefs[0]
+        for j in range(1, len(draws)):
+            acc += draws[-1 - j] * coefs[j]
+        np.fft.irfft(acc, size, out=buf)
+        stop = min(lo + 2 * block - 1, n_y)
+        y[lo:stop] += buf[:stop - lo]
+    return y
 
 
 def gen_power_law_phase(spec: NoiseSpec, n: int, tau0: float, seed) -> PhaseSeries:
@@ -165,7 +183,7 @@ def gen_power_law_phase(spec: NoiseSpec, n: int, tau0: float, seed) -> PhaseSeri
     for alpha, level in spec.powerlaw:
         rng = component_rng(seed, "powerlaw", alpha)
         y = _shaped_frac_freq(alpha, level, n - 1, tau0, rng)
-        total[1:] += np.cumsum(y) * tau0
+        total[1:] += np.multiply(np.cumsum(y, out=y), tau0, out=y)
     return PhaseSeries(total, tau0, label="powerlaw")
 
 

@@ -10,8 +10,9 @@ measured quantity is listed under ``assumed`` in the resolved echo.
 Long runs use a dual-rate scheme: a full-rate simulation resolves the servo
 band (default 0.1 ms step), while day-scale statistics come from a 1 s step
 model in which the loops act through the simulated servo's sensitivity
-(``control.loop_sensitivity``).  The decimated model is validated against
-the full-rate one over their overlap in the test suite.
+(``control.loop_sensitivity``), its records drawn in chunks like the full-rate
+ones.  The decimated model is validated against the full-rate one over their
+overlap in the test suite.
 
 The full-rate simulation is one pipeline over chunks of ``_CHUNK`` samples:
 each chunk's noise is drawn, run through both servo loops (which carry
@@ -45,20 +46,20 @@ from . import io as fio
 from .comb import (BudgetEntry, CombParams, CounterChainConfig,
                    absolute_freq_estimate, as_fraction, count_chain,
                    rep_rate_lock, stability_budget)
-from .control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig,
+from .control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig, _peak,
                       loop_suppression, run_closed_loop)
 from .errors import DivergenceError, InvalidInputError, ScenarioValidationError
 from .link import (ActuatorState, Carrier, CountingChain, DetectorConfig,
                    _decimation, detector_noise)
 from .noise import (BurstSpec, BurstTrain, NoiseSpec, WalkPhase, component_rng,
-                    diurnal_samples, fiber_pair, gen_bursts, gen_diurnal,
-                    gen_power_law_phase, white_fm_level_for)
+                    diurnal_samples, fiber_pair, gen_power_law_phase, white_fm_level_for)
 from .series import AdevCurve, FracFreqSeries, PhaseSeries
 from .stability import (WelchAccumulator, _tau_multiple, allan_deviation,
                         allan_deviation_phase, welch_segments)
-# The one-chunk forms of the streamed full-rate stages; perfbench's tracer
-# wraps them under these names.
+# The one-chunk forms of the streamed stages; perfbench's tracer wraps them
+# under these names.
 from .link import measurement_lowpass, sample_every, to_radians  # noqa: F401
+from .noise import gen_bursts, gen_diurnal  # noqa: F401
 from .stability import psd_welch  # noqa: F401
 
 PRESETS = ("fig1", "fig4", "budget")
@@ -82,7 +83,7 @@ _MAX_WELCH_WORK = 4 * _MAX_FULLRATE_SAMPLES
 # fig1-based run took 54 s at 2^26 samples and m = 63 (the slowest measured),
 # 39 s at 2^25 and m = 127; 86 km (m = 4) at 2^26 samples is 2^29.3.
 _MAX_SERVO_WORK = 2 ** 33
-# The decimated model holds about 150 B a sample: ~1.3 GB; 97 days at 1 s.
+# The decimated model and references peak near 60 B a sample: ~0.5 GB; 97 days at 1 s.
 _MAX_DECIMATED_SAMPLES = 2 ** 23
 # Comb gates: exact arithmetic and the gate CSV, ~2 us and ~120 B a gate.
 _MAX_COMB_GATES = 2 ** 22
@@ -549,20 +550,9 @@ def _sub_seed(seed, *tags):
     return int(component_rng(seed, *tags).integers(2 ** 63))
 
 
-def _diurnal(noise, n, step):
-    return gen_diurnal(noise["diurnal_amplitude_s"], noise["diurnal_period_s"],
-                       noise["diurnal_phase_rad"], n, step).samples
-
-
 def _burst_spec(noise):
     return BurstSpec(noise["burst_rate_per_s"], noise["burst_amp_median_s"],
                      noise["burst_amp_sigma"], noise["burst_duration_s"])
-
-
-def _walk(level, n, step, seed, *tags):
-    """Random-walk FM phase record at ``level`` with its own sub-seed."""
-    return gen_power_law_phase(NoiseSpec(powerlaw=((-2, level),)), n, step,
-                               _sub_seed(seed, *tags)).samples
 
 
 def _add_pair(x1, x2, ratio, draw):
@@ -674,51 +664,63 @@ def _run_decimated(scn, seed, report):
     n = int(round(scn["run"]["decimated_duration_s"] / step)) + 1
     enbw = _chain_enbw_hz(link["detector"]["measurement_bw_hz"])
 
-    # Slow per-fiber records (diurnal common; bursts and walk split).
+    # Slow per-fiber records (diurnal common; bursts and walk split) and the
+    # white content of each 1 s sample, drawn chunk by chunk as in the
+    # full-rate loop, make the open record.  The closed loop takes the two
+    # fibers' slow parts as one sum, zero-padded to a 5-smooth length, where
+    # the suppression's transforms are fast (864,001 = 31*47*593 points take
+    # 6x as long as 874,800).
     noise = link["noise"]
     ratio = noise["differential_ratio"]
-    slow1, slow2 = fiber_pair(ratio, lambda j: gen_bursts(
-        _burst_spec(noise), n, step, _sub_seed(seed, "dec-bursts", j)).samples)
-    diurnal = _diurnal(noise, n, step)
-    slow1 += diurnal
-    slow2 += diurnal
-    del diurnal
-    if noise["walk_fm_h"] > 0:
-        _add_pair(slow1, slow2, ratio, lambda j: _walk(noise["walk_fm_h"], n, step,
-                                                       seed, "dec-walk", j))
-
-    # Measurement-band white content of each 1 s sample.
     sigma_fiber = np.sqrt(noise["white_pm_sx_s2_per_hz"] * enbw)
-    (white1,) = fiber_pair(ratio, lambda j: component_rng(
-        seed, "dec-white", j).standard_normal(n) * sigma_fiber, count=1)
-
-    open_rt = PhaseSeries(2.0 * (slow1 + white1), step, label="open_rt_decimated")
-    del white1
+    bursts = [BurstTrain(_burst_spec(noise), n, step, _sub_seed(seed, "dec-bursts", j))
+              for j in range(3)]
+    walks = [WalkPhase(noise["walk_fm_h"], step, _sub_seed(seed, "dec-walk", j))
+             for j in range(3)] if noise["walk_fm_h"] > 0 else None
+    white = [component_rng(seed, "dec-white", j) for j in range(2)]
+    from scipy.fft import next_fast_len
+    opened = np.empty(n)
+    slow = np.zeros(next_fast_len(n, real=True))
+    slow_peak = 0.0
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        k = stop - start
+        slow1, slow2 = fiber_pair(ratio, lambda j: bursts[j].samples(start, stop))
+        diurnal = diurnal_samples(noise["diurnal_amplitude_s"], noise["diurnal_period_s"],
+                                  noise["diurnal_phase_rad"], start, stop, step)
+        slow1 += diurnal
+        slow2 += diurnal
+        if walks is not None:
+            _add_pair(slow1, slow2, ratio, lambda j: walks[j].samples(k))
+        np.add(slow1, slow2, out=slow[start:stop])
+        (white1,) = fiber_pair(ratio, lambda j: white[j].standard_normal(k) * sigma_fiber,
+                               count=1)
+        chunk = np.add(slow1, white1, out=opened[start:stop])
+        chunk *= 2.0
+        slow_peak = max(slow_peak, float(_peak(chunk)) / 2.0)
+    open_rt = PhaseSeries(opened, step, label="open_rt_decimated")
 
     # Closed loop: slow content through the near-end servo's sensitivity,
     # which is linear, so the round trip's two fibers go through it as one
     # sum; in-band detector noise is written onto the signal by each servo.
+    # The closed record is the first n samples of that circular map.
     loop = _loop_config(scn, _delay_steps(link))
+    suppressed = loop_suppression(PhaseSeries(slow, step), loop.controller1,
+                                  loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1).samples
+    del slow
     s_det_x = (link["detector"]["floor_rad_per_rthz"] ** 2
                / (2.0 * np.pi * link["carrier_return_hz"]) ** 2)
-    sigma_written_rt = np.sqrt(2.0 * (s_det_x / 4.0) * enbw)
-    closed = component_rng(seed, "dec-det").standard_normal(n) * sigma_written_rt
-    # The sum is zero-padded to a 5-smooth length, where the suppression's
-    # transforms are fast (864,001 = 31*47*593 points take 6x as long as
-    # 874,800); the closed record is the first n samples of that circular map.
-    from scipy.fft import next_fast_len
-    slow = np.zeros(next_fast_len(n, real=True))
-    np.add(slow1, slow2, out=slow[:n])
-    del slow1, slow2
-    closed += loop_suppression(PhaseSeries(slow, step), loop.controller1,
-                               loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1).samples[:n]
-    del slow
+    closed = component_rng(seed, "dec-det").standard_normal(out=np.empty(n))
+    closed *= np.sqrt(2.0 * (s_det_x / 4.0) * enbw)          # written round trip
+    closed += suppressed[:n]
+    del suppressed
     if ctl["closed_floor_walk_fm_h"] > 0:
-        closed += _walk(ctl["closed_floor_walk_fm_h"], n, step, seed, "dec-closed-floor")
+        floor = WalkPhase(ctl["closed_floor_walk_fm_h"], step, _sub_seed(seed, "dec-closed-floor"))
+        for start in range(0, n, _CHUNK):
+            closed[start:start + _CHUNK] += floor.samples(min(_CHUNK, n - start))
     closed_rt = PhaseSeries(closed, step, label="closed_rt_decimated")
 
     # Thermal authority check for the slow correction the loops must absorb.
-    slow_peak = float(np.max(np.abs(open_rt.samples))) / 2.0
     if slow_peak > ctl["thermal_range_s"]:
         report.warnings.append(
             f"slow correction {slow_peak:g} s exceeds thermal range "

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import fiberlink as fl
+from fiberlink import control
 from fiberlink.control import (ControllerConfig, LinkLoopConfig, _loop_filter_polys,
                                critical_frequency, find_divergence_onset,
                                integrator_loop_diverges, loop_sensitivity,
@@ -376,6 +377,20 @@ class TestLowFreqModel:
         out = loop_suppression(PhaseSeries(amp * np.cos(arg), tau0), CFG, RF_BW, DT, M).samples
         want = amp * abs(sens) * np.cos(arg + np.angle(sens))
         assert np.max(np.abs(out - want)) <= 1e-12 * amp * abs(sens)
+
+    @pytest.mark.parametrize("n, block", [(1000, 100), (1001, 100), (70_000, None),
+                                          (70_001, None)])
+    def test_blockwise_equals_whole_spectrum(self, n, block, monkeypatch):
+        # 501 and 35,001 bins: neither a multiple of the block, and 501 would
+        # leave one bin over after five blocks of 100.
+        if block is not None:
+            monkeypatch.setattr(control, "_SENSITIVITY_BLOCK", block)
+        assert (n // 2 + 1) % control._SENSITIVITY_BLOCK != 0
+        x = np.cumsum(np.random.default_rng(n).standard_normal(n)) * 1e-12
+        want = np.fft.irfft(np.fft.rfft(x) * loop_sensitivity(
+            np.fft.rfftfreq(n, 1.0), CFG, RF_BW, DT, M), n)
+        got = loop_suppression(PhaseSeries(x, 1.0), CFG, RF_BW, DT, M).samples
+        assert got.tobytes() == want.tobytes()
 
     def test_matches_fullrate_engine_over_overlap(self, tmp_path):
         # Dual-rate validation: the decimated suppression model and the

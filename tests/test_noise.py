@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import fiberlink as fl
+from fiberlink import noise
 from fiberlink.errors import InvalidInputError
 from fiberlink.noise import (BurstSpec, BurstTrain, NoiseSpec, WalkPhase,
                              _pulse_len, _pulse_piece, _shaped_frac_freq, _white_scale,
@@ -166,6 +168,37 @@ class TestTimeDomainSynthesis:
         w = np.random.default_rng(4).standard_normal(n) * _white_scale(alpha, 1e-30, 0.5)
         direct = np.convolve(_kasdin_walter(alpha, n), w)[:n]
         assert np.max(np.abs(y - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("alpha", [-1, 1])
+    @pytest.mark.parametrize("n_y, blocks", [(16, 1), (32, 2), (41, 3), (100, 7), (112, 7)])
+    def test_partitioned_flicker_is_the_convolution(self, alpha, n_y, blocks, monkeypatch):
+        # Blocks of 16 samples: one, two, three and seven of them, the last
+        # one partial at 41 and 100 samples.
+        monkeypatch.setattr(noise, "_FLICKER_BLOCK", 16)
+        assert -(-n_y // 16) == blocks
+        y = _shaped_frac_freq(alpha, 1e-30, n_y, 0.5, np.random.default_rng(8))
+        w = np.random.default_rng(8).standard_normal(n_y) * _white_scale(alpha, 1e-30, 0.5)
+        direct = np.convolve(w, _kasdin_walter(alpha, n_y))[:n_y]
+        assert np.max(np.abs(y - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("alpha", [-1, 1])
+    @pytest.mark.parametrize("n_y", [1, 2, 5000, 2 ** 16])
+    def test_one_block_is_the_single_transform(self, alpha, n_y):
+        # A record of at most one block keeps the bytes of the one padded
+        # transform of the whole record, the draw's spectrum first.
+        assert n_y <= noise._FLICKER_BLOCK
+        size = next_fast_len(2 * n_y - 1, real=True)
+        buf = np.zeros(size)
+        buf[:n_y] = np.random.default_rng(9).standard_normal(n_y) * _white_scale(alpha, 1e-30, 2.0)
+        spec = np.fft.rfft(buf)
+        k = np.arange(1.0, n_y)
+        buf[0] = 1.0
+        buf[1:n_y] = (k - 1.0 - alpha / 2.0) / k
+        np.cumprod(buf[:n_y], out=buf[:n_y])
+        spec *= np.fft.rfft(buf)
+        want = np.fft.irfft(spec, size)[:n_y]
+        got = _shaped_frac_freq(alpha, 1e-30, n_y, 2.0, np.random.default_rng(9))
+        assert got.tobytes() == want.tobytes()
 
     def test_walk_in_chunks_gives_the_record(self):
         whole = gen_power_law_phase(NoiseSpec(powerlaw=((-2, 1e-30),)), 1000, 0.5, 7).samples

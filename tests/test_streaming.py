@@ -13,7 +13,7 @@ from fiberlink.control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig,
                                run_closed_loop)
 from fiberlink.errors import DivergenceError
 from fiberlink.link import ActuatorState
-from fiberlink.scenario import RunReport, _run_fullrate
+from fiberlink.scenario import RunReport, _run_decimated, _run_fullrate
 
 # A 4 s full-rate run at a 2 ms step (2000 samples): 800 km gives m = 2
 # delay steps, and the loop gains are scaled down to stay stable at that
@@ -142,6 +142,56 @@ def test_memory_flat_in_fullrate_duration(walk_fm_h):
     short = _peak_bytes(20.0, walk_fm_h)
     long = _peak_bytes(80.0, walk_fm_h)
     assert long <= 1.1 * short, (short, long)
+
+
+# The decimated model over 1,001 samples at 1 s: walk FM and the closed
+# floor on, about 20 bursts of 31 samples for each of the three streams,
+# and a thermal range small enough that the slow correction warns.
+DECIMATED = fl.load_scenario({
+    "seed": 4, "preset": "fig1",
+    "link": {"noise": {"walk_fm_h": 1e-30, "burst_rate_per_s": 0.02,
+                       "burst_amp_median_s": 1e-10}},
+    "controllers": {"thermal_range_s": 1e-11},
+    "run": {"decimated_duration_s": 1000.0},
+    "outputs": {"adev_taus_s": [1, 10, 100, 250]}})
+
+
+def _decimated(chunk, monkeypatch):
+    monkeypatch.setattr(scenario, "_CHUNK", chunk)
+    report = RunReport({}, (), 0)
+    return _run_decimated(DECIMATED, 6, report), report.warnings
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 777])
+def test_decimated_chunked_equals_one_chunk(chunk, monkeypatch):
+    assert DECIMATED["controllers"]["closed_floor_walk_fm_h"] > 0
+    whole, whole_warnings = _decimated(1001, monkeypatch)
+    part, part_warnings = _decimated(chunk, monkeypatch)
+    for name in ("open_rt", "closed_rt"):
+        assert whole["series"][name].samples.tobytes() == part["series"][name].samples.tobytes()
+        for field in ("taus", "sigmas", "n_pairs"):
+            assert np.array_equal(getattr(whole["curves"][name], field),
+                                  getattr(part["curves"][name], field))
+    assert part_warnings == whole_warnings == [part_warnings[0]]
+    assert "thermal range" in part_warnings[0]
+
+
+def test_decimated_memory_in_records():
+    """A 10-day decimated model peaks at no more than 6 records of its
+    864,001 samples (tracemalloc), where its arrays were once 8.1."""
+    scn = fl.load_scenario({
+        "seed": 3, "preset": "fig1", "link": {"noise": {"walk_fm_h": 1e-36}},
+        "run": {"decimated_duration_s": 864000.0},
+        "outputs": {"adev_taus_s": [1, 10, 100, 1000, 10000, 86400]}})
+    _run_decimated(DECIMATED, 3, RunReport({}, (), 3))     # imports, FFT plans
+    tracemalloc.start()
+    try:
+        _run_decimated(scn, 3, RunReport({}, (), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * 864_001, peak / (8 * 864_001)
+
 
 
 # run_closed_loop continued chunk by chunk, on its own: unequal delays (m1 =
