@@ -18,9 +18,10 @@ one difference of it; only flicker takes a linear FFT convolution,
 partitioned into blocks of ``_FLICKER_BLOCK`` samples.  Nothing wraps around
 the record's ends, so Allan variance keeps its law out to half the record
 (walk FM exactly; flicker FM, filtered from rest, at 0.92 of it at
-tau = T/2), and walk FM can be drawn chunk by chunk.  Everything is deterministic for a given 64-bit seed; components
-draw from sub-streams keyed by (seed, component tag), so a spec of several
-power-law terms is exactly the sum of its terms generated one at a time.
+tau = T/2), and walk FM can be drawn chunk by chunk.  Everything is
+deterministic for a given 64-bit seed; components draw from sub-streams
+keyed by (seed, component tag), so a spec of several power-law terms is
+exactly the sum of its terms generated one at a time.
 Diurnal drift and bursts have their own generators, and ``fiber_pair``
 mixes any per-fiber draw into two correlated fiber records; the scenario
 sums these parts for each fiber itself.
@@ -37,8 +38,7 @@ from .errors import InvalidInputError
 from .series import PhaseSeries
 
 SUPPORTED_ALPHAS = (-2, -1, 0, 1, 2)
-# Samples per block of the flicker convolution, which keeps two spectra per
-# block and multiplies (blocks^2) / 2 pairs of them.
+# Samples per block of the flicker convolution (blocks^2 / 2 spectrum products).
 _FLICKER_BLOCK = 2 ** 16
 
 # Allan variance of pure white FM: sigma_y^2(tau) = h0 / (2 tau).

@@ -684,17 +684,16 @@ def _run_decimated(scn, seed, report):
     slow_peak = 0.0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        k = stop - start
         slow1, slow2 = fiber_pair(ratio, lambda j: bursts[j].samples(start, stop))
         diurnal = diurnal_samples(noise["diurnal_amplitude_s"], noise["diurnal_period_s"],
                                   noise["diurnal_phase_rad"], start, stop, step)
         slow1 += diurnal
         slow2 += diurnal
         if walks is not None:
-            _add_pair(slow1, slow2, ratio, lambda j: walks[j].samples(k))
+            _add_pair(slow1, slow2, ratio, lambda j: walks[j].samples(stop - start))
         np.add(slow1, slow2, out=slow[start:stop])
-        (white1,) = fiber_pair(ratio, lambda j: white[j].standard_normal(k) * sigma_fiber,
-                               count=1)
+        (white1,) = fiber_pair(
+            ratio, lambda j: white[j].standard_normal(stop - start) * sigma_fiber, count=1)
         chunk = np.add(slow1, white1, out=opened[start:stop])
         chunk *= 2.0
         slow_peak = max(slow_peak, float(_peak(chunk)) / 2.0)
@@ -745,17 +744,18 @@ def _reference_model_curves(scn, seed):
     flicker = gen_power_law_phase(
         NoiseSpec(powerlaw=((-1, (1.5e-15) ** 2 / (2.0 * np.log(2.0))),)),
         n, step, _sub_seed(seed, "cso-flicker")).samples
-    sigma_x = 0.9e-14 / np.sqrt(3.0)
-    white_pm = component_rng(seed, "cso-white").standard_normal(n) * sigma_x
-    cso = PhaseSeries(white_pm + flicker, step, label="cso_model")
+    cso = component_rng(seed, "cso-white").standard_normal(n)
+    cso *= 0.9e-14 / np.sqrt(3.0)                         # white PM
+    cso += flicker
+    del flicker
+    curves = {"cso_reference": allan_deviation_phase(
+        PhaseSeries(cso, step, label="cso_model"), taus, estimator="overlapping")}
+    del cso
 
     fountain_spec = NoiseSpec(powerlaw=((0, white_fm_level_for(1.6e-14)),))
     fountain = gen_power_law_phase(fountain_spec, n, step, _sub_seed(seed, "fountain"))
-
-    return {
-        "cso_reference": allan_deviation_phase(cso, taus, estimator="overlapping"),
-        "fountain": allan_deviation_phase(fountain, taus, estimator="overlapping"),
-    }
+    curves["fountain"] = allan_deviation_phase(fountain, taus, estimator="overlapping")
+    return curves
 
 
 def _white_fm_series(sigma_1s, n, tau0, rng) -> FracFreqSeries:
