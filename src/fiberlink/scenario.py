@@ -83,7 +83,7 @@ _MAX_WELCH_WORK = 4 * _MAX_FULLRATE_SAMPLES
 # fig1-based run took 54 s at 2^26 samples and m = 63 (the slowest measured),
 # 39 s at 2^25 and m = 127; 86 km (m = 4) at 2^26 samples is 2^29.3.
 _MAX_SERVO_WORK = 2 ** 33
-# The decimated model and references peak near 60 B a sample: ~0.5 GB; 97 days at 1 s.
+# The decimated model and references peak near 50 B a sample: ~0.4 GB; 97 days at 1 s.
 _MAX_DECIMATED_SAMPLES = 2 ** 23
 # Comb gates: exact arithmetic and the gate CSV, ~2 us and ~120 B a gate.
 _MAX_COMB_GATES = 2 ** 22
