@@ -135,8 +135,8 @@ def _shaped_frac_freq(alpha, level, n_y, tau0, rng):
             return np.cumsum(w, out=w)
         return np.diff(w, prepend=0.0)      # alpha = 2: h = 1, -1
     # Flicker is a uniformly partitioned linear convolution: draw and h are
-    # cut into blocks of B samples, each transformed zero-padded to a fast
-    # length that nothing wraps into, and output block s, the inverse of
+    # cut into blocks of ``block`` samples, each transformed zero-padded to a
+    # fast length that nothing wraps into, and output block s, the inverse of
     # sum_{j <= s} W_{s-j} H_j, is overlap-added.  The draw's spectrum comes
     # first in each product, so a one-block record is the single transform.
     from scipy.fft import next_fast_len
