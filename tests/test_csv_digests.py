@@ -28,8 +28,9 @@ SEED = 1
 
 # Short forms of the benchmark's workloads (perfbench/workloads.py): 20 s
 # at full rate, a 2-day decimated model with walk FM on, 3,600 comb gates.
-# ``comb_20k`` writes 20,000 gates, more than two of ``io._CHUNK_ROWS``, so
-# its gate CSV crosses the writer's chunk boundaries.  ``fig1_wide``'s 10 s
+# ``comb_20k`` writes 20,000 gates and ``comb_70k`` 70,000, each more than
+# two of ``io._CHUNK_ROWS``, so their gate CSVs cross the writer's chunk
+# boundaries.  ``fig1_wide``'s 10 s
 # PSD segments (100,000 samples) each fill across two or more full-rate
 # chunks (``scenario._CHUNK``).
 SCENARIOS = {
@@ -47,6 +48,7 @@ SCENARIOS = {
     "comb_3d": {"preset": "fig4", "comb": {"n_gates": 3600},
                 "budget": {"enabled": True}},
     "comb_20k": {"preset": "fig4", "comb": {"n_gates": 20000}},
+    "comb_70k": {"preset": "fig4", "comb": {"n_gates": 70000}},
 }
 
 
