@@ -199,22 +199,28 @@ def count_chain(f_rep: FreqSeries, reference_fractional: FracFreqSeries,
     y_ref = reference_fractional.samples
     # beat = (LO - shift)(1 + y_ref) - f_rep
     #      = target + (f_rep_nom + target) * y_ref - df_rep
-    scale = float(f_rep_nom) + cfg.final_shift_target_hz
-    beat = cfg.final_shift_target_hz + scale * y_ref - f_rep.offsets_hz
+    target = cfg.final_shift_target_hz
+    beat = (float(f_rep_nom) + target) * y_ref
+    beat += target
+    beat -= f_rep.offsets_hz
 
-    wander = float(np.max(np.abs(beat - cfg.final_shift_target_hz)))
+    # Rounding is monotone, so the extremes of beat - target are those of beat.
+    wander = float(max(np.max(beat) - target, target - np.min(beat)))
     if wander > 0.5 * cfg.filter_bw_hz:
         raise ConfigError(
-            f"beat wanders {wander:g} Hz from {cfg.final_shift_target_hz:g} Hz, "
+            f"beat wanders {wander:g} Hz from {target:g} Hz, "
             f"outside the {cfg.filter_bw_hz:g} Hz filter")
 
-    gated = beat[: n_gates * gate_samples].reshape(n_gates, gate_samples).mean(axis=1)
-    counted = np.round(gated / COUNTER_RESOLUTION_HZ) * COUNTER_RESOLUTION_HZ
+    counted = beat[: n_gates * gate_samples].reshape(n_gates, gate_samples).mean(axis=1)
+    del beat
+    counted /= COUNTER_RESOLUTION_HZ
+    np.round(counted, out=counted)
+    counted *= COUNTER_RESOLUTION_HZ
 
     # Deduced repetition rate per gate, then f_opt = q * f_rep +/- delta:
     # the nominal part stays exact, only small offsets ride on floats.
-    rep_offsets = cfg.final_shift_target_hz - counted
-    opt_offsets = params.q * rep_offsets
+    opt_offsets = np.subtract(target, counted)
+    opt_offsets *= params.q
     return MeasurementRecord(
         counted_hz=counted,
         optical_nominal_hz=params.optical_nominal_hz,

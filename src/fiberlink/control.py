@@ -270,12 +270,12 @@ def _running_limit(state, inputs):
         np.maximum(peak, state.input_peak))
 
 
-def _first_divergent(corr, state, inputs):
+def _first_divergent(corr, peak, state, inputs):
     """Index of the first step whose correction is non-finite or beyond the
-    running limit, or None."""
+    running limit, or None; ``peak`` is ``_peak(corr)``."""
     # The limit never falls during a run, so a chunk below its first
     # step's limit needs no per-step check.
-    if _peak(corr) <= DIVERGENCE_FLOOR_S + 1e3 * state.input_peak:
+    if peak <= DIVERGENCE_FLOOR_S + 1e3 * state.input_peak:
         return None
     over = ~(np.abs(corr) <= _running_limit(state, inputs))
     return int(np.argmax(over)) if np.any(over) else None
@@ -283,14 +283,16 @@ def _first_divergent(corr, state, inputs):
 
 def _check_divergence(corrections, state, inputs):
     """Raise DivergenceError at the earliest divergent step of either loop,
-    so the step does not depend on how the run is chunked or on the engine."""
-    found = []
+    so the step does not depend on how the run is chunked or on the engine.
+    Otherwise return each correction's largest |value|."""
+    found, peaks = [], []
     for label, corr in corrections:
-        k = _first_divergent(corr, state, inputs)
+        peaks.append(_peak(corr))
+        k = _first_divergent(corr, peaks[-1], state, inputs)
         if k is not None:
             found.append((k, label, corr))
     if not found:
-        return
+        return peaks
     k, label, corr = min(found, key=lambda f: f[0])
     step = state.start + k
     if not np.isfinite(corr[k]):
@@ -409,11 +411,12 @@ def _run_linear(cfg, inputs, state, lines):
         b2, a2 = _loop_filter_polys(cfg.controller2, cfg.piezo.bandwidth_hz,
                                     cfg.dt, m2)
         a2app[:], zi2 = signal.lfilter(b2, a2, w, zi=state.zi[1])
-    _check_divergence((("near-end", c1app), ("far-end", a2app)), state, inputs)
+    peak1, peak2 = _check_divergence((("near-end", c1app), ("far-end", a2app)),
+                                     state, inputs)
 
     rf, optical = state.beyond_range
-    beyond = (rf or _peak(c1app) > cfg.rf_shifter.range_s,
-              optical or _peak(a2app) > cfg.piezo.range_s + cfg.thermal.range_s)
+    beyond = (rf or peak1 > cfg.rf_shifter.range_s,
+              optical or peak2 > cfg.piezo.range_s + cfg.thermal.range_s)
     warnings = [text for text, flag in zip(_BEYOND_RANGE, beyond) if flag]
     return (zi1, zi2), warnings, beyond
 

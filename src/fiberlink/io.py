@@ -6,13 +6,14 @@ written with repr-level precision so repeated runs are byte-identical.
 
 The data rows are streamed: ``_write_rows`` formats ``_CHUNK_ROWS`` rows at
 a time from column arrays, so a writer never holds the whole file (or the
-list of its row strings) in memory.  A chunk whose columns repeat their
-values is formatted column by column into a byte matrix: each distinct
-float or string once, integers as vectorized digits.  Other chunks are
-formatted row by row.  Both forms write the same bytes.  The comb gate CSV's
-optical frequencies are exact microhertz decimals, computed in integer
-arithmetic a chunk at a time; its counted beats, quantized to the counter's
-1 uHz, repeat, so its chunks take the column form.
+list of its row strings) in memory.  A chunk whose rows are a function of
+one repeating column is keyed: each distinct row text is formatted once and
+gathered into a byte matrix, behind a leading ``%d`` index column written
+as vectorized digits.  Other chunks are formatted row by row.  Both forms
+write the same bytes.  The comb gate CSV's optical frequencies are exact
+microhertz decimals, computed in integer arithmetic a chunk at a time; its
+counted beats, quantized to the counter's 1 uHz, repeat and fix the rest of
+the row, so its chunks take the keyed form.
 
 The PSD CSV holds log-frequency band means, ``_BANDS_PER_DECADE`` bands per
 decade (``stability.log_band_average``), not the raw Welch bins: its
@@ -23,8 +24,6 @@ resolution bandwidth ``welch_rbw_hz``.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from . import __version__
@@ -34,7 +33,7 @@ from .stability import log_band_average
 
 
 # Rows formatted and written per ``write`` call by ``_write_rows``.
-_CHUNK_ROWS = 8192
+_CHUNK_ROWS = 32768
 
 # Log-frequency bands per decade of the PSD CSV: the base-10 third-octave
 # bands of IEC 61260-1.  Band 0 spans 0.891-1.122 Hz, so the rows in
@@ -43,13 +42,6 @@ _CHUNK_ROWS = 8192
 _BANDS_PER_DECADE = 10
 
 _UHZ = 10 ** 6
-
-# One conversion of a printf-style row format, and the integer conversions
-# ("%d", "%06d") whose cells ``_int_cells`` makes.
-_CONVERSION = re.compile(r"%[-+ #0-9.]*[a-zA-Z]")
-_INT_SPEC = re.compile(r"%(?:0(\d+))?d")
-# 1, 10, ..., 10**19: a magnitude ``m`` has ``searchsorted(.., m, "right")`` digits.
-_POWERS_OF_10 = np.array([10 ** i for i in range(20)], dtype=np.uint64)
 
 
 def _fmt(x):
@@ -64,106 +56,91 @@ def _row_chunks(*columns):
             for start in range(0, len(columns[0]), _CHUNK_ROWS))
 
 
-def _int_cells(column, pad):
-    """``"%0<pad>d" % v`` for each ``v`` of a signed-integer ``column`` as a
-    ``(k, width)`` byte matrix, NUL-padded; ``pad`` 0 is ``"%d"``."""
+def _digits(column):
+    """``"%d" % v`` for each ``v`` of a signed-integer ``column`` as a
+    ``(k, width)`` byte matrix, NUL-padded."""
     values = column.astype(np.int64, copy=False)
     neg = values < 0
     # The magnitude as uint64 (two's complement), so -2**63 fits.
     mag = values.view(np.uint64)
     mag = np.where(neg, ~mag + np.uint64(1), mag)
-    # Python pads "%06d" % -5 to "-00005": the sign counts in the width.
-    n_digits = np.maximum(np.searchsorted(_POWERS_OF_10, mag, side="right"),
-                          np.maximum(pad - neg, 1))
-    width = int(n_digits.max())
-    # Built transposed, one contiguous row per character position.
+    width = len(str(int(mag.max())))
+    # Built transposed, one contiguous row per character position, from the
+    # units digit up; a leading zero (nothing left of the magnitude) is NUL.
     cells = np.empty((width + 1, column.size), np.uint8)
     cells[0] = neg * ord("-")
     for place in range(width, 0, -1):
         quotient = mag // 10
         cells[place] = mag - quotient * 10 + ord("0")
+        if place < width:
+            cells[place] *= mag != 0
         mag = quotient
-    cells[1:] *= np.arange(width, 0, -1)[:, None] <= n_digits
     return cells.T
 
 
-def _distinct_cells(spec, column):
-    """``spec % v`` for each ``v`` of ``column`` as a ``(k, width)`` byte
-    matrix, NUL-padded, formatting each distinct value once; None if more
-    than half the values are distinct.  Floats are told apart by their bits,
-    so ``-0.0`` and ``0.0`` are two values."""
-    key = column.view(np.int64) if column.dtype == np.float64 else column
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    if 2 * first.size > column.size:
+def _keyed_rows(fmt, columns):
+    """``fmt % row`` for each row of the equal-length ``columns`` as a
+    ``(k, width)`` byte matrix, NUL-padded, formatting each distinct value of
+    the first column once; None if more than half of those values are
+    distinct or a later column is not a function of the first.  Values are
+    told apart by their bits, so ``-0.0`` and ``0.0`` are two keys."""
+    keys = [c.view(np.int64) if c.dtype == np.float64 else c for c in columns]
+    # Without return_index, unique sorts by quicksort rather than mergesort.
+    _, inverse = np.unique(keys[0], return_inverse=True)
+    n_keys = int(inverse.max()) + 1
+    if 2 * n_keys > inverse.size:
         return None
-    table = np.array([(spec % v).encode() for v in column[first].tolist()])
-    return table.view(np.uint8).reshape(first.size, -1)[inverse.reshape(-1)]
-
-
-def _columnar_cells(specs, chunk):
-    """The byte matrices of ``chunk``'s cells, one per column, or None if a
-    column that is not a ``%d`` integer has more than half its values
-    distinct.  Those columns are made first, so a chunk that falls back to
-    the per-row form costs no digits."""
-    pads = []
-    for spec, column in zip(specs, chunk):
-        match = _INT_SPEC.fullmatch(spec)
-        pads.append(int(match[1] or 0) if match and column.dtype.kind == "i" else None)
-    cells = [None] * len(specs)
-    for j, pad in enumerate(pads):
-        if pad is None:
-            cells[j] = _distinct_cells(specs[j], chunk[j])
-            if cells[j] is None:
-                return None
-    for j, pad in enumerate(pads):
-        if pad is not None:
-            cells[j] = _int_cells(chunk[j], pad)
-    return cells
+    # One row of each key; which one does not matter once the check passes.
+    first = np.empty(n_keys, np.intp)
+    first[inverse] = np.arange(inverse.size)
+    if any(np.any(key[first][inverse] != key) for key in keys[1:]):
+        return None
+    table = np.array([(fmt % row).encode()
+                      for row in zip(*(c[first].tolist() for c in columns))])
+    return table.view(np.uint8).reshape(n_keys, -1)[inverse]
 
 
 def _write_rows(path, header_lines, row_fmt, chunks):
     """Write ``header_lines`` then one ``row_fmt % row`` line per row.
 
-    ``row_fmt`` is literal text (no ``%%``) and one conversion per column.
+    ``row_fmt`` has one conversion per column.
     ``chunks`` yields non-empty tuples of equal-length column arrays, one
     array per conversion; row ``i`` of a chunk is the tuple of the columns'
     ``i``-th items (as ``.tolist()`` gives them).  Each chunk is written
     with one ``write`` call, in one of two ways, chosen per chunk from its
     values, with no setting:
 
-    - Columnar, when every column that is not a signed integer under ``%d``
-      or ``%0<width>d`` repeats its values (at most half of them distinct).
-      Each cell becomes a NUL-padded byte row: integers by vectorized
-      decimal digits, other columns by formatting each distinct value
-      once and gathering.  The chunk is a ``(k, width)`` byte matrix with
-      the format's literal text between the cells, written without its NULs.
+    - Keyed, when the chunk's rows are a function of one column that
+      repeats its values (at most half of them distinct).  A format that
+      starts with ``%d`` over a signed-integer column writes that index
+      column from vectorized decimal digits, and the rest of the row is
+      keyed by the next column; any other format is keyed by its first
+      column.  The keyed text is formatted once per distinct key and
+      gathered into a ``(k, width)`` byte matrix, written without its NULs.
     - Per row, otherwise: ``row_fmt`` repeated once per row, applied by
-      one ``%`` to the chunk's items in row order.  A column of distinct
-      values gains nothing from the columnar form.
+      one ``%`` to the chunk's items in row order.
 
     Both write the bytes of ``row_fmt % row`` for each row in turn.
     """
-    specs = _CONVERSION.findall(row_fmt)
-    literals = [np.frombuffer(text.encode(), np.uint8)
-                for text in _CONVERSION.split(row_fmt + "\n")]
     line_fmt = row_fmt + "\n"
     with open(path, "wb") as fh:
         fh.write(("\n".join(header_lines) + "\n").encode())
         for chunk in chunks:
-            k = len(chunk[0])
-            cells = _columnar_cells(specs, chunk)
-            if cells is None:
+            index = 1 if row_fmt.startswith("%d") and chunk[0].dtype.kind == "i" else 0
+            rows = None
+            if len(chunk) > index:
+                rows = _keyed_rows(line_fmt[2 * index:], chunk[index:])
+            if rows is None:
                 # The chunk's items in row order, formatted by one ``%``.
+                k = len(chunk[0])
                 items = [None] * (k * len(chunk))
                 for j, column in enumerate(chunk):
                     items[j::len(chunk)] = column.tolist()
                 fh.write(((line_fmt * k) % tuple(items)).encode())
                 continue
-            pieces = [np.broadcast_to(literals[0], (k, literals[0].size))]
-            for cell, literal in zip(cells, literals[1:]):
-                pieces += [cell, np.broadcast_to(literal, (k, literal.size))]
-            matrix = np.concatenate(pieces, axis=1)
-            fh.write(matrix[matrix != 0].tobytes())
+            if index:
+                rows = np.concatenate((_digits(chunk[0]), rows), axis=1)
+            fh.write(rows[rows != 0].tobytes())
 
 
 def metadata_lines(seed=None, **extra):

@@ -85,7 +85,8 @@ _MAX_WELCH_WORK = 4 * _MAX_FULLRATE_SAMPLES
 _MAX_SERVO_WORK = 2 ** 33
 # The decimated model and references peak near 50 B a sample: ~0.4 GB; 97 days at 1 s.
 _MAX_DECIMATED_SAMPLES = 2 ** 23
-# Comb gates: exact arithmetic and the gate CSV, ~2 us and ~120 B a gate.
+# Comb gates: exact arithmetic and the gate CSV, ~0.4 us and ~60 B a gate
+# (2^22 gates: 1.6 s and 0.24 GB above a warm run).
 _MAX_COMB_GATES = 2 ** 22
 # Budget records x gates per record; a record costs ~0.17 ms and ~0.7 kB,
 # so even one gate a record stays under 3 minutes and 0.7 GB.
@@ -791,6 +792,8 @@ def _run_comb(scn, seed, report):
 
     f_rep = rep_rate_lock(y_opt, params)
     record = count_chain(f_rep, reference_at_lpl, cfg, params)
+    # Let the chain's inputs go before the Allan curves' buffers are made.
+    del y_opt, y_ref, reference_at_lpl, f_rep
 
     taus = [t for t in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
             if 4 * t <= n * gate]

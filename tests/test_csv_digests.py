@@ -28,11 +28,10 @@ SEED = 1
 
 # Short forms of the benchmark's workloads (perfbench/workloads.py): 20 s
 # at full rate, a 2-day decimated model with walk FM on, 3,600 comb gates.
-# ``comb_20k`` writes 20,000 gates and ``comb_70k`` 70,000, each more than
-# two of ``io._CHUNK_ROWS``, so their gate CSVs cross the writer's chunk
-# boundaries.  ``fig1_wide``'s 10 s
-# PSD segments (100,000 samples) each fill across two or more full-rate
-# chunks (``scenario._CHUNK``).
+# ``comb_70k`` writes 70,000 gates, more than two of ``io._CHUNK_ROWS``, so
+# its gate CSV crosses the writer's chunk boundaries; ``comb_20k``'s fits in
+# one chunk.  ``fig1_wide``'s 10 s PSD segments (100,000 samples) each fill
+# across two or more full-rate chunks (``scenario._CHUNK``).
 SCENARIOS = {
     "fig1": {"preset": "fig1",
              "run": {"fullrate_duration_s": 20, "transient_discard_s": 5},

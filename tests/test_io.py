@@ -14,7 +14,9 @@ from fiberlink import io as fio
 from fiberlink.errors import InvalidInputError
 from fiberlink.series import AdevCurve, PhaseSeries, PsdEstimate
 
-CHUNK = fio._CHUNK_ROWS
+# The reference comparisons run the writers at this many rows a chunk, so
+# their row counts straddle chunk boundaries at any ``io._CHUNK_ROWS``.
+CHUNK = 8192
 ROW_COUNTS = [0, 1, CHUNK, CHUNK + 1]
 
 
@@ -121,6 +123,10 @@ def _gate_column(tmp_path, record):
 
 
 class TestStreamedWritersMatchReference:
+    @pytest.fixture(autouse=True)
+    def _chunk_rows(self, monkeypatch):
+        monkeypatch.setattr(fio, "_CHUNK_ROWS", CHUNK)
+
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_psd(self, tmp_path, n):
         rng = np.random.default_rng(n)
@@ -151,7 +157,7 @@ class TestStreamedWritersMatchReference:
                           ref_write_measurement_csv, rec, comb="fig4")
 
     # A counter at 1 uHz resolution near 68 Hz repeats its readings, so these
-    # files take the columnar form, across chunk boundaries.
+    # files take the keyed form, across chunk boundaries.
     @pytest.mark.parametrize("n", ROW_COUNTS + [2 * CHUNK + 1])
     def test_measurement_counter_quantized(self, tmp_path, n):
         rec = _quantized_record(n)
@@ -207,8 +213,9 @@ class TestMicrohertzDecimals:
 
 
 # ----------------------------------------------------------------------
-# ``_write_rows`` against per-row ``%`` formatting, on chunks whose values
-# repeat (the columnar form) or do not (the per-row form).
+# ``_write_rows`` against per-row ``%`` formatting, on chunks whose rows
+# are a function of a repeating column (the keyed form) or not (the per-row
+# form).
 
 FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.25e-300, 5e-324, 0.1, 68.000001]
 INTS = [-2 ** 63, 2 ** 63 - 1, 0, -1, 7, -123_456, 10 ** 18]
@@ -250,16 +257,35 @@ class TestWriteRows:
         row_fmt, chunks = file
         _assert_rows_match(tmp_path_factory.mktemp("rows"), row_fmt, chunks)
 
-    def test_file_with_both_forms(self, tmp_path):
-        repeated = np.array([0.0, -0.0, math.nan, 1.5] * 6)
-        distinct = np.arange(24) * 0.1
-        index = np.arange(24) + np.iinfo(np.int64).min
-        chunks = [(index, repeated), (index, distinct), (index[:3], repeated[:3]),
-                  (index, repeated[::-1].copy())]
-        specs = ["%d", "%.17g"]
-        forms = [fio._columnar_cells(specs, chunk) is not None for chunk in chunks]
+    def test_form_choice_in_one_file(self, tmp_path):
+        # The index crosses 9,999 -> 10,000 (and runs down from -2**63 +
+        # 10,013 reversed); -0.0, 0.0 and NaN are three keys, each fixing the
+        # last column; 0.0 and -0.0 fix different values.
+        index = np.arange(9_990, 10_014)
+        keys = np.array([0.0, -0.0, math.nan, 1.5] * 6)
+        fixed = np.array([5, 6, 7, 8] * 6)
+        reverse = (index[::-1] + np.iinfo(np.int64).min, keys[::-1].copy(), fixed[::-1].copy())
+        chunks = [(index, keys, fixed), (index, keys, np.arange(24)),
+                  (index[:1], keys[:1], fixed[:1]), reverse]
+        forms = [fio._keyed_rows(",%.17g,%d\n", chunk[1:]) is not None for chunk in chunks]
         assert forms == [True, False, False, True]
-        _assert_rows_match(tmp_path, "%d,%.17g", chunks)
+        _assert_rows_match(tmp_path, "%d,%.17g,%d", chunks)
+
+    def test_gate_chunks_take_keyed_form(self, tmp_path, monkeypatch):
+        # A counter-quantized gate record's full chunks are keyed by the
+        # counted beat; its one-row last chunk is written per row.
+        forms = []
+        keyed_rows = fio._keyed_rows
+
+        def spy(fmt, columns):
+            rows = keyed_rows(fmt, columns)
+            forms.append(rows is not None)
+            return rows
+
+        monkeypatch.setattr(fio, "_keyed_rows", spy)
+        n = 2 * fio._CHUNK_ROWS + 1
+        fio.write_measurement_csv(tmp_path / "g.csv", _quantized_record(n))
+        assert forms == [True, True, False]
 
     def test_negative_zero_padded_integers(self, tmp_path):
         values = np.array([-2 ** 63, -5, -1, 0, 5, 123_456_789, 2 ** 63 - 1] * 3)
