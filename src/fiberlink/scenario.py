@@ -51,15 +51,15 @@ from .control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig, _peak,
 from .errors import DivergenceError, InvalidInputError, ScenarioValidationError
 from .link import (ActuatorState, Carrier, CountingChain, DetectorConfig,
                    _decimation, detector_noise)
-from .noise import (BurstSpec, BurstTrain, NoiseSpec, WalkPhase, component_rng,
-                    diurnal_samples, fiber_pair, gen_power_law_phase, white_fm_level_for)
+from .noise import (BurstSpec, BurstTrain, WalkPhase, component_rng, diurnal_samples,
+                    fiber_pair, white_fm_level_for)
 from .series import AdevCurve, FracFreqSeries, PhaseSeries
 from .stability import (WelchAccumulator, _tau_multiple, allan_deviation,
                         allan_deviation_phase, welch_segments)
-# The one-chunk forms of the streamed stages; perfbench's tracer wraps them
-# under these names.
+# Names perfbench's tracer wraps that no run calls: the one-chunk forms of
+# the streamed stages, and the power-law synthesis.
 from .link import measurement_lowpass, sample_every, to_radians  # noqa: F401
-from .noise import gen_bursts, gen_diurnal  # noqa: F401
+from .noise import gen_bursts, gen_diurnal, gen_power_law_phase  # noqa: F401
 from .stability import psd_welch  # noqa: F401
 
 PRESETS = ("fig1", "fig4", "budget")
@@ -735,28 +735,27 @@ def _run_decimated(scn, seed, report):
             "series": {"open_rt": open_rt, "closed_rt": closed_rt}}
 
 
-def _reference_model_curves(scn, seed):
-    """Flywheel (CSO) and fountain comparison curves as calibrated noise."""
+def _reference_model_curves(scn):
+    """Flywheel (CSO) and fountain comparison curves: the expected overlapping
+    Allan deviation of each clock's calibrated law (NIST SP 1065), with the
+    taus, omitted taus and pair counts of ``allan_deviation_phase`` on the
+    decimated model's n samples.  CSO: white PM, 3 sigma_x**2 / tau**2, plus
+    stationary flicker FM, 2 ln2 h.  Fountain: white FM, h0 / (2 tau)."""
     step = scn["run"]["decimated_step_s"]
     n = int(round(scn["run"]["decimated_duration_s"] / step)) + 1
-    taus = scn["outputs"]["adev_taus_s"]
-
-    # Flywheel: tau**-1 short term slightly below 1e-14, flicker floor after.
-    flicker = gen_power_law_phase(
-        NoiseSpec(powerlaw=((-1, (1.5e-15) ** 2 / (2.0 * np.log(2.0))),)),
-        n, step, _sub_seed(seed, "cso-flicker")).samples
-    cso = component_rng(seed, "cso-white").standard_normal(n)
-    cso *= 0.9e-14 / np.sqrt(3.0)                         # white PM
-    cso += flicker
-    del flicker
-    curves = {"cso_reference": allan_deviation_phase(
-        PhaseSeries(cso, step, label="cso_model"), taus, estimator="overlapping")}
-    del cso
-
-    fountain_spec = NoiseSpec(powerlaw=((0, white_fm_level_for(1.6e-14)),))
-    fountain = gen_power_law_phase(fountain_spec, n, step, _sub_seed(seed, "fountain"))
-    curves["fountain"] = allan_deviation_phase(fountain, taus, estimator="overlapping")
-    return curves
+    taus = np.unique(np.asarray(scn["outputs"]["adev_taus_s"], dtype=float))
+    m = np.array([_tau_multiple(tau, step) for tau in taus], dtype=int)
+    fits = n - 2 * m >= 1
+    tau, n_pairs = m[fits] * step, n - 2 * m[fits]
+    omitted = tuple(float(t) for t in taus[~fits])
+    note = ("expected sigma of the clock's law, not a simulated record; n_pairs = "
+            "n - 2 tau/tau0, the overlapping estimator's pairs on the decimated "
+            f"model's n = {n} phase samples at tau0 = {step:g} s")
+    sigma_x, h_flicker = 0.9e-14 / np.sqrt(3.0), (1.5e-15) ** 2 / (2.0 * np.log(2.0))
+    avar = {"cso_reference": 3.0 * sigma_x ** 2 / tau ** 2 + 2.0 * np.log(2.0) * h_flicker,
+            "fountain": white_fm_level_for(1.6e-14) / (2.0 * tau)}
+    return {name: AdevCurve(tau, np.sqrt(v), n_pairs, "overlapping", notes=(note,),
+                            omitted_taus=omitted) for name, v in avar.items()}
 
 
 def _white_fm_series(sigma_1s, n, tau0, rng) -> FracFreqSeries:
@@ -791,9 +790,10 @@ def _run_comb(scn, seed, report):
     reference_at_lpl = FracFreqSeries(y_ref.samples + y_link.samples, gate)
 
     f_rep = rep_rate_lock(y_opt, params)
+    # Each record goes once its last reader is done; y_link stays for its curve.
+    del y_opt, y_ref
     record = count_chain(f_rep, reference_at_lpl, cfg, params)
-    # Let the chain's inputs go before the Allan curves' buffers are made.
-    del y_opt, y_ref, reference_at_lpl, f_rep
+    del reference_at_lpl, f_rep
 
     taus = [t for t in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
             if 4 * t <= n * gate]
@@ -862,11 +862,6 @@ def run(scenario: Scenario, out_dir=None, seed=None) -> RunReport:
             emit("round_trip_psd.csv", fio.write_psd_csv, full["psd_rt"],
                  carrier_hz=scenario["link"]["carrier_return_hz"])
 
-            # The references keep only their curves, so they run before the
-            # decimated model, whose records stay alive in the report.
-            refs = _reference_model_curves(scenario, run_seed)
-            report.results["references"] = refs
-
             dec = _run_decimated(scenario, run_seed, report)
             report.results["decimated"] = dec
             emit("closed_loop.csv", fio.write_adev_csv, dec["curves"]["closed_rt"])
@@ -877,6 +872,8 @@ def run(scenario: Scenario, out_dir=None, seed=None) -> RunReport:
                 emit("open_rt_series.csv", fio.write_phase_csv,
                      dec["series"]["open_rt"])
 
+            refs = _reference_model_curves(scenario)
+            report.results["references"] = refs
             emit("cso_reference.csv", fio.write_adev_csv, refs["cso_reference"])
             emit("fountain.csv", fio.write_adev_csv, refs["fountain"])
 

@@ -5,8 +5,12 @@ that filter (the linear servo and the counting low-pass) import it.  Loading,
 validating, Welch, the decimated loop model, the comb chain, the budget and
 ``compare`` must not.  Each case runs in a fresh interpreter and reports
 whether the module was loaded.
+
+The names perfbench's tracer wraps must resolve too, so that removing one
+fails here and not only in a traced benchmark run.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -102,3 +106,12 @@ class TestScipySignalImport:
     def test_link_run_loads_it(self, files):
         # The probe itself works: a full-rate link run filters.
         assert loads_scipy_signal(cli("run", files["short_link"], "--out", files["out"]))
+
+
+def test_tracer_targets_resolve():
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, _key, _work in tracing._targets():
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"

@@ -13,10 +13,11 @@ import fiberlink as fl
 from fiberlink import cli
 from fiberlink.control import loop_suppression
 from fiberlink.errors import InvalidInputError, ScenarioValidationError
-from fiberlink.io import write_adev_csv
+from fiberlink.io import read_adev_csv, write_adev_csv
 from fiberlink.noise import component_rng
 from fiberlink.scenario import (PRESETS, Scenario, _comb_objects, _loop_config,
-                                _run_decimated, compare_curves, load_scenario, run)
+                                _reference_model_curves, _run_decimated, compare_curves,
+                                load_scenario, run)
 from fiberlink.series import PhaseSeries
 from fiberlink.stability import welch_segments
 
@@ -425,14 +426,30 @@ class TestRunOutputs:
         assert (out / "run_report.json").exists()
 
     def test_fig1_reference_models(self, fig1_report):
-        report, _ = fig1_report
-        cso = report.results["references"]["cso_reference"]
-        # slightly below 1e-14 at 1 s, 1-2e-15 floor out to long tau
-        assert 7e-15 < cso.sigma_at(1.0) < 1e-14
-        assert 1e-15 < cso.sigma_at(1000.0) < 2e-15
-        fountain = report.results["references"]["fountain"]
-        assert fountain.sigma_at(1.0) == pytest.approx(1.6e-14, rel=0.15)
-        assert fountain.sigma_at(100.0) == pytest.approx(1.6e-15, rel=0.20)
+        # Each written curve is its clock's law at every tau: CSO white PM
+        # (sigma_x = 0.9e-14/sqrt(3) s) plus stationary flicker FM
+        # (1.5e-15 floor), fountain white FM (1.6e-14 at 1 s).
+        report, out = fig1_report
+        echo = report.scenario_echo
+        step = echo["run"]["decimated_step_s"]
+        n = int(round(echo["run"]["decimated_duration_s"] / step)) + 1
+        laws = {"cso_reference": lambda tau: 3.0 * (0.9e-14 / np.sqrt(3.0)) ** 2 / tau ** 2
+                + 2.0 * np.log(2.0) * (1.5e-15) ** 2 / (2.0 * np.log(2.0)),
+                "fountain": lambda tau: 2.0 * (1.6e-14) ** 2 / (2.0 * tau)}
+        for name, law in laws.items():
+            curve = report.results["references"][name]
+            written = read_adev_csv(out / f"{name}.csv")
+            np.testing.assert_array_equal(written.taus, sorted(echo["outputs"]["adev_taus_s"]))
+            np.testing.assert_array_equal(written.sigmas, curve.sigmas)
+            np.testing.assert_allclose(written.sigmas, np.sqrt(law(written.taus)),
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(
+                written.n_pairs, n - 2 * np.rint(written.taus / step).astype(int))
+            assert written.estimator == "overlapping"
+            assert written.notes == curve.notes
+            assert len(curve.notes) == 1 and curve.notes[0].startswith(
+                "expected sigma of the clock's law, not a simulated record; n_pairs = ")
+            assert f"n = {n} phase samples" in curve.notes[0]
 
     def test_fig4_manifest(self, fig4_report):
         report, out = fig4_report
@@ -489,6 +506,46 @@ class TestRunOutputs:
         for name in rep_a.manifest:
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
+
+
+class TestReferenceCurveGrid:
+    """The reference curves take their taus, omitted taus, pair counts and
+    refusals from the overlapping estimator on a record of the decimated
+    model's length."""
+
+    @staticmethod
+    def _both(duration_s, step_s, taus):
+        """The references' curves, and ``allan_deviation_phase``'s on n samples."""
+        scn = {"run": {"decimated_duration_s": duration_s, "decimated_step_s": step_s},
+               "outputs": {"adev_taus_s": taus}}
+        n = int(round(duration_s / step_s)) + 1
+        return (lambda: _reference_model_curves(scn),
+                lambda: fl.allan_deviation_phase(PhaseSeries(np.zeros(n), step_s), taus,
+                                                 estimator="overlapping"))
+
+    @pytest.mark.parametrize("duration_s, step_s, taus", [
+        (100.0, 1.0, [1, 10, 49, 50, 51, 1000]),      # 50 keeps n - 2m = 1 pair
+        (30.0, 0.5, [15.5, 0.5, 7.5, 2.0, 2.0, 15.0]),
+    ])
+    def test_omitted_taus_as_the_estimator(self, duration_s, step_s, taus):
+        references, estimate = self._both(duration_s, step_s, taus)
+        expected = estimate()
+        assert expected.omitted_taus
+        for curve in references().values():
+            np.testing.assert_array_equal(curve.taus, expected.taus)
+            np.testing.assert_array_equal(curve.n_pairs, expected.n_pairs)
+            assert curve.omitted_taus == expected.omitted_taus
+            assert curve.estimator == expected.estimator
+
+    @pytest.mark.parametrize("taus", [[1.0, 2.5], [0.3], [1000.0, 7.0 / 3.0],
+                                      [float("inf")]])
+    def test_off_grid_tau_refused_as_the_estimator(self, taus):
+        references, estimate = self._both(100.0, 1.0, taus)
+        with pytest.raises(InvalidInputError) as expected:
+            estimate()
+        with pytest.raises(InvalidInputError) as refused:
+            references()
+        assert str(refused.value) == str(expected.value)
 
 
 class TestDeterminism:
