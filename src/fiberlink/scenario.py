@@ -83,7 +83,7 @@ _MAX_WELCH_WORK = 4 * _MAX_FULLRATE_SAMPLES
 # fig1-based run took 54 s at 2^26 samples and m = 63 (the slowest measured),
 # 39 s at 2^25 and m = 127; 86 km (m = 4) at 2^26 samples is 2^29.3.
 _MAX_SERVO_WORK = 2 ** 33
-# The decimated model and references peak near 50 B a sample: ~0.4 GB; 97 days at 1 s.
+# The decimated model peaks near 50 B a sample: ~0.4 GB; 97 days at 1 s.
 _MAX_DECIMATED_SAMPLES = 2 ** 23
 # Comb gates: exact arithmetic and the gate CSV, ~0.4 us and ~60 B a gate
 # (2^22 gates: 1.6 s and 0.24 GB above a warm run).
@@ -781,17 +781,16 @@ def _run_comb(scn, seed, report):
     n = c["n_gates"]
     gate = c["gate_s"]
 
-    y_opt = _white_fm_series(c["optical_sigma_1s"], n, gate,
-                             component_rng(seed, "comb-optical"))
-    y_ref = _white_fm_series(c["reference_sigma_1s"], n, gate,
-                             component_rng(seed, "comb-reference"))
+    # Each input goes once its last reader is done: the chain runs beside
+    # f_rep, the reference and y_link, which stays for its curve.
     y_link = _white_fm_series(c["link_sigma_1s"], n, gate,
                               component_rng(seed, "comb-link"))
+    y_ref = _white_fm_series(c["reference_sigma_1s"], n, gate,
+                             component_rng(seed, "comb-reference"))
     reference_at_lpl = FracFreqSeries(y_ref.samples + y_link.samples, gate)
-
-    f_rep = rep_rate_lock(y_opt, params)
-    # Each record goes once its last reader is done; y_link stays for its curve.
-    del y_opt, y_ref
+    del y_ref
+    f_rep = rep_rate_lock(_white_fm_series(c["optical_sigma_1s"], n, gate,
+                                           component_rng(seed, "comb-optical")), params)
     record = count_chain(f_rep, reference_at_lpl, cfg, params)
     del reference_at_lpl, f_rep
 
