@@ -76,13 +76,16 @@ def to_radians(x: PhaseSeries, carrier: Carrier) -> PhaseSeries:
                        label=f"{x.label}@{carrier.frequency_hz:g}Hz[rad]")
 
 
-def detector_noise(cfg: DetectorConfig, carrier: Carrier, n, tau0, rng):
-    """White detector noise converted to phase-time at the carrier."""
+def detector_noise(cfg: DetectorConfig, carrier: Carrier, n, tau0, rng, out=None):
+    """``n`` samples of white detector noise converted to phase-time at the
+    carrier, written into ``out`` (of ``n`` samples) if given."""
+    x = np.empty(n) if out is None else out
     if cfg.floor_rad_per_rthz == 0.0:
-        return np.zeros(n)
+        x.fill(0.0)
+        return x
     fs = 1.0 / tau0
     sigma_rad = cfg.floor_rad_per_rthz * np.sqrt(fs / 2.0)
-    x = rng.standard_normal(n)
+    rng.standard_normal(out=x)
     x *= sigma_rad / (2.0 * np.pi * carrier.frequency_hz)
     return x
 

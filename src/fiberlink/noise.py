@@ -24,7 +24,10 @@ keyed by (seed, component tag), so a spec of several power-law terms is
 exactly the sum of its terms generated one at a time.
 Diurnal drift and bursts have their own generators, and ``fiber_pair``
 mixes any per-fiber draw into two correlated fiber records; the scenario
-sums these parts for each fiber itself.
+sums these parts for each fiber itself.  The chunked sources
+(``WalkPhase.samples``, ``diurnal_samples``, ``BurstTrain.samples``) and
+``fiber_pair`` take ``out=`` to write into records the caller reuses, with
+the bytes they return otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from .series import PhaseSeries
 SUPPORTED_ALPHAS = (-2, -1, 0, 1, 2)
 # Samples per block of the flicker convolution (blocks^2 / 2 spectrum products).
 _FLICKER_BLOCK = 2 ** 16
+# Samples of a burst pulse evaluated at a time.
+_PULSE_BLOCK = 2 ** 12
 
 # Allan variance of pure white FM: sigma_y^2(tau) = h0 / (2 tau).
 def white_fm_level_for(sigma_at_1s):
@@ -204,9 +209,10 @@ class WalkPhase:
         self._sums = [0.0, 0.0]     # last y and last phase / tau0
         self._first = 1             # phase sample 0 is 0 and takes no draw
 
-    def samples(self, k):
-        """The record's next ``k`` samples."""
-        w = np.zeros(k)
+    def samples(self, k, out=None):
+        """The record's next ``k`` samples, written into ``out`` if given."""
+        w = np.empty(k) if out is None else out
+        w[:self._first] = 0.0
         self._rng.standard_normal(out=w[self._first:])
         self._first = 0
         w *= self._scale
@@ -218,10 +224,31 @@ class WalkPhase:
         return w
 
 
-def diurnal_samples(amplitude_s, period_s, phase_rad, start, stop, tau0):
-    """Samples ``start`` to ``stop - 1`` of x(t) = A sin(2 pi t / T + phase)."""
-    t = np.arange(start, stop) * tau0
-    return amplitude_s * np.sin(2.0 * np.pi * t / period_s + phase_rad)
+def _times(start, stop, tau0, out=None):
+    """``np.arange(start, stop) * tau0``, written into ``out`` if given.
+
+    The sample indices are counted up by a cumulative sum of ones, exact
+    for any index below 2**53, so no index array is allocated.
+    """
+    t = np.empty(stop - start) if out is None else out
+    if t.size:
+        t[0] = start
+        t[1:] = 1.0
+        np.cumsum(t, out=t)
+    t *= tau0
+    return t
+
+
+def diurnal_samples(amplitude_s, period_s, phase_rad, start, stop, tau0, out=None):
+    """Samples ``start`` to ``stop - 1`` of x(t) = A sin(2 pi t / T + phase),
+    written into ``out`` if given."""
+    x = _times(start, stop, tau0, out)
+    x *= 2.0 * np.pi
+    x /= period_s
+    x += phase_rad
+    np.sin(x, out=x)
+    x *= amplitude_s
+    return x
 
 
 def gen_diurnal(amplitude_s, period_s, phase_rad, n, tau0) -> PhaseSeries:
@@ -232,10 +259,16 @@ def gen_diurnal(amplitude_s, period_s, phase_rad, n, tau0) -> PhaseSeries:
                        tau0, label="diurnal")
 
 
-def _pulse_piece(amplitude_s, duration_s, tau0, lo, hi):
-    # Samples lo to hi - 1 of the raised-cosine pulse.
-    t = np.arange(lo, hi) * tau0
-    return amplitude_s * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / duration_s))
+def _pulse_piece(amplitude_s, duration_s, tau0, lo, hi, out=None):
+    """Samples lo to hi - 1 of the raised-cosine pulse, written into ``out``
+    if given."""
+    x = _times(lo, hi, tau0, out)
+    x *= 2.0 * np.pi
+    x /= duration_s
+    np.cos(x, out=x)
+    np.subtract(1.0, x, out=x)
+    x *= amplitude_s * 0.5
+    return x
 
 
 def _pulse_len(duration_s, tau0):
@@ -260,15 +293,19 @@ class BurstTrain:
             amps = spec.amp_median_s * np.exp(spec.amp_sigma * rng.standard_normal(count))
             self._pulses = [(int(round(t0 / tau0)), amp) for t0, amp in zip(starts, amps)]
 
-    def samples(self, start, stop):
-        """Samples ``start`` to ``stop - 1`` of the record."""
-        x = np.zeros(stop - start)
+    def samples(self, start, stop, out=None):
+        """Samples ``start`` to ``stop - 1`` of the record, written into
+        ``out`` if given.  A pulse is evaluated ``_PULSE_BLOCK`` samples at
+        a time, so no temporary grows with the range."""
+        x = np.empty(stop - start) if out is None else out
+        x.fill(0.0)
         size = _pulse_len(self._duration_s, self._tau0)
+        scratch = np.empty(min(_PULSE_BLOCK, x.size))
         for i0, amp in self._pulses:
-            lo, hi = max(i0, start), min(i0 + size, stop, self._n)
-            if lo < hi:
-                x[lo - start: hi - start] += _pulse_piece(amp, self._duration_s,
-                                                          self._tau0, lo - i0, hi - i0)
+            for lo in range(max(i0, start), min(i0 + size, stop, self._n), _PULSE_BLOCK):
+                hi = min(lo + _PULSE_BLOCK, i0 + size, stop, self._n)
+                x[lo - start: hi - start] += _pulse_piece(
+                    amp, self._duration_s, self._tau0, lo - i0, hi - i0, scratch[:hi - lo])
         return x
 
 
@@ -281,7 +318,7 @@ def gen_bursts(spec: BurstSpec, n, tau0, seed) -> PhaseSeries:
     return PhaseSeries(BurstTrain(spec, n, tau0, seed).samples(0, n), tau0, label="bursts")
 
 
-def fiber_pair(ratio, draw, count=2):
+def fiber_pair(ratio, draw, count=2, out=None):
     """Two fiber records sharing a common mode, from unit realizations.
 
     ``draw(j)`` returns realization j: 0 is the common mode, 1 and 2 the
@@ -298,13 +335,26 @@ def fiber_pair(ratio, draw, count=2):
 
     ``count=1`` returns a one-tuple of fiber 1 alone, the same bytes as
     the pair's first record, and never draws u_2.
+
+    ``out``, ``count`` records of the draws' length, takes the fibers in
+    place of new arrays, and then each draw is scaled where it lies, so
+    nothing is allocated: ``draw`` must return a record its caller no
+    longer needs.  Without ``out`` the draws are left as they came.
     """
-    x1 = np.sqrt(1.0 - 0.5 * ratio * ratio) * draw(0)
-    fibers = (x1,) + tuple(x1.copy() for _ in range(1, count))
+    c = np.sqrt(1.0 - 0.5 * ratio * ratio)
+    fresh = out is None
+    if fresh:
+        x1 = c * draw(0)
+        out = (x1,) + tuple(np.empty_like(x1) for _ in range(1, count))
+    else:
+        np.multiply(draw(0), c, out=out[0])
+    for x in out[1:]:
+        np.copyto(x, out[0])
     if ratio > 0.0:
         d = ratio / np.sqrt(2.0)
-        # One scratch holds each d * u_i; the draws are left as they came.
-        scratch = np.empty_like(x1)
-        for j, x in enumerate(fibers, 1):
-            x += np.multiply(draw(j), d, out=scratch)
-    return fibers
+        # Without ``out``, one scratch holds each d * u_i.
+        scratch = np.empty_like(out[0]) if fresh else None
+        for j, x in enumerate(out, 1):
+            u = draw(j)
+            x += np.multiply(u, d, out=u if scratch is None else scratch)
+    return tuple(out)

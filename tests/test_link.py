@@ -91,6 +91,15 @@ class TestDetectPhase:
                              np.random.default_rng(0))
         assert np.all(out == 0.0)
 
+    def test_out_takes_the_draw(self):
+        cfg, carrier = DetectorConfig(floor_rad_per_rthz=1e-6), Carrier(1e8)
+        want = detector_noise(cfg, carrier, 1000, 1e-3, np.random.default_rng(5))
+        out = np.full(1000, np.nan)
+        got = detector_noise(cfg, carrier, 1000, 1e-3, np.random.default_rng(5), out=out)
+        assert got is out and out.tobytes() == want.tobytes()
+        got = detector_noise(DetectorConfig(), carrier, 1000, 1e-3, None, out=out)
+        assert got is out and np.all(out == 0.0)
+
     def test_constant_offset(self, open_passes):
         # The probe's detector record adds to what the probe detects.
         n = 64

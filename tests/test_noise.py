@@ -205,9 +205,26 @@ class TestTimeDomainSynthesis:
         walk = WalkPhase(1e-30, 0.5, 7)
         parts = [walk.samples(k) for k in (1, 1, 5, 300, 693)]
         assert np.array_equal(np.concatenate(parts), whole)
+        walk = WalkPhase(1e-30, 0.5, 7)
+        out = np.full(1000, np.nan)
+        edges = [0, 1, 2, 7, 307, 1000]
+        for a, b in zip(edges, edges[1:]):
+            assert walk.samples(b - a, out=out[a:b]).base is out
+        assert out.tobytes() == whole.tobytes()
 
 
 class TestDiurnal:
+    def test_samples_are_the_sine_of_the_sample_times(self):
+        # The times count up without an index array; the bytes are those of
+        # the np.arange expression, also when written into out=.
+        start, stop, tau0 = 2 ** 26 - 5_000, 2 ** 26 + 3, 1e-4
+        want = 4.3e-11 * np.sin(2.0 * np.pi * (np.arange(start, stop) * tau0) / 86400.0 + 0.3)
+        assert noise.diurnal_samples(4.3e-11, 86400.0, 0.3, start, stop, tau0).tobytes() \
+            == want.tobytes()
+        out = np.full(stop - start, np.nan)
+        got = noise.diurnal_samples(4.3e-11, 86400.0, 0.3, start, stop, tau0, out=out)
+        assert got is out and out.tobytes() == want.tobytes()
+
     def test_zero_amplitude(self):
         x = gen_diurnal(0.0, 86400.0, 0.0, 100, 1.0)
         assert np.all(x.samples == 0.0)
@@ -257,6 +274,27 @@ class TestBursts:
         b = gen_bursts(spec, 10_000, 1.0, 5)
         assert np.array_equal(a.samples, b.samples)
 
+    def test_long_pulses_in_blocks(self):
+        # Overlapping pulses of 10,001 samples, longer than a block of
+        # noise._PULSE_BLOCK: the bytes of the whole-pulse expression, also
+        # written piece by piece into out=.
+        n, tau0, duration = 20_000, 1e-3, 10.0
+        train = BurstTrain(BurstSpec(rate_per_s=0.5, amp_median_s=1e-11,
+                                     duration_s=duration), n, tau0, 3)
+        size = _pulse_len(duration, tau0)
+        assert size > noise._PULSE_BLOCK
+        want = np.zeros(n)
+        for i0, amp in train._pulses:
+            t = np.arange(min(size, n - i0)) * tau0
+            want[i0:i0 + t.size] += amp * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / duration))
+        assert np.count_nonzero(want) > n / 2 and len(train._pulses) > 2
+        assert train.samples(0, n).tobytes() == want.tobytes()
+        out = np.full(n, np.nan)
+        edges = [0, 5_000, 12_345, n]
+        for a, b in zip(edges, edges[1:]):
+            assert train.samples(a, b, out=out[a:b]).base is out
+        assert out.tobytes() == want.tobytes()
+
     def test_pieces_give_the_record(self):
         # Pulses overlap and straddle the piece edges; the last overhangs.
         spec = BurstSpec(rate_per_s=0.05, amp_median_s=1e-11, duration_s=30.0)
@@ -270,6 +308,18 @@ class TestBursts:
 
 class TestCorrelatedPair:
     spec = NoiseSpec(powerlaw=((2, 1.9e-28),))
+
+    def test_fiber_pair_into_out(self):
+        # out= holds the bytes of the fresh records; the draws it is given
+        # may be scaled where they lie.
+        u = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-4.0, 0.25])]
+        for r in (0.0, 0.3, 1.0):
+            for count in (1, 2):
+                want = fiber_pair(r, lambda j: u[j], count=count)
+                out = tuple(np.full(2, np.nan) for _ in range(count))
+                got = fiber_pair(r, lambda j: u[j].copy(), count=count, out=out)
+                assert all(g is o for g, o in zip(got, out))
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_ratio_zero_identical(self, power_law_pair):
         f1, f2 = power_law_pair(self.spec, 0.0, 2000, 1.0, 7)
