@@ -18,9 +18,15 @@ The full-rate simulation is one pipeline over chunks of ``_CHUNK`` samples:
 each chunk's noise is drawn, run through both servo loops (which carry
 their state to the next chunk), the counting low-pass and 1 s point
 sampling, and into a Welch accumulator that holds one PSD segment and a
-running sum of periodograms.  No full-rate record is held whole, so
-memory does not grow with the full-rate duration, and every output has the
-bytes of one pass over the whole record.  A loop diverges when a correction
+running sum of periodograms.  The noise is drawn on one worker thread, up
+to two chunks ahead of the servo, in place into two slots of the chunk's
+five records (two fibers, three detectors) that are allocated once per run
+and used in turn; the calling thread runs everything else.  Each noise
+source is drawn by the worker alone, in chunk order, and numpy releases
+the GIL in the draws and the array arithmetic, so the two threads overlap.
+No full-rate record is held whole, so memory does not grow with the
+full-rate duration, and every output has the bytes of one pass over the
+whole record.  A loop diverges when a correction
 exceeds a limit set by the largest input seen so far (see
 ``fiberlink.control``).  Caps on the sample counts a scenario asks for, on
 the Welch work, and what the counting chain and Welch need of the settled
@@ -37,7 +43,7 @@ import operator
 import os
 import re
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +76,8 @@ _CHUNK = 2 ** 16    # samples per chunk of the full-rate pipeline
 # alone, so an oversized run is refused as a listed problem instead of
 # failing in the allocator.  Sizes are for a 2-vCPU host.
 # Full-rate samples run in chunks, so memory stays flat and this bounds run
-# time (~0.3 us a sample at the default delay, ~20 s at the cap): 1.9 h at the
-# 0.1 ms step.
+# time (~0.18 us a sample at the default delay with the noise drawn on the
+# second vCPU, 0.24 us on one; ~12 s at the cap): 1.9 h at the 0.1 ms step.
 _MAX_FULLRATE_SAMPLES = 2 ** 26
 # Welch transforms PSD segments x segment samples, ~50 ns each (51 segments
 # of 600,000 took 1.5 s): ~13 s at the cap.  A psd_overlap of at most 0.75
@@ -556,16 +562,21 @@ def _burst_spec(noise):
                      noise["burst_amp_sigma"], noise["burst_duration_s"])
 
 
-def _add_pair(x1, x2, ratio, draw):
+def _add_pair(x1, x2, ratio, draw, out=None):
     """Add a ``fiber_pair`` onto two fiber records in place."""
-    p1, p2 = fiber_pair(ratio, draw)
+    p1, p2 = fiber_pair(ratio, draw, out=out)
     x1 += p1
     x2 += p2
 
 
 def _run_fullrate(scn, seed, report):
     """The full-rate link: noise, both servo loops, the counting chain and
-    Welch, run together over consecutive chunks of ``_CHUNK`` samples."""
+    Welch, run together over consecutive chunks of ``_CHUNK`` samples.  A
+    worker thread writes the coming chunks' noise into two slots, in turn,
+    while this thread runs the current chunk."""
+    import mmap
+    from concurrent.futures import ThreadPoolExecutor
+
     link = scn["link"]
     runc = scn["run"]
     dt = link["step_s"]
@@ -593,6 +604,41 @@ def _run_fullrate(scn, seed, report):
     f_probe = Carrier(link["carrier_probe_hz"])
     det = [component_rng(seed, "det", tag) for tag in (1, 2, "probe")]
 
+    # Two slots of the five records, used in turn: chunk i is written into
+    # slot i % 2.  The servo copies its inputs and no output keeps a view of
+    # a slot, so once chunk i has been through the servo its slot takes
+    # chunk i + 2, which the worker draws while this thread finishes chunk
+    # i and runs chunk i + 1.  The slots are mapped from the system, not
+    # taken from the malloc heap, so their pages go back when the run ends:
+    # a freed 5.2 MB heap block stays resident as a hole that the decimated
+    # model's larger blocks do not fit, and raised longterm_10d's peak RSS
+    # by 3 MB.
+    width = min(_CHUNK, n)
+    slots = np.frombuffer(mmap.mmap(-1, 2 * 5 * width * 8), dtype=float).reshape(2, 5, width)
+    starts = range(0, n, _CHUNK)
+
+    def fill(i):
+        """Chunk i's noise records n1, n2, d1, d2 and dp, written into slot
+        i % 2 with nothing chunk-sized allocated.  d1, d2 and dp hold the
+        draws and the walk and burst pairs until the detector noise is
+        drawn into them last."""
+        start, stop = starts[i], min(starts[i] + _CHUNK, n)
+        k = stop - start
+        n1, n2, d1, d2, dp = (r[:k] for r in slots[i % 2])
+        fiber_pair(ratio, lambda j: np.multiply(white[j].standard_normal(out=dp), sigma_w,
+                                                out=dp), out=(n1, n2))
+        diurnal = diurnal_samples(noise["diurnal_amplitude_s"], noise["diurnal_period_s"],
+                                  noise["diurnal_phase_rad"], start, stop, dt, out=dp)
+        n1 += diurnal
+        n2 += diurnal
+        if walks is not None:
+            _add_pair(n1, n2, ratio, lambda j: walks[j].samples(k, out=dp), out=(d1, d2))
+        _add_pair(n1, n2, ratio, lambda j: bursts[j].samples(start, stop, out=dp),
+                  out=(d1, d2))
+        for carrier, rng, x in zip((f_ret, f_ret, f_probe), det, (d1, d2, dp)):
+            detector_noise(detector, carrier, k, dt, rng, out=x)
+        return n1, n2, d1, d2, dp
+
     cfg = _loop_config(scn, m)
     skip = int(round(runc["transient_discard_s"] / dt))
     labels = {"closed_rt": "closed_rt", "closed_one_way": "closed_one_way",
@@ -603,28 +649,20 @@ def _run_fullrate(scn, seed, report):
                              overlap=scn["outputs"]["psd_overlap"])
 
     state = None
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        k = stop - start
-        n1, n2 = fiber_pair(ratio, lambda j: white[j].standard_normal(k) * sigma_w)
-        diurnal = diurnal_samples(noise["diurnal_amplitude_s"], noise["diurnal_period_s"],
-                                  noise["diurnal_phase_rad"], start, stop, dt)
-        n1 += diurnal
-        n2 += diurnal
-        if walks is not None:
-            _add_pair(n1, n2, ratio, lambda j: walks[j].samples(k))
-        _add_pair(n1, n2, ratio, lambda j: bursts[j].samples(start, stop))
-        d1, d2, dp = (detector_noise(detector, carrier, k, dt, rng)
-                      for carrier, rng in zip((f_ret, f_ret, f_probe), det))
-
-        result = run_closed_loop(cfg, n1, n2, d1, d2, probe_det=dp, state=state)
-        state = result.state
-        settled = max(skip - start, 0)
-        if settled < k:
-            for name, rec in zip(labels, (result.round_trip, result.one_way,
-                                          result.probe_rt)):
-                chains[name].push(rec[settled:])
-            welch.add(f_ret.radians(result.round_trip[settled:]))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = deque(worker.submit(fill, i) for i in range(min(2, len(starts))))
+        for i, start in enumerate(starts):
+            n1, n2, d1, d2, dp = ahead.popleft().result()
+            result = run_closed_loop(cfg, n1, n2, d1, d2, probe_det=dp, state=state)
+            if i + 2 < len(starts):
+                ahead.append(worker.submit(fill, i + 2))
+            state = result.state
+            settled = max(skip - start, 0)
+            if settled < n1.size:
+                for name, rec in zip(labels, (result.round_trip, result.one_way,
+                                              result.probe_rt)):
+                    chains[name].push(rec[settled:])
+                welch.add(f_ret.radians(result.round_trip[settled:]))
     report.warnings.extend(result.warnings)
 
     taus = scn["outputs"]["fullrate_taus_s"]

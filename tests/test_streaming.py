@@ -1,7 +1,12 @@
 """The chunked full-rate pipeline: any chunk size gives the bytes of one
-pass over the whole record, and memory does not grow with the run."""
+pass over the whole record, memory does not grow with the run, and the
+worker thread that draws the noise ends with the run."""
 
+import dataclasses
+import importlib.util
 import json
+import pathlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -82,11 +87,84 @@ def test_chunked_equals_one_chunk(case, chunk, monkeypatch):
     assert whole_warnings == part_warnings
 
 
+def _arrays(obj):
+    """Every array reachable from ``obj`` through dicts, sequences and
+    dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+def _recorded_loop(monkeypatch):
+    """``(noise records, result)`` of each ``run_closed_loop`` call of a run."""
+    calls = []
+    loop = scenario.run_closed_loop
+
+    def record(cfg, *records, probe_det, state):
+        result = loop(cfg, *records, probe_det=probe_det, state=state)
+        calls.append((records + (probe_det,), result))
+        return result
+
+    monkeypatch.setattr(scenario, "run_closed_loop", record)
+    return calls
+
+
 def test_settled_points_own_their_memory(monkeypatch):
+    calls = _recorded_loop(monkeypatch)
     full, _ = _fullrate(CASES["series"], 3, monkeypatch)
     assert "series" not in full
     for series in full["counted"].values():
         assert series.samples.base is None and series.samples.size == 4
+    # Each chunk's five noise records lie in one of two slots of one array,
+    # used in turn, so a slot is written again two chunks later: no output
+    # of the run and no loop result or state may keep a view of it.
+    (slots,) = {id(r.base): r.base for records, _ in calls for r in records}.values()
+    firsts = [records[0] for records, _ in calls]
+    assert all(np.shares_memory(a, b) for a, b in zip(firsts, firsts[2:]))
+    assert not any(np.shares_memory(a, b) for a, b in zip(firsts, firsts[1:]))
+    kept = list(_arrays(full)) + [a for _, result in calls for a in _arrays(result)]
+    assert len(kept) > 5 * len(calls)
+    assert not any(np.shares_memory(a, slots) for a in kept)
+
+
+def _traced_targets():
+    """perfbench's ``(owner, attribute, span key, work counter)`` targets."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing._targets()
+
+
+def test_worker_calls_no_traced_function(monkeypatch):
+    # perfbench's tracer keeps one span stack and is not thread-safe, so
+    # every function it wraps must run on the calling thread; the worker
+    # only draws and mixes noise.
+    callers = {}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            callers.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr, _, _ in _traced_targets():
+        monkeypatch.setattr(owner, attr, spy(attr, getattr(owner, attr)))
+    monkeypatch.setattr(scenario, "detector_noise",
+                        spy("detector_noise", scenario.detector_noise))
+    _fullrate(CASES["bursts"], 777, monkeypatch)
+    me = threading.get_ident()
+    assert me not in callers.pop("detector_noise")
+    assert "run_closed_loop" in callers and "__post_init__" in callers
+    assert all(threads == {me} for threads in callers.values()), callers
 
 
 # Just beyond the stability edge: the far-end loop diverges at step 406.
@@ -105,6 +183,40 @@ def test_divergence_at_the_same_step(chunk, monkeypatch):
     part = _divergence(chunk, monkeypatch)
     assert part.step == whole.step > chunk
     assert str(part) == str(whole)
+
+
+def test_worker_ends_with_the_run(monkeypatch):
+    before = threading.active_count()
+    _fullrate(CASES["series"], 777, monkeypatch)
+    assert threading.active_count() == before
+
+
+def test_worker_ends_with_a_divergence(monkeypatch):
+    before = threading.active_count()
+    err = _divergence(3, monkeypatch)
+    assert threading.active_count() == before
+    assert err.step == 406
+    assert str(err) == ("far-end correction reached 1.13677e-06 s at step 406, beyond the "
+                        "limit 1.00013e-06 s; the loop is unstable at these settings")
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    # The second chunk's noise fails on the worker while the first chunk runs.
+    draws = []
+    detector_noise = scenario.detector_noise
+
+    def failing(*args, **kwargs):
+        draws.append(threading.get_ident())
+        if len(draws) == 4:
+            raise RuntimeError("detector noise source failed")
+        return detector_noise(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "detector_noise", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="detector noise source failed"):
+        _fullrate(CASES["series"], 777, monkeypatch)
+    assert threading.active_count() == before
+    assert len(draws) >= 4 and threading.get_ident() not in draws
 
 
 def test_chunked_divergence_exits_2(tmp_path, monkeypatch):
