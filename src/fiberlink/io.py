@@ -11,9 +11,10 @@ one repeating column is keyed: each distinct row text is formatted once and
 gathered into a byte matrix, behind a leading ``%d`` index column written
 as vectorized digits.  Other chunks are formatted row by row.  Both forms
 write the same bytes.  The comb gate CSV's optical frequencies are exact
-microhertz decimals, computed in integer arithmetic a chunk at a time; its
-counted beats, quantized to the counter's 1 uHz, repeat and fix the rest of
-the row, so its chunks take the keyed form.
+microhertz decimals, computed in integer arithmetic; its counted beats,
+quantized to the counter's 1 uHz, repeat and fix the rest of the row, so
+its chunks take the keyed form, and each decimal is computed once per
+distinct beat of a chunk.
 
 The PSD CSV holds log-frequency band means, ``_BANDS_PER_DECADE`` bands per
 decade (``stability.log_band_average``), not the raw Welch bins: its
@@ -78,12 +79,14 @@ def _digits(column):
     return cells.T
 
 
-def _keyed_rows(fmt, columns):
+def _keyed_rows(fmt, columns, derive=None):
     """``fmt % row`` for each row of the equal-length ``columns`` as a
     ``(k, width)`` byte matrix, NUL-padded, formatting each distinct value of
     the first column once; None if more than half of those values are
     distinct or a later column is not a function of the first.  Values are
-    told apart by their bits, so ``-0.0`` and ``0.0`` are two keys."""
+    told apart by their bits, so ``-0.0`` and ``0.0`` are two keys.
+    ``derive``, an elementwise map from the columns to the columns ``fmt``
+    formats, runs on one row of each key."""
     keys = [c.view(np.int64) if c.dtype == np.float64 else c for c in columns]
     # Without return_index, unique sorts by quicksort rather than mergesort.
     _, inverse = np.unique(keys[0], return_inverse=True)
@@ -95,20 +98,24 @@ def _keyed_rows(fmt, columns):
     first[inverse] = np.arange(inverse.size)
     if any(np.any(key[first][inverse] != key) for key in keys[1:]):
         return None
-    table = np.array([(fmt % row).encode()
-                      for row in zip(*(c[first].tolist() for c in columns))])
+    rows = [c[first] for c in columns]
+    if derive is not None:
+        rows = derive(*rows)
+    table = np.array([(fmt % row).encode() for row in zip(*(c.tolist() for c in rows))])
     return table.view(np.uint8).reshape(n_keys, -1)[inverse]
 
 
-def _write_rows(path, header_lines, row_fmt, chunks):
+def _write_rows(path, header_lines, row_fmt, chunks, derive=None):
     """Write ``header_lines`` then one ``row_fmt % row`` line per row.
 
     ``row_fmt`` has one conversion per column.
     ``chunks`` yields non-empty tuples of equal-length column arrays, one
-    array per conversion; row ``i`` of a chunk is the tuple of the columns'
-    ``i``-th items (as ``.tolist()`` gives them).  Each chunk is written
-    with one ``write`` call, in one of two ways, chosen per chunk from its
-    values, with no setting:
+    array per conversion (or argument of ``derive``); row ``i`` of a chunk is the tuple of the columns'
+    ``i``-th items (as ``.tolist()`` gives them).  With ``derive``, an
+    elementwise map, the columns after the index column (below), if any,
+    are its arguments, and the columns it returns are formatted in their
+    place.  Each chunk is written with one ``write`` call, in one of two
+    ways, chosen per chunk from its values, with no setting:
 
     - Keyed, when the chunk's rows are a function of one column that
       repeats its values (at most half of them distinct).  A format that
@@ -129,8 +136,10 @@ def _write_rows(path, header_lines, row_fmt, chunks):
             index = 1 if row_fmt.startswith("%d") and chunk[0].dtype.kind == "i" else 0
             rows = None
             if len(chunk) > index:
-                rows = _keyed_rows(line_fmt[2 * index:], chunk[index:])
+                rows = _keyed_rows(line_fmt[2 * index:], chunk[index:], derive)
             if rows is None:
+                if derive is not None:
+                    chunk = chunk[:index] + tuple(derive(*chunk[index:]))
                 # The chunk's items in row order, formatted by one ``%``.
                 k = len(chunk[0])
                 items = [None] * (k * len(chunk))
@@ -288,10 +297,12 @@ def write_measurement_csv(path, record, seed=None, **extra):
     def chunks():
         for start in range(0, counted.size, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, counted.size)
-            yield (np.arange(start, stop), counted[start:stop],
-                   *_decimal_uhz_columns(nominal_uhz, offsets[start:stop]))
+            yield np.arange(start, stop), counted[start:stop], offsets[start:stop]
 
-    _write_rows(path, lines, "%d,%.17g,%s%d.%06d", chunks())
+    # The decimals are made for each distinct counted beat of a keyed chunk,
+    # and for every row of a chunk written per row.
+    _write_rows(path, lines, "%d,%.17g,%s%d.%06d", chunks(),
+                lambda beats, offs: (beats, *_decimal_uhz_columns(nominal_uhz, offs)))
 
 
 def write_lines(path, lines):

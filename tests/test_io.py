@@ -277,8 +277,8 @@ class TestWriteRows:
         forms = []
         keyed_rows = fio._keyed_rows
 
-        def spy(fmt, columns):
-            rows = keyed_rows(fmt, columns)
+        def spy(fmt, columns, derive=None):
+            rows = keyed_rows(fmt, columns, derive)
             forms.append(rows is not None)
             return rows
 
