@@ -221,21 +221,24 @@ def loop_sensitivity(freqs_hz, cfg: ControllerConfig, actuator_bw_hz, dt, delay_
     """
     b, lag = _loop_terms(cfg, actuator_bw_hz, dt)
     half = np.pi * dt * np.asarray(freqs_hz, dtype=float)
-    # Built in three complex arrays of the frequencies' length.
-    zinv = np.exp(-1j * half)                      # z^(-1/2)
-    d = np.sin(half) * 2j
-    d *= zinv                                      # 1 - z^-1
-    d *= d
-    zinv *= zinv                                   # z^-1
-    a = zinv * -lag
-    a += 1.0
-    d *= a                                         # (1 - z^-1)^2 (1 - lag z^-1)
-    np.multiply(zinv, b[1], out=a)
-    a += b[0]
-    np.multiply(half, -4j * delay_steps, out=zinv)
-    a *= np.exp(zinv, out=zinv)                    # z^-2M (b0 + b1 z^-1)
-    a += d
-    np.divide(d, a, out=d, where=half != 0.0)
+    # Built in four complex arrays of the frequencies' length.  No complex
+    # product is written over one of its factors: numpy rounds such an
+    # in-place product differently when the array is short (one element),
+    # so a frequency alone would not give its bits in a whole spectrum.
+    q = np.exp(-1j * half)                         # z^(-1/2)
+    p = np.sin(half) * 2j
+    r = p * q                                      # 1 - z^-1
+    np.multiply(r, r, out=p)                       # (1 - z^-1)^2
+    np.multiply(q, q, out=r)                       # z^-1
+    np.multiply(r, -lag, out=q)
+    q += 1.0
+    d = p * q                                      # (1 - z^-1)^2 (1 - lag z^-1)
+    np.multiply(r, b[1], out=q)
+    q += b[0]                                      # b0 + b1 z^-1
+    np.multiply(half, -4j * delay_steps, out=r)
+    np.multiply(q, np.exp(r, out=r), out=p)        # z^-2M (b0 + b1 z^-1)
+    p += d
+    np.divide(d, p, out=d, where=half != 0.0)
     return d
 
 
@@ -528,8 +531,8 @@ def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
     n = len(x)
     spec = np.fft.rfft(x.samples)
     df = 1.0 / (n * x.tau0)         # as np.fft.rfftfreq builds its bins
-    # Equal blocks, so none holds a single bin: numpy squares a one-element
-    # complex array in place with other rounding than a longer one.
+    # Equal blocks, so none holds a single bin: numpy multiplies a
+    # one-element complex array in place with other rounding than a longer one.
     blocks = -(-spec.size // _SENSITIVITY_BLOCK)
     for i in range(blocks):
         lo, hi = spec.size * i // blocks, spec.size * (i + 1) // blocks

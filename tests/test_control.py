@@ -344,6 +344,21 @@ class TestLoopSensitivity:
         assert abs(got / want - 1.0) <= 1e-5
 
     @pytest.mark.parametrize("corner_hz", [30.0, 0.0])
+    def test_frequency_alone_is_its_spectrum_bin(self, corner_hz):
+        # S at a frequency alone, or in any short run of frequencies, has the
+        # bits of the same bin of a whole spectrum.  Before, S at a single
+        # frequency differed in the last bits at about 400 of these 1,000 bins.
+        cfg = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=corner_hz)
+        freqs = np.fft.rfftfreq(2000, DT)[:1000]
+        whole = loop_sensitivity(freqs, cfg, RF_BW, DT, M)
+        alone = np.concatenate([loop_sensitivity([f], cfg, RF_BW, DT, M) for f in freqs])
+        assert alone.tobytes() == whole.tobytes()
+        for size in (2, 3, 9):
+            runs = [loop_sensitivity(freqs[i:i + size], cfg, RF_BW, DT, M)
+                    for i in range(0, freqs.size, size)]
+            assert np.concatenate(runs).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("corner_hz", [30.0, 0.0])
     def test_dc_fully_suppressed(self, corner_hz):
         # With no integrator corner, d and a both vanish at DC (0/0); the
         # servo's own integration still holds S(0) at 0.
