@@ -110,12 +110,13 @@ def _write_rows(path, header_lines, row_fmt, chunks, derive=None):
 
     ``row_fmt`` has one conversion per column.
     ``chunks`` yields non-empty tuples of equal-length column arrays, one
-    array per conversion (or argument of ``derive``); row ``i`` of a chunk is the tuple of the columns'
-    ``i``-th items (as ``.tolist()`` gives them).  With ``derive``, an
-    elementwise map, the columns after the index column (below), if any,
-    are its arguments, and the columns it returns are formatted in their
-    place.  Each chunk is written with one ``write`` call, in one of two
-    ways, chosen per chunk from its values, with no setting:
+    array per conversion (or argument of ``derive``); row ``i`` of a chunk
+    is the tuple of the columns' ``i``-th items (as ``.tolist()`` gives
+    them).  With ``derive``, an elementwise map, the columns after the index
+    column (below), if any, are its arguments, and the columns it returns
+    are formatted in their place.  Each chunk is written with one ``write``
+    call, in one of two ways, chosen per chunk from its values, with no
+    setting:
 
     - Keyed, when the chunk's rows are a function of one column that
       repeats its values (at most half of them distinct).  A format that

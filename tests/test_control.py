@@ -346,8 +346,8 @@ class TestLoopSensitivity:
     @pytest.mark.parametrize("corner_hz", [30.0, 0.0])
     def test_frequency_alone_is_its_spectrum_bin(self, corner_hz):
         # S at a frequency alone, or in any short run of frequencies, has the
-        # bits of the same bin of a whole spectrum.  Before, S at a single
-        # frequency differed in the last bits at about 400 of these 1,000 bins.
+        # bits of the same bin of a whole spectrum; numpy rounds an in-place
+        # complex product of a one-element array differently.
         cfg = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=corner_hz)
         freqs = np.fft.rfftfreq(2000, DT)[:1000]
         whole = loop_sensitivity(freqs, cfg, RF_BW, DT, M)
