@@ -52,12 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.signal (~0.9 s and ~75 MB to import) is imported inside _run_linear,
-# the one function here that filters, so loading, validating, the comb chain
-# and the stability probe never pay for it.
-
 from .errors import DivergenceError, InvalidInputError
-from .link import ActuatorState, actuator_alpha
+from .link import ActuatorState, _lfilter, actuator_alpha
 from .series import PhaseSeries
 
 RUN_TOPOLOGIES = ("series", "independent", "off")
@@ -388,8 +384,6 @@ _BEYOND_RANGE = (
 
 
 def _run_linear(cfg, inputs, state, lines):
-    from scipy import signal
-
     n1, n2, d1, d2 = inputs
     n = n1.size
     m1, m2 = cfg.m1, cfg.m2
@@ -400,7 +394,7 @@ def _run_linear(cfg, inputs, state, lines):
     w *= -0.5
     b1, a1 = _loop_filter_polys(cfg.controller1, cfg.rf_shifter.bandwidth_hz,
                                 cfg.dt, m1)
-    c1app[:], zi1 = signal.lfilter(b1, a1, w, zi=state.zi[0])
+    c1app[:], zi1 = _lfilter(b1, a1, w, state.zi[0])
 
     # A diverged near-end loop drives the far-end one with overflowing input.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -413,7 +407,7 @@ def _run_linear(cfg, inputs, state, lines):
         w *= -0.5
         b2, a2 = _loop_filter_polys(cfg.controller2, cfg.piezo.bandwidth_hz,
                                     cfg.dt, m2)
-        a2app[:], zi2 = signal.lfilter(b2, a2, w, zi=state.zi[1])
+        a2app[:], zi2 = _lfilter(b2, a2, w, state.zi[1])
     peak1, peak2 = _check_divergence((("near-end", c1app), ("far-end", a2app)),
                                      state, inputs)
 
@@ -521,8 +515,8 @@ def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
     bin is fully suppressed (infinite integrator gain).
 
     The map is circular at ``len(x)``.  A caller that wants fast transforms
-    pads ``x`` with zeros to a 5-smooth length
-    (``scipy.fft.next_fast_len(n, real=True)``) and keeps the first n
+    pads ``x`` with zeros to a 5-smooth length (``noise._fast_len(n)``, which
+    is ``scipy.fft.next_fast_len(n, real=True)``) and keeps the first n
     samples of the result, as the decimated model in ``scenario`` does.
     The sensitivity is made and applied in blocks of at most
     ``_SENSITIVITY_BLOCK`` bins at ``np.fft.rfftfreq``'s frequencies: the

@@ -11,12 +11,10 @@ detection carrier: phi = 2 pi f_c x.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-# scipy.signal (~0.9 s and ~75 MB to import) is imported inside the functions
-# that filter, so loading, validating and the comb chain never pay for it.
 
 from .errors import InvalidInputError
 from .series import PhaseSeries
@@ -90,6 +88,39 @@ def detector_noise(cfg: DetectorConfig, carrier: Carrier, n, tau0, rng, out=None
     return x
 
 
+@functools.cache
+def _linear_filter():
+    """scipy's IIR filter routine, ``scipy.signal._sigtools._linear_filter``.
+
+    Only that extension module is loaded, on first use, from the installed
+    scipy's files: importing ``scipy.signal`` costs about 0.9 s and 75 MB,
+    and finding the module's spec by its dotted name would import it too.
+    Whichever of this and ``scipy.signal`` is loaded first, this is the
+    function ``scipy.signal.lfilter`` calls.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    name = "scipy.signal._sigtools"
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy_dir, "signal", "_sigtools" + suffix)
+        if os.path.exists(path):
+            break
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return module._linear_filter
+
+
+def _lfilter(b, a, x, zi):
+    """``scipy.signal.lfilter(b, a, x, zi=zi)`` of 1-d float arrays with
+    ``len(a) > 1``: lfilter's own call for that case, so the same bits."""
+    return _linear_filter()(b, a, x, -1, zi)
+
+
 class Lowpass:
     """Single-pole low-pass modeling the counting measurement bandwidth,
     started at rest and run over consecutive chunks of one record."""
@@ -98,13 +129,11 @@ class Lowpass:
         if not bandwidth_hz > 0:
             raise InvalidInputError("measurement bandwidth must be positive")
         alpha = actuator_alpha(bandwidth_hz, tau0)
-        self._b, self._a = [alpha], [1.0, -(1.0 - alpha)]
+        self._b, self._a = np.array([alpha]), np.array([1.0, -(1.0 - alpha)])
         self._zi = np.zeros(1)
 
     def __call__(self, samples):
-        from scipy import signal
-
-        y, self._zi = signal.lfilter(self._b, self._a, samples, zi=self._zi)
+        y, self._zi = _lfilter(self._b, self._a, samples, self._zi)
         return y
 
 

@@ -122,6 +122,21 @@ def _white_scale(alpha, level, tau0):
     return np.sqrt(level / (2.0 * tau0) * (2.0 * np.pi * tau0) ** -alpha)
 
 
+def _fast_len(n):
+    """The smallest 5-smooth length 2^i 3^j 5^k >= n >= 1, where real FFTs
+    are fast: ``scipy.fft.next_fast_len(n, real=True)``, without importing
+    scipy.fft (27 MB)."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five                  # 3^j 5^k, times the least power of 2 reaching n
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _shaped_frac_freq(alpha, level, n_y, tau0, rng):
     """One power-law component of y with one-sided S_y(f) -> level * f**alpha.
 
@@ -144,9 +159,8 @@ def _shaped_frac_freq(alpha, level, n_y, tau0, rng):
     # fast length that nothing wraps into, and output block s, the inverse of
     # sum_{j <= s} W_{s-j} H_j, is overlap-added.  The draw's spectrum comes
     # first in each product, so a one-block record is the single transform.
-    from scipy.fft import next_fast_len
     block = min(_FLICKER_BLOCK, n_y)
-    size = next_fast_len(2 * block - 1, real=True)
+    size = _fast_len(2 * block - 1)
     buf = np.empty(size)
     draws, coefs = [], []           # W_j and H_j
     y = np.zeros(n_y)

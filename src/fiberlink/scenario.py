@@ -57,8 +57,8 @@ from .control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig, _peak,
 from .errors import DivergenceError, InvalidInputError, ScenarioValidationError
 from .link import (ActuatorState, Carrier, CountingChain, DetectorConfig,
                    _decimation, detector_noise)
-from .noise import (BurstSpec, BurstTrain, WalkPhase, component_rng, diurnal_samples,
-                    fiber_pair, white_fm_level_for)
+from .noise import (BurstSpec, BurstTrain, WalkPhase, _fast_len, component_rng,
+                    diurnal_samples, fiber_pair, white_fm_level_for)
 from .series import AdevCurve, FracFreqSeries, PhaseSeries
 from .stability import (WelchAccumulator, _tau_multiple, allan_deviation,
                         allan_deviation_phase, welch_segments)
@@ -717,9 +717,8 @@ def _run_decimated(scn, seed, report):
     walks = [WalkPhase(noise["walk_fm_h"], step, _sub_seed(seed, "dec-walk", j))
              for j in range(3)] if noise["walk_fm_h"] > 0 else None
     white = [component_rng(seed, "dec-white", j) for j in range(2)]
-    from scipy.fft import next_fast_len
     opened = np.empty(n)
-    slow = np.zeros(next_fast_len(n, real=True))
+    slow = np.zeros(_fast_len(n))
     slow_peak = 0.0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)

@@ -1,6 +1,8 @@
 """README's library example runs against the package as it is, so a
-deleted or renamed public name cannot linger in it."""
+deleted or renamed public name cannot linger in it, and the numbers README
+quotes that the code determines are computed here."""
 
+import importlib.util
 import pathlib
 import re
 
@@ -8,8 +10,10 @@ import numpy as np
 import pytest
 
 import fiberlink as fl
+from fiberlink.noise import _fast_len
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def library_use_block():
@@ -31,3 +35,19 @@ def test_every_package_name_in_readme_exists():
     names = set(re.findall(r"\bfl\.([A-Za-z_]\w*)", README.read_text(encoding="utf-8")))
     assert names and not sorted(n for n in names if not hasattr(fl, n))
 
+
+def test_padded_suppression_lengths():
+    # The decimated records of fig1 and perfbench's longterm_10d, each with
+    # the fence-post sample, and the 5-smooth lengths README says they take.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    computed = {}
+    for name in ("fig1", "longterm_10d"):
+        run = fl.load_scenario(workloads.scenario_for(name, 1)).data["run"]
+        n = round(run["decimated_duration_s"] / run["decimated_step_s"]) + 1
+        computed[f"{n:,}"] = f"{_fast_len(n):,}"
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert dict(re.findall(r"has n = ([\d,]+)(?: = [\d·]+)? and is padded to ([\d,]+)",
+                           text)) == computed

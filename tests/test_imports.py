@@ -1,10 +1,13 @@
-"""Which commands load scipy.signal.
+"""Which commands load scipy.signal or scipy.fft.
 
-Importing scipy.signal takes about 0.9 s and 75 MB, so only the functions
-that filter (the linear servo and the counting low-pass) import it.  Loading,
-validating, Welch, the decimated loop model, the comb chain, the budget and
-``compare`` must not.  Each case runs in a fresh interpreter and reports
-whether the module was loaded.
+Importing scipy.signal takes about 0.9 s and 75 MB, and scipy.fft alone
+about 0.2 s and 27 MB, so no command imports either.  The two filters (the
+linear servo and the counting low-pass) load only the extension module that
+holds lfilter's C routine (``link._linear_filter``), and FFT lengths come
+from ``noise._fast_len``.  Each case runs in a fresh interpreter and reports
+which of the two modules were loaded.  The filter itself is checked bit for
+bit against ``scipy.signal.lfilter``, with the routine loaded before and
+after scipy.signal.
 
 The names perfbench's tracer wraps must resolve too, so that removing one
 fails here and not only in a traced benchmark run.
@@ -22,6 +25,7 @@ import fiberlink as fl
 from fiberlink.io import write_adev_csv
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fl.__file__)))
+PROBED = ("scipy.signal", "scipy.fft")
 
 SHORT_LINK = {"seed": 3, "preset": "fig1",
               "run": {"fullrate_duration_s": 10.0, "transient_discard_s": 2.0,
@@ -30,18 +34,22 @@ SHORT_LINK = {"seed": 3, "preset": "fig1",
                           "psd_segment_s": 5.0}}
 
 
-def loads_scipy_signal(code):
-    """Run ``code`` in a fresh interpreter; True if scipy.signal got imported."""
+def fresh(code):
+    """Run ``code`` in a fresh interpreter; the last line it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\n"
-         "print('scipy.signal loaded:', 'scipy.signal' in sys.modules)"],
-        capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0, proc.stderr
-    last = proc.stdout.strip().splitlines()[-1]
-    assert last.startswith("scipy.signal loaded: "), proc.stdout
-    return last.endswith("True")
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def loaded(code):
+    """The modules of ``PROBED`` that running ``code`` imported."""
+    last = fresh(code + "\nimport json, sys\n"
+                 f"print('loaded:', json.dumps([m for m in {PROBED!r} if m in sys.modules]))")
+    assert last.startswith("loaded: "), last
+    return json.loads(last.removeprefix("loaded: "))
 
 
 def cli(*argv):
@@ -68,34 +76,34 @@ def files(tmp_path):
 
 class TestScipySignalImport:
     def test_import_and_load(self):
-        assert not loads_scipy_signal(
+        assert not loaded(
             "import fiberlink\nfiberlink.load_scenario({'seed': 1, 'preset': 'fig1'})")
 
     def test_validate(self, files):
-        assert not loads_scipy_signal(cli("validate", files["fig1"]))
+        assert not loaded(cli("validate", files["fig1"]))
 
     def test_comb_and_budget_run(self, files):
-        assert not loads_scipy_signal(cli("run", files["fig4_budget"], "--out", files["out"]))
+        assert not loaded(cli("run", files["fig4_budget"], "--out", files["out"]))
 
     def test_compare(self, files):
-        assert not loads_scipy_signal(cli("compare", files["adev"], files["adev"]))
+        assert not loaded(cli("compare", files["adev"], files["adev"]))
 
     def test_stability_probe(self):
         # The delay-limited boundary is decided from polynomial roots.
-        assert not loads_scipy_signal(
+        assert not loaded(
             "import fiberlink\nfiberlink.integrator_loop_diverges(700.0, 0.4e-3)\n"
             "fiberlink.find_divergence_onset(0.4e-3)")
 
     def test_welch(self):
         # Welch is plain numpy.
-        assert not loads_scipy_signal(
+        assert not loaded(
             "import numpy as np\nimport fiberlink\n"
             "x = fiberlink.PhaseSeries(np.arange(1000.0) ** 2, 1e-3)\n"
             "assert fiberlink.psd_welch(x, 100).values.size == 51")
 
     def test_decimated_suppression(self):
         # The decimated model's sensitivity is plain numpy.
-        assert not loads_scipy_signal(
+        assert not loaded(
             "import numpy as np\nimport fiberlink\n"
             "from fiberlink.control import loop_sensitivity, loop_suppression\n"
             "cfg = fiberlink.ControllerConfig()\n"
@@ -103,9 +111,55 @@ class TestScipySignalImport:
             "x = fiberlink.PhaseSeries(np.arange(1000.0), 1.0)\n"
             "assert len(loop_suppression(x, cfg, 5e4, 1e-4, 2)) == 1000")
 
-    def test_link_run_loads_it(self, files):
-        # The probe itself works: a full-rate link run filters.
-        assert loads_scipy_signal(cli("run", files["short_link"], "--out", files["out"]))
+    def test_link_run(self, files):
+        # A full-rate link run filters, and pads the decimated model's FFTs.
+        assert not loaded(cli("run", files["short_link"], "--out", files["out"]))
+
+    def test_probe_sees_scipy_signal(self):
+        # The probe itself works.
+        assert loaded("import scipy.signal") == list(PROBED)
+
+
+# Each filter's output and final state, run over the record in chunks of 1, 3
+# and 777 samples, by the direct routine and by scipy.signal.lfilter, with
+# the routine loaded before (order "direct") or after scipy.signal.
+SAME_BITS = """
+import sys
+import numpy as np
+from fiberlink.control import ControllerConfig, _loop_filter_polys
+from fiberlink.link import Lowpass, _lfilter
+
+def runs(filt):
+    lowpass = Lowpass(10.0, 1e-4)
+    # Each servo at m delay steps of 0.2 ms / m, all stable.
+    polys = [(lowpass._b, lowpass._a)] + [
+        _loop_filter_polys(ControllerConfig(), 5e4, 2e-4 / m, m) for m in (1, 2, 9, 40)]
+    x = np.random.default_rng(11).standard_normal(1600)
+    out = []
+    for b, a in polys:
+        for chunk in (1, 3, 777):
+            zi = np.zeros(a.size - 1)
+            ys = []
+            for lo in range(0, x.size, chunk):
+                y, zi = filt(b, a, x[lo:lo + chunk], zi)
+                ys.append(y)
+            out.append(np.concatenate(ys).tobytes() + zi.tobytes())
+    return out
+
+if ORDER == "direct":
+    direct = runs(_lfilter)
+    assert "scipy.signal" not in sys.modules
+from scipy.signal import lfilter
+if ORDER != "direct":
+    direct = runs(_lfilter)
+oracle = runs(lambda b, a, x, zi: lfilter(b, a, x, zi=zi))
+print(len(direct), sum(d == o for d, o in zip(direct, oracle)))
+"""
+
+
+@pytest.mark.parametrize("order", ["direct", "scipy.signal"])
+def test_direct_filter_has_lfilter_bits(order):
+    assert fresh(f"ORDER = {order!r}\n" + SAME_BITS) == "15 15"
 
 
 def test_tracer_targets_resolve():

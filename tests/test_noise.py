@@ -5,10 +5,11 @@ from scipy.fft import next_fast_len
 import fiberlink as fl
 from fiberlink import noise
 from fiberlink.errors import InvalidInputError
-from fiberlink.noise import (BurstSpec, BurstTrain, NoiseSpec, WalkPhase,
+from fiberlink.noise import (BurstSpec, BurstTrain, NoiseSpec, WalkPhase, _fast_len,
                              _pulse_len, _pulse_piece, _shaped_frac_freq, _white_scale,
                              component_rng, fiber_pair, gen_bursts, gen_diurnal,
                              gen_power_law_phase)
+from fiberlink.scenario import _MAX_DECIMATED_SAMPLES
 from fiberlink.series import PhaseSeries
 from fiberlink.stability import allan_deviation_phase, fit_power_law
 
@@ -140,6 +141,18 @@ def _expected_avar_at_half(alpha, m):
     c = (span(m, 2 * m) - span(0, m)) / m
     law = {-2: 2 * np.pi ** 2 / 3 * m, -1: 2 * np.log(2)}[alpha]
     return 0.5 * _white_scale(alpha, 1.0, 1.0) ** 2 * np.sum(c * c) / law
+
+
+class TestFastLen:
+    # scipy.fft.next_fast_len(n, real=True) is the oracle.
+    def test_every_length_to_2_17(self):
+        assert not [n for n in range(1, 2 ** 17 + 1)
+                    if _fast_len(n) != next_fast_len(n, real=True)]
+
+    def test_seeded_lengths_to_twice_the_decimated_cap(self):
+        top = 2 * _MAX_DECIMATED_SAMPLES
+        ns = [*np.random.default_rng(24).integers(2 ** 17, top, 400).tolist(), top]
+        assert not [n for n in ns if _fast_len(n) != next_fast_len(n, real=True)]
 
 
 class TestTimeDomainSynthesis:
