@@ -508,19 +508,23 @@ _ENGINES = {"lfilter": _run_linear, "stepped": _run_stepped}
 
 
 def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
-                     dt, delay_steps) -> PhaseSeries:
+                     dt, delay_steps, out=None) -> PhaseSeries:
     """The decimated-time model of one loop: the record's spectrum times the
     ``loop_sensitivity`` of the servo that ``run_closed_loop`` simulates at
     step ``dt``.  The record's frequencies must stay below 1/(2 dt); its DC
     bin is fully suppressed (infinite integrator gain).
 
     The map is circular at ``len(x)``.  A caller that wants fast transforms
-    pads ``x`` with zeros to a 5-smooth length (``noise._fast_len(n)``, which
-    is ``scipy.fft.next_fast_len(n, real=True)``) and keeps the first n
-    samples of the result, as the decimated model in ``scenario`` does.
-    The sensitivity is made and applied in blocks of at most
-    ``_SENSITIVITY_BLOCK`` bins at ``np.fft.rfftfreq``'s frequencies: the
-    whole-spectrum product's bytes, with no record-sized work arrays.
+    pads ``x`` with zeros to a 5-smooth length (``noise._fast_len(n)``) and
+    keeps the first n samples of the result, as the decimated model in
+    ``scenario`` does.  The sensitivity is made and applied in blocks of at
+    most ``_SENSITIVITY_BLOCK`` bins at ``np.fft.rfftfreq``'s frequencies:
+    the whole-spectrum product's bytes, with no record-sized work arrays.
+
+    The inverse transform writes into ``out`` if given, which may be the
+    memory of ``x.samples``: the record is read only by the forward
+    transform.  The spectrum is then the one record-sized array the call
+    adds.  The result is a view of ``out``, so ``out`` stays writable.
     """
     n = len(x)
     spec = np.fft.rfft(x.samples)
@@ -532,4 +536,5 @@ def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
         lo, hi = spec.size * i // blocks, spec.size * (i + 1) // blocks
         spec[lo:hi] *= loop_sensitivity(np.arange(lo, hi) * df, cfg, actuator_bw_hz,
                                         dt, delay_steps)
-    return PhaseSeries(np.fft.irfft(spec, n=n), x.tau0, label=f"{x.label}|closed")
+    closed = np.fft.irfft(spec, n=n, out=out)
+    return PhaseSeries(closed[:], x.tau0, label=f"{x.label}|closed")

@@ -89,7 +89,8 @@ _MAX_WELCH_WORK = 4 * _MAX_FULLRATE_SAMPLES
 # fig1-based run took 54 s at 2^26 samples and m = 63 (the slowest measured),
 # 39 s at 2^25 and m = 127; 86 km (m = 4) at 2^26 samples is 2^29.3.
 _MAX_SERVO_WORK = 2 ** 33
-# The decimated model peaks near 50 B a sample: ~0.4 GB; 97 days at 1 s.
+# The decimated model peaks near 41 B a sample, in its loop suppression
+# (VmHWM above a warm run, 10 and 40 days): ~0.35 GB; 97 days at 1 s.
 _MAX_DECIMATED_SAMPLES = 2 ** 23
 # Comb gates: exact arithmetic and the gate CSV, ~0.4 us and ~60 B a gate
 # (2^22 gates: 1.6 s and 0.24 GB above a warm run).
@@ -740,10 +741,13 @@ def _run_decimated(scn, seed, report):
     # Closed loop: slow content through the near-end servo's sensitivity,
     # which is linear, so the round trip's two fibers go through it as one
     # sum; in-band detector noise is written onto the signal by each servo.
-    # The closed record is the first n samples of that circular map.
+    # The closed record is the first n samples of that circular map, whose
+    # inverse transform writes over the slow sum (the series gets a view,
+    # since it marks its own array read-only).
     loop = _loop_config(scn, _delay_steps(link))
-    suppressed = loop_suppression(PhaseSeries(slow, step), loop.controller1,
-                                  loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1).samples
+    suppressed = loop_suppression(PhaseSeries(slow[:], step), loop.controller1,
+                                  loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1,
+                                  out=slow).samples
     del slow
     s_det_x = (link["detector"]["floor_rad_per_rthz"] ** 2
                / (2.0 * np.pi * link["carrier_return_hz"]) ** 2)

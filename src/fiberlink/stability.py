@@ -25,6 +25,9 @@ ESTIMATORS = ("standard", "overlapping")
 # Samples per block of the overlapping estimator's pass: a block of each of
 # its three reads and its write stays in cache between the four operations.
 _ADEV_BLOCK = 2 ** 16
+# Samples per block of the Welch detrend's line, made where it is used while
+# the block stays in cache, so no segment-sized copy of the line is kept.
+_LINE_BLOCK = 2 ** 13
 
 
 def phase_to_frac_freq(x: PhaseSeries) -> FracFreqSeries:
@@ -137,11 +140,15 @@ class WelchAccumulator:
     """One-sided Welch PSD (Welch, IEEE Trans. Audio Electroacoust. 15, 70,
     1967) of an ``n``-sample record fed in consecutive chunks of any size.
 
-    It holds one segment, one complex spectrum and one running sum.  Each
-    complete segment has its mean and least-squares line removed, is
-    multiplied by the periodic Hann window, and adds its ``|rfft|^2`` to the
-    sum in segment order, all in its own buffer once the samples the next
-    segment shares are copied out, so every chunking gives the same bytes.
+    It holds one segment, its window, one complex spectrum and one running
+    sum: 3.5 segments of float64.  Each complete segment has its mean and
+    least-squares line removed, is multiplied by the periodic Hann window,
+    and adds its ``|rfft|^2`` to the sum in segment order, all in its own
+    buffer once the samples the next segment shares are copied out, so every
+    chunking gives the same bytes.  The line's direction is not kept: it is
+    remade in the spectrum's memory, ``_LINE_BLOCK`` samples at a time, for
+    the projection and again for the subtraction, with the bytes of the
+    whole-array form.
     Trailing samples that do not fill a segment are ignored.  It agrees with
     ``scipy.signal.welch`` (Hann, linear detrend) to rounding, not bit for bit.
     """
@@ -157,16 +164,19 @@ class WelchAccumulator:
         self._count = welch_segments(n, segment, overlap)
         # Periodic Hann, as scipy.signal.get_window("hann", segment) builds it.
         self._window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment + 1)[:-1])
-        t = np.arange(segment) - (segment - 1) / 2.0
-        # The dot products are ``np.add.reduce`` sums, not BLAS ones: a BLAS
-        # sum's order, so its last bit, depends on the thread count and the
-        # CPU kernel.  ``_unit_t`` is the line's direction, orthogonal to 1.
-        self._unit_t = t / np.sqrt(np.add.reduce(t * t))
         self._buffer = np.empty(segment)
         self._filled = 0
         self._done = 0
         self._sum = np.zeros(segment // 2 + 1)
         self._spectrum = np.empty(segment // 2 + 1, dtype=complex)
+        # The dot products are ``np.add.reduce`` sums, not BLAS ones: a BLAS
+        # sum's order, so its last bit, depends on the thread count and the
+        # CPU kernel.  t / |t| is the line's direction, orthogonal to 1; t**2
+        # is summed in the spectrum's memory.
+        squares = self._spectrum.view(float)[:segment]
+        for t, _, _ in _line_blocks(squares, 1.0):
+            t *= t
+        self._norm = np.sqrt(np.add.reduce(squares))
 
     def add(self, samples):
         """Feed the record's next samples."""
@@ -183,8 +193,12 @@ class WelchAccumulator:
                 shared = x[self._hop:].copy()
                 x -= x.mean()
                 scratch = self._spectrum.view(float)[:seg]
-                coef = np.add.reduce(np.multiply(self._unit_t, x, out=scratch))
-                x -= np.multiply(coef, self._unit_t, out=scratch)
+                for u, lo, hi in _line_blocks(scratch, self._norm):
+                    u *= x[lo:hi]
+                coef = np.add.reduce(scratch)
+                for u, lo, hi in _line_blocks(scratch, self._norm):
+                    u *= coef
+                    x[lo:hi] -= u
                 x *= self._window
                 spectrum = np.fft.rfft(x, out=self._spectrum)
                 power = np.multiply(spectrum.real, spectrum.real, out=x[: spectrum.size])
@@ -204,6 +218,19 @@ class WelchAccumulator:
         values[1:-1 if seg % 2 == 0 else None] *= 2    # one-sided: fold negative bins
         return PsdEstimate(np.fft.rfftfreq(seg, 1 / self._fs), values,
                            rbw_hz=float(self._fs * power / np.sum(self._window) ** 2))
+
+
+def _line_blocks(out, norm):
+    """Fill ``out`` with t / ``norm``, t_i = i - (len(out) - 1) / 2 (exact),
+    ``_LINE_BLOCK`` samples at a time, yielding each block with its bounds
+    ``(block, lo, hi)`` once it is filled."""
+    seg = out.size
+    for lo in range(0, seg, _LINE_BLOCK):
+        hi = min(lo + _LINE_BLOCK, seg)
+        block = np.subtract(np.arange(lo, hi, dtype=float), (seg - 1) / 2.0,
+                            out=out[lo:hi])
+        block /= norm
+        yield block, lo, hi
 
 
 def psd_welch(x: PhaseSeries, segment: int, overlap=0.5) -> PsdEstimate:

@@ -407,6 +407,18 @@ class TestLowFreqModel:
         got = loop_suppression(PhaseSeries(x, 1.0), CFG, RF_BW, DT, M).samples
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [2, 3, 4050, 20_250])
+    def test_out_over_the_input_gives_the_fresh_bytes(self, n):
+        # The decimated model's form: the inverse transform writes over the
+        # record, which the series sees through a view.
+        x = np.cumsum(np.random.default_rng(n).standard_normal(n)) * 1e-12
+        want = loop_suppression(PhaseSeries(x, 1.0), CFG, RF_BW, DT, M).samples
+        buf = x.copy()
+        got = loop_suppression(PhaseSeries(buf[:], 1.0), CFG, RF_BW, DT, M, out=buf)
+        assert np.shares_memory(got.samples, buf)
+        assert got.samples.tobytes() == want.tobytes()
+        assert buf.flags.writeable and not got.samples.flags.writeable
+
     def test_matches_fullrate_engine_over_overlap(self, tmp_path):
         # Dual-rate validation: the decimated suppression model and the
         # full-rate servo agree on closed-loop Allan over their overlap.

@@ -2,6 +2,7 @@
 deleted or renamed public name cannot linger in it, and the numbers README
 quotes that the code determines are computed here."""
 
+import importlib
 import importlib.util
 import pathlib
 import re
@@ -51,3 +52,21 @@ def test_padded_suppression_lengths():
     text = " ".join(README.read_text(encoding="utf-8").split())
     assert dict(re.findall(r"has n = ([\d,]+)(?: = [\d·]+)? and is padded to ([\d,]+)",
                            text)) == computed
+
+
+def test_quoted_block_and_chunk_sizes():
+    # Every "`module._NAME` = 2^k" README quotes, the burst pulse's block
+    # and the CSV writers' chunk, against the code's values.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+
+    def code(module, name):
+        return getattr(importlib.import_module(f"fiberlink.{module}"), name)
+
+    quoted = re.findall(r"`(\w+)\.(_[A-Z_]+)` = 2\^(\d+)", text)
+    assert len(quoted) >= 4, quoted
+    for module, name, power in quoted:
+        assert code(module, name) == 2 ** int(power), name
+    (pulse,) = re.findall(r"a burst pulse is evaluated ([\d,]+) samples at a time", text)
+    assert int(pulse.replace(",", "")) == code("noise", "_PULSE_BLOCK")
+    (rows,) = re.findall(r"to the file in chunks of ([\d,]+) rows", text)
+    assert int(rows.replace(",", "")) == code("io", "_CHUNK_ROWS")

@@ -601,15 +601,17 @@ class TestDeterminism:
 
 class TestDecimatedSuppressionLength:
     """The decimated model suppresses its slow sum at a 5-smooth FFT length,
-    zero-padded, and keeps the first n samples of the result."""
+    zero-padded, writes the result over that sum and keeps its first n
+    samples."""
 
     @staticmethod
     def _run(duration_s, monkeypatch, **override):
         calls = []
 
-        def spy(x, *args):
+        def spy(x, *args, **kwargs):
+            assert np.shares_memory(kwargs["out"], x.samples)
             calls.append((x.samples.copy(), args))
-            return loop_suppression(x, *args)
+            return loop_suppression(x, *args, **kwargs)
 
         monkeypatch.setattr("fiberlink.scenario.loop_suppression", spy)
         scn = load_scenario(dict(SHORT_FIG1, run=dict(
