@@ -525,6 +525,8 @@ def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
     memory of ``x.samples``: the record is read only by the forward
     transform.  The spectrum is then the one record-sized array the call
     adds.  The result is a view of ``out``, so ``out`` stays writable.
+    When ``out`` shares the memory of ``x.samples``, ``x`` must not be used
+    after the call: its samples are then the closed record's.
     """
     n = len(x)
     spec = np.fft.rfft(x.samples)

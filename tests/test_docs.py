@@ -2,7 +2,6 @@
 deleted or renamed public name cannot linger in it, and the numbers README
 quotes that the code determines are computed here."""
 
-import importlib
 import importlib.util
 import pathlib
 import re
