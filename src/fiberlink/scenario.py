@@ -60,7 +60,7 @@ from .link import (ActuatorState, Carrier, CountingChain, DetectorConfig,
 from .noise import (BurstSpec, BurstTrain, WalkPhase, _fast_len, component_rng,
                     diurnal_samples, fiber_pair, white_fm_level_for)
 from .series import AdevCurve, FracFreqSeries, PhaseSeries
-from .stability import (WelchAccumulator, _tau_multiple, allan_deviation,
+from .stability import (WelchAccumulator, _tau_multiple, _tau_multiples, allan_deviation,
                         allan_deviation_phase, welch_segments)
 # Names perfbench's tracer wraps that no run calls: the one-chunk forms of
 # the streamed stages, and the power-law synthesis.
@@ -784,8 +784,7 @@ def _reference_model_curves(scn):
     stationary flicker FM, 2 ln2 h.  Fountain: white FM, h0 / (2 tau)."""
     step = scn["run"]["decimated_step_s"]
     n = int(round(scn["run"]["decimated_duration_s"] / step)) + 1
-    taus = np.unique(np.asarray(scn["outputs"]["adev_taus_s"], dtype=float))
-    m = np.array([_tau_multiple(tau, step) for tau in taus], dtype=int)
+    taus, m = _tau_multiples(scn["outputs"]["adev_taus_s"], step)
     fits = n - 2 * m >= 1
     tau, n_pairs = m[fits] * step, n - 2 * m[fits]
     omitted = tuple(float(t) for t in taus[~fits])

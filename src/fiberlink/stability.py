@@ -5,9 +5,10 @@ The two-sample (Allan) deviation of fractional frequency,
 
     sigma_y(tau) = sqrt( 0.5 * < (ybar_n - ybar_{n+1})^2 > ),
 
-is the stability measure used throughout: ybar_n are contiguous tau-averages
-of y.  The canonical input is frequency data; a phase-input wrapper chains
-the conversion.  Estimators are pure functions over immutable series.
+is the stability measure used throughout: ybar_n are tau-averages of y, and
+tau * (ybar_{n+1} - ybar_n) is a second difference of phase x, so one kernel
+on the phase record serves both estimators and both kinds of input.
+Estimators are pure functions over immutable series.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .series import AdevCurve, FracFreqSeries, PhaseSeries, PsdEstimate
 
 ESTIMATORS = ("standard", "overlapping")
 
-# Samples per block of the overlapping estimator's pass: a block of each of
-# its three reads and its write stays in cache between the four operations.
+# Samples per block of the Allan kernel's pass: a block of each of its three
+# reads and its write stays in cache between the four operations.
 _ADEV_BLOCK = 2 ** 16
 # Samples per block of the Welch detrend's line, made where it is used while
 # the block stays in cache, so no segment-sized copy of the line is kept.
@@ -50,6 +51,16 @@ def _tau_multiple(tau, tau0):
     return mi
 
 
+def _tau_multiples(taus, tau0):
+    """``(taus, m)``: the distinct multiples m of tau0 that the requested
+    taus name, in increasing order, each with the smallest tau naming it."""
+    taus = np.unique(np.asarray(taus, dtype=float))
+    if taus.size == 0:
+        raise InvalidInputError("no taus requested")
+    m, first = np.unique([_tau_multiple(tau, tau0) for tau in taus], return_index=True)
+    return taus[first], m
+
+
 def _second_difference_squares(x, m, out):
     """Fill ``out`` with ``(x[i + 2m] - 2.0 * x[i + m] + x[i]) ** 2``, block
     by block, in the operation order of the whole-array expression."""
@@ -62,68 +73,54 @@ def _second_difference_squares(x, m, out):
         np.multiply(d, d, out=d)
 
 
-def allan_deviation(y: FracFreqSeries, taus, estimator="standard") -> AdevCurve:
-    """Allan deviation of fractional-frequency data at the requested taus.
-
-    Each tau must be an integer multiple m*tau0.  The standard estimator
-    averages y into contiguous m-sample means and differences adjacent means;
-    the overlapping estimator uses every m-span (NIST SP 1065, Riley 2008).
-    Taus with fewer than one difference pair are omitted and flagged on the
-    returned curve.
-
-    The overlapping estimator holds two record-sized buffers: the
-    integrated phase x and one work buffer.  For each tau it fills the work
-    buffer with the squared second differences of x in one pass, in blocks
-    of ``_ADEV_BLOCK`` samples that stay in cache, and takes one pairwise
-    ``np.mean`` over the whole buffer, so each sigma is bit for bit the one
-    from ``np.mean(dd * dd)`` with ``dd = x[2m:] - 2.0 * x[m:-m] + x[:-2m]``.
-    """
+def _adev(x, tau0, taus, estimator):
+    """Allan deviation sqrt(0.5 * <d**2>) / tau of the phase samples ``x``
+    at step ``tau0``, d the second differences of x at lag m (overlapping)
+    or of ``x[::m]`` at lag 1 (standard).  Each tau fills one work buffer,
+    in blocks of ``_ADEV_BLOCK`` samples that stay in cache, and takes one
+    pairwise ``np.mean``, so each sigma is bit for bit the one from
+    ``np.mean(dd * dd)`` with ``dd = x[2m:] - 2.0 * x[m:-m] + x[:-2m]``."""
     if estimator not in ESTIMATORS:
         raise InvalidInputError(f"estimator must be one of {ESTIMATORS}")
-    yv = y.samples
-    n = yv.size
-    taus = np.unique(np.asarray(taus, dtype=float))
-    if taus.size == 0:
-        raise InvalidInputError("no taus requested")
-
-    # Integrated phase (x_0 = 0) and one work buffer serve the overlapping
-    # estimator.
-    if estimator == "overlapping":
-        xph = np.empty(n + 1)
-        xph[0] = 0.0
-        np.cumsum(yv, out=xph[1:])
-        xph *= y.tau0
-        work = np.empty(n - 1)
-
+    taus, multiples = _tau_multiples(taus, tau0)
+    work = np.empty(max(x.size - 2, 0))
     out_t, out_s, out_p, omitted = [], [], [], []
-    for tau in taus:
-        m = _tau_multiple(tau, y.tau0)
-        if estimator == "standard":
-            k = n // m
-            if k < 2:
-                omitted.append(float(tau))
-                continue
-            means = yv[: k * m].reshape(k, m).mean(axis=1)
-            d = np.diff(means)
-            out_s.append(float(np.sqrt(0.5 * np.mean(d * d))))
-            out_p.append(d.size)
-        else:
-            k = n - 2 * m + 1
-            if k < 1:
-                omitted.append(float(tau))
-                continue
-            _second_difference_squares(xph, m, work[:k])
-            out_s.append(float(np.sqrt(0.5 * np.mean(work[:k])) / (m * y.tau0)))
-            out_p.append(k)
-        out_t.append(float(m * y.tau0))
-
+    for tau, m in zip(taus, multiples):
+        xm, lag = (x, m) if estimator == "overlapping" else (x[::m], 1)
+        k = xm.size - 2 * lag
+        if k < 1:
+            omitted.append(float(tau))
+            continue
+        _second_difference_squares(xm, lag, work[:k])
+        out_t.append(float(m * tau0))
+        out_s.append(float(np.sqrt(0.5 * np.mean(work[:k])) / (m * tau0)))
+        out_p.append(k)
     return AdevCurve(np.array(out_t), np.array(out_s), np.array(out_p, dtype=int),
                      estimator=estimator, omitted_taus=tuple(omitted))
 
 
+def allan_deviation(y: FracFreqSeries, taus, estimator="standard") -> AdevCurve:
+    """Allan deviation of fractional-frequency data at the requested taus.
+
+    Each tau must be an integer multiple m*tau0; taus naming the same m give
+    one point.  The standard estimator differences adjacent contiguous
+    m-sample means of y; the overlapping estimator uses every m-span (NIST
+    SP 1065, Riley 2008).  Taus with fewer than one difference pair are
+    omitted and flagged on the returned curve.  y is integrated into phase
+    (x_0 = 0), so the call holds that phase and one work buffer.
+    """
+    x = np.empty(len(y) + 1)
+    x[0] = 0.0
+    np.cumsum(y.samples, out=x[1:])
+    x *= y.tau0
+    return _adev(x, y.tau0, taus, estimator)
+
+
 def allan_deviation_phase(x: PhaseSeries, taus, estimator="standard") -> AdevCurve:
-    """Convenience wrapper: Allan deviation straight from a phase-time record."""
-    return allan_deviation(phase_to_frac_freq(x), taus, estimator)
+    """Allan deviation of a phase-time record, as ``allan_deviation`` of its
+    frequency record, with the second differences taken on ``x.samples``
+    itself: the call's one record-sized array is its work buffer."""
+    return _adev(x.samples, x.tau0, taus, estimator)
 
 
 def _welch_hop(segment, overlap):

@@ -3,6 +3,7 @@ deleted or renamed public name cannot linger in it, and the numbers README
 quotes that the code determines are computed here."""
 
 import importlib.util
+import math
 import pathlib
 import re
 
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 import fiberlink as fl
+from fiberlink import io, scenario
 from fiberlink.noise import _fast_len
+from fiberlink.stability import WelchAccumulator, log_band_average
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -69,3 +72,35 @@ def test_quoted_block_and_chunk_sizes():
     assert int(pulse.replace(",", "")) == code("noise", "_PULSE_BLOCK")
     (rows,) = re.findall(r"to the file in chunks of ([\d,]+) rows", text)
     assert int(rows.replace(",", "")) == code("io", "_CHUNK_ROWS")
+
+
+def test_quoted_floor_caps_and_psd_rows():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    fig1 = fl.load_scenario({"seed": 1, "preset": "fig1"}).data
+    # The closed floor's default and its one-day point on the walk-FM law,
+    # sigma_y(tau) = sqrt(2 pi^2 / 3 * h * tau).
+    ((h, day),) = re.findall(r"`controllers\.closed_floor_walk_fm_h` \(([\d.e-]+), "
+                             r"([\d.e-]+) at one day", text)
+    assert float(h) == scenario._DEFAULTS["controllers"]["closed_floor_walk_fm_h"]
+    assert f"{math.sqrt(2 * math.pi ** 2 / 3 * float(h) * 86_400):.0e}" == day
+    # The full-rate and decimated sample caps, as durations at fig1's steps.
+    ((full, hours, step_ms, dec, days, dec_step),) = re.findall(
+        r"2\^(\d+) full-rate samples \(`run\.fullrate_duration_s / link\.step_s`, "
+        r"([\d.]+) h at ([\d.]+) ms\), 2\^(\d+) decimated samples \(([\d.]+) days at "
+        r"([\d.]+) s\)", text)
+    assert 2 ** int(full) == scenario._MAX_FULLRATE_SAMPLES
+    assert 2 ** int(dec) == scenario._MAX_DECIMATED_SAMPLES
+    assert float(step_ms) * 1e-3 == fig1["link"]["step_s"]
+    assert float(dec_step) == fig1["run"]["decimated_step_s"]
+    assert f"{2 ** int(full) * fig1['link']['step_s'] / 3600:.1f}" == hours
+    assert f"{2 ** int(dec) * fig1['run']['decimated_step_s'] / 86_400:.0f}" == days
+    # fig1's PSD rows: the log-band means of one Welch segment's grid.
+    ((rows, bins),) = re.findall(r"`fig1` writes (\d+) rows \([\d.]+ KB\) in place of "
+                                 r"([\d,]+) bins", text)
+    step = fig1["link"]["step_s"]
+    segment = round(fig1["outputs"]["psd_segment_s"] / step)
+    welch = WelchAccumulator(segment, step, segment)
+    welch.add(np.zeros(segment))
+    psd = welch.result()
+    assert int(bins.replace(",", "")) == psd.freqs.size
+    assert int(rows) == log_band_average(psd, io._BANDS_PER_DECADE)[0].size

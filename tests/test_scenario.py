@@ -526,6 +526,7 @@ class TestReferenceCurveGrid:
     @pytest.mark.parametrize("duration_s, step_s, taus", [
         (100.0, 1.0, [1, 10, 49, 50, 51, 1000]),      # 50 keeps n - 2m = 1 pair
         (30.0, 0.5, [15.5, 0.5, 7.5, 2.0, 2.0, 15.0]),
+        (100.0, 1.0, [1, 1.0000000001, 10, 60.0000000001, 60]),   # one point per m
     ])
     def test_omitted_taus_as_the_estimator(self, duration_s, step_s, taus):
         references, estimate = self._both(duration_s, step_s, taus)
@@ -811,6 +812,24 @@ class TestCli:
         proc = run_cli(["run", str(path), "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         assert (out / "closed_loop.csv").exists()
+
+    def test_run_near_duplicate_taus(self, tmp_path):
+        # Taus a hair apart name one multiple of their record's step, so
+        # every Allan CSV has one row for them, as for exact duplicates.
+        data = json.loads(json.dumps(SHORT_FIG1))
+        data["outputs"].update(adev_taus_s=[1, 1.0000000001, 10],
+                               fullrate_taus_s=[1, 1.0000000001, 2])
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["validate", str(path)]).returncode == 0
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "run_report.json").read_text())["manifest"]
+        curves = [read_adev_csv(out / name) for name in manifest if name != "round_trip_psd.csv"]
+        assert len(curves) == 6
+        for curve in curves:
+            assert list(curve.taus).count(1.0) == 1 and curve.taus[1] > 1.0
 
     def test_run_writes_outputs(self, tmp_path):
         path = tmp_path / "scn.json"

@@ -11,7 +11,7 @@ import fiberlink as fl
 from fiberlink import stability
 from fiberlink.errors import InvalidInputError
 from fiberlink.series import FracFreqSeries, PhaseSeries, PsdEstimate
-from fiberlink.stability import (WelchAccumulator, allan_deviation,
+from fiberlink.stability import (ESTIMATORS, WelchAccumulator, allan_deviation,
                                  allan_deviation_phase, fit_power_law,
                                  log_band_average, one_way_from_round_trip,
                                  phase_to_frac_freq, psd_welch)
@@ -92,6 +92,36 @@ class TestAllanDeviation:
         assert std.n_pairs[0] == 9
         assert ovl.n_pairs[0] == 81
 
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_near_duplicate_taus_give_one_point(self, estimator):
+        # Taus a hair apart name one multiple of tau0, so one point.
+        x = PhaseSeries(np.cumsum(np.random.default_rng(3).standard_normal(50)), 1.0)
+        taus = [1, 1.0000000001, 0.9999999999, 10, 30, 30.000000001]
+        for curve in (allan_deviation_phase(x, taus, estimator),
+                      allan_deviation(phase_to_frac_freq(x), taus, estimator)):
+            assert list(curve.taus) == [1.0, 10.0]
+            assert curve.omitted_taus == (30.0,)
+
+    @pytest.mark.parametrize("n", [500, 997])
+    def test_standard_matches_contiguous_means(self, n):
+        # The kernel's lag-1 pass on x[::m] against adjacent contiguous
+        # m-sample means of y, at m that do and do not divide the record.
+        tau0 = 0.5
+        x = PhaseSeries(np.cumsum(np.random.default_rng(n).standard_normal(n + 1)) * 1e-12,
+                        tau0)
+        y = phase_to_frac_freq(x)
+        multiples = [1, 2, 3, 7, 10, 64, 100, n // 3, n // 2]
+        sigmas, pairs = [], []
+        for m in multiples:
+            k = n // m
+            d = np.diff(y.samples[: k * m].reshape(k, m).mean(axis=1))
+            sigmas.append(np.sqrt(0.5 * np.mean(d * d)))
+            pairs.append(d.size)
+        taus = [m * tau0 for m in multiples]
+        for curve in (allan_deviation(y, taus), allan_deviation_phase(x, taus)):
+            assert np.array_equal(curve.n_pairs, pairs)
+            assert np.max(np.abs(curve.sigmas / sigmas - 1)) <= 1e-12
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.floats(min_value=1e-3, max_value=1e3),
            st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -111,27 +141,34 @@ class TestAllanDeviation:
         assert np.allclose(shifted, base, rtol=1e-9, atol=1e-15)
 
 
-def _ref_overlapping(y, taus):
-    """``(sigmas, n_pairs)`` of the overlapping estimator as one whole-array
-    expression per tau."""
-    xph = np.concatenate(([0.0], np.cumsum(y.samples))) * y.tau0
+def _ref_overlapping(x, tau0, taus):
+    """``(sigmas, n_pairs)`` of the overlapping estimator on the phase
+    samples ``x`` as one whole-array expression per tau."""
     sigmas, pairs = [], []
-    for tau in np.unique(np.asarray(taus, dtype=float)):
-        m = int(round(tau / y.tau0))
-        if len(y) - 2 * m + 1 < 1:
+    for m in np.unique([int(round(tau / tau0)) for tau in taus]):
+        if x.size - 2 * m < 1:
             continue
-        dd = xph[2 * m:] - 2.0 * xph[m:-m] + xph[:-2 * m]
-        sigmas.append(float(np.sqrt(0.5 * np.mean(dd * dd)) / (m * y.tau0)))
+        dd = x[2 * m:] - 2.0 * x[m:-m] + x[:-2 * m]
+        sigmas.append(float(np.sqrt(0.5 * np.mean(dd * dd)) / (m * tau0)))
         pairs.append(dd.size)
     return np.array(sigmas), np.array(pairs, dtype=int)
 
 
-def _assert_overlapping_matches_reference(y, taus):
-    curve = allan_deviation(y, taus, "overlapping")
-    sigmas, pairs = _ref_overlapping(y, taus)
-    assert np.array_equal(curve.sigmas, sigmas)
-    assert np.array_equal(curve.n_pairs, pairs)
-    return curve
+def _assert_overlapping_matches_reference(values, tau0, taus):
+    """``values`` as frequency data, integrated from x_0 = 0, and (with two
+    samples or more) as a phase record, each against the reference on its
+    phase.  Returns the frequency data's curve."""
+    y = FracFreqSeries(values, tau0)
+    x = np.concatenate(([0.0], np.cumsum(y.samples))) * tau0
+    checks = [(allan_deviation(y, taus, "overlapping"), x)]
+    if y.samples.size >= 2:
+        checks.append((allan_deviation_phase(PhaseSeries(values, tau0), taus, "overlapping"),
+                       y.samples))
+    for curve, phase in checks:
+        sigmas, pairs = _ref_overlapping(phase, tau0, taus)
+        assert np.array_equal(curve.sigmas, sigmas)
+        assert np.array_equal(curve.n_pairs, pairs)
+    return checks[0][0]
 
 
 BLOCK = stability._ADEV_BLOCK
@@ -142,28 +179,31 @@ DAY_SCALE_TAUS = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000,
 
 class TestOverlappingKernel:
     """The blocked overlapping pass gives the bytes of the whole-array
-    expression: the same sigmas and pair counts, bit for bit."""
+    expression on the phase record, for phase input and for frequency
+    input: the same sigmas and pair counts, bit for bit."""
 
-    # k = n - 2m + 1 terms: one, and either side of one and two blocks.
+    # k = n - 2m + 1 terms of the frequency data (k - 1 of the same values
+    # as phase): one, and either side of one and two blocks.
     @pytest.mark.parametrize("k", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     @pytest.mark.parametrize("m", [1, 7])
     def test_term_counts_around_the_block(self, k, m):
         n = k + 2 * m - 1
-        y = FracFreqSeries(np.random.default_rng(k + m).standard_normal(n) * 1e-13, 1.0)
-        curve = _assert_overlapping_matches_reference(y, [m, 1, 2])
+        values = np.random.default_rng(k + m).standard_normal(n) * 1e-13
+        curve = _assert_overlapping_matches_reference(values, 1.0, [m, 1, 2])
         assert curve.n_pairs[list(curve.taus).index(m)] == k
 
     def test_omitted_tau(self):
-        y = FracFreqSeries(np.random.default_rng(4).standard_normal(BLOCK + 9) * 1e-13, 1.0)
+        values = np.random.default_rng(4).standard_normal(BLOCK + 9) * 1e-13
         too_long = float(BLOCK)
-        curve = _assert_overlapping_matches_reference(y, [1, 3, 1000, too_long])
+        curve = _assert_overlapping_matches_reference(values, 1.0, [1, 3, 1000, too_long])
         assert curve.omitted_taus == (too_long,)
         assert list(curve.taus) == [1.0, 3.0, 1000.0]
 
     @pytest.mark.parametrize("tau0", [1.0, 0.5, 1e-4])
     def test_sampling_intervals(self, tau0):
-        y = FracFreqSeries(np.random.default_rng(5).standard_normal(3 * BLOCK) * 1e-13, tau0)
-        _assert_overlapping_matches_reference(y, [m * tau0 for m in (1, 2, 5, 100, 3000)])
+        values = np.random.default_rng(5).standard_normal(3 * BLOCK) * 1e-13
+        _assert_overlapping_matches_reference(values, tau0,
+                                              [m * tau0 for m in (1, 2, 5, 100, 3000)])
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.lists(st.one_of(st.floats(min_value=-1e-6, max_value=1e-6),
@@ -174,10 +214,10 @@ class TestOverlappingKernel:
            st.integers(min_value=1, max_value=9))
     def test_property_matches_reference(self, values, multiples, tau0, block):
         # A small block puts several block edges inside these short records.
-        y = FracFreqSeries(np.array(values), tau0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stability, "_ADEV_BLOCK", block)
-            _assert_overlapping_matches_reference(y, [m * tau0 for m in multiples])
+            _assert_overlapping_matches_reference(np.array(values), tau0,
+                                                  [m * tau0 for m in multiples])
 
     def test_memory_two_record_buffers(self):
         # Peak traced memory over the input record, which exists beforehand:
@@ -192,6 +232,21 @@ class TestOverlappingKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * n, peak / (8 * n)
+
+    def test_memory_phase_input_one_record_buffer(self):
+        # Phase input is differenced where it lies: the work buffer is the
+        # call's one record-sized array (three records when it went through
+        # a frequency record and its integrated phase).
+        n = 2 ** 19
+        x = PhaseSeries(np.cumsum(np.random.default_rng(6).standard_normal(n)) * 1e-13, 1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            allan_deviation_phase(x, DAY_SCALE_TAUS, "overlapping")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n, peak / (8 * n)
 
 
 class TestPsdWelch:

@@ -289,14 +289,16 @@ def test_decimated_chunked_equals_one_chunk(chunk, monkeypatch):
 
 
 def test_decimated_memory_in_records(monkeypatch):
-    """A 10-day decimated model peaks at no more than 6 records of its
-    864,001 samples (tracemalloc), where its arrays were once 8.1; that
-    traced peak, 5.06 records, is the Allan stage's.  Its loop suppression
-    call peaks at no more than 3.5 records, counting the open record and the
-    padded slow sum it finds live: its inverse transform writes over that
-    sum instead of a new array (4.22 records when it did not).  The traced
-    peak is reset when the suppression starts, so the whole run's is the
-    larger of the peak before that call and the peak from it on.
+    """A 10-day decimated model peaks at no more than 3.5 records of its
+    864,001 samples (tracemalloc), where its arrays were once 8.1.  Its
+    loop suppression call peaks at 3.47 records, counting the open record
+    and the padded slow sum it finds live: its inverse transform writes over
+    that sum instead of a new array (4.22 records when it did not).  The
+    Allan stage, which once held each record's frequency record and its
+    integrated phase (5.06 records), now holds the open and closed records
+    and one work buffer (3.06).  The traced peak is reset when the
+    suppression starts, so the whole run's is the larger of the peak before
+    that call and the peak from it on.
 
     tracemalloc sees numpy's arrays only.  pocketfft's plan and scratch, about
     2 records at this length, are not traced, so the process's resident peak
@@ -324,7 +326,7 @@ def test_decimated_memory_in_records(monkeypatch):
         tracemalloc.stop()
     record = 8 * 864_001
     (earlier_peak,) = earlier_peaks
-    assert max(earlier_peak, peak) <= 6 * record, (earlier_peak / record, peak / record)
+    assert max(earlier_peak, peak) <= 3.5 * record, (earlier_peak / record, peak / record)
     (suppression_peak,) = suppression_peaks
     assert suppression_peak <= 3.5 * record, suppression_peak / record
 
