@@ -16,9 +16,7 @@ from .noise import (BurstSpec, NoiseSpec, fiber_pair, gen_bursts, gen_diurnal,
 from .link import (ActuatorState, Carrier, DetectorConfig, measurement_lowpass,
                    sample_every, to_radians)
 from .control import (ControllerConfig, LinkLoopConfig, LoopRunResult,
-                      critical_frequency, find_divergence_onset,
-                      integrator_loop_diverges, loop_suppression,
-                      run_closed_loop)
+                      critical_frequency, loop_suppression, run_closed_loop)
 from .comb import (BudgetEntry, BudgetResult, CombParams, CounterChainConfig,
                    FreqSeries, MeasurementRecord, absolute_freq_estimate,
                    count_chain, optical_from_rep_rate, rep_rate_from_optical,

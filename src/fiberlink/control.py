@@ -11,9 +11,9 @@ at 1 / (4 tau_rt), which is what limits the usable bandwidth, and
 ``critical_frequency`` is that closed form.  A simulated loop is a discrete
 recurrence (``_loop_filter_polys``: sampling at dt, a 2M-step delay and the
 actuator's first-order lag), stable exactly when every root of its
-denominator polynomial in z^-1 lies inside the unit circle;
-``integrator_loop_diverges`` decides the delay-limited boundary that way,
-and ``loop_sensitivity`` is the same loop's sensitivity on the unit circle.
+denominator polynomial in z^-1 lies inside the unit circle (a scenario is
+refused for each root ``_unstable_poles`` counts outside it), and
+``loop_sensitivity`` is the same loop's sensitivity on the unit circle.
 
 The near-end loop corrects fiber 1 with an RF phase shift on the
 transmitted carrier, so only the served carrier is corrected.  The far-end
@@ -90,42 +90,6 @@ def critical_frequency(round_trip_delay_s) -> float:
     if not round_trip_delay_s > 0:
         raise InvalidInputError("round-trip delay must be positive")
     return 1.0 / (4.0 * round_trip_delay_s)
-
-
-def integrator_loop_diverges(unity_gain_hz, round_trip_delay_s, dt=1e-5) -> bool:
-    """Whether the delay-limited pure-integrator loop is unstable.
-
-    The loop c_k = c_{k-1} - g (c_{k-M} + w_k), with g = 2 pi dt
-    ``unity_gain_hz`` and a transport delay of M steps, has the denominator
-    1 - z^-1 + g z^-M; it grows when a root lies on or outside the unit
-    circle.
-    """
-    m = int(round(round_trip_delay_s / dt))
-    if m < 2:
-        raise InvalidInputError("dt too coarse to resolve the loop delay")
-    a = np.zeros(m + 1)
-    a[0] = 1.0
-    a[1] = -1.0
-    a[m] += 2.0 * np.pi * unity_gain_hz * dt
-    return bool(np.max(np.abs(np.roots(a))) >= 1.0)
-
-
-def find_divergence_onset(round_trip_delay_s, f_lo=200.0, f_hi=1000.0,
-                          iters=14, dt=1e-5) -> float:
-    """Bisection of the unity-gain frequency at which the probe loop of
-    ``integrator_loop_diverges`` turns unstable."""
-    if integrator_loop_diverges(f_lo, round_trip_delay_s, dt):
-        raise InvalidInputError(f"lower bracket {f_lo} Hz already diverges")
-    if not integrator_loop_diverges(f_hi, round_trip_delay_s, dt):
-        raise InvalidInputError(f"upper bracket {f_hi} Hz does not diverge")
-    lo, hi = f_lo, f_hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if integrator_loop_diverges(mid, round_trip_delay_s, dt):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +170,38 @@ def _loop_filter_polys(cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):
     a[2 * delay_steps] += b[0]
     a[2 * delay_steps + 1] += b[1]
     return b, a
+
+
+def _unstable_poles(cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps) -> int:
+    """How many poles of the servo ``_loop_filter_polys`` builds lie on or
+    outside the unit circle: the turns of its denominator a(w), w = z^-1,
+    round 0 as w goes once round |w| = 1 (the argument principle).  a is
+    (1 - w)((1 - w)(1 - lag w) + h w^2M) + g w^2M with g = b0 + b1 and
+    h = -b1; when ki = 0 makes g 0, the factor 1 - w that b shares is
+    divided out.  A grid step over which arg a turns by more than pi/4 is
+    halved until none does; one that straddles a zero on the circle at a
+    double's resolution still does, and counts that zero inside."""
+    b, lag = _loop_terms(cfg, actuator_bw_hz, dt)
+    g, h = b[0] + b[1], -b[1]
+
+    def denominator(theta):
+        w, w2m = np.exp(1j * theta), np.exp(2j * delay_steps * theta)
+        reduced = (1.0 - w) * (1.0 - lag * w) + h * w2m
+        return reduced if g == 0.0 else (1.0 - w) * reduced + g * w2m
+
+    theta = np.linspace(0.0, 2.0 * np.pi, 8 * (2 * delay_steps + 2) + 1)
+    a = denominator(theta)
+    while True:
+        step = np.angle(a[1:] * a[:-1].conj())
+        wide = np.flatnonzero(np.abs(step) > np.pi / 4)
+        mid = 0.5 * (theta[wide] + theta[wide + 1])
+        split = (theta[wide] < mid) & (mid < theta[wide + 1])
+        if not split.any():
+            break
+        theta = np.insert(theta, wide[split] + 1, mid[split])
+        a = np.insert(a, wide[split] + 1, denominator(mid[split]))
+    step[wide] = np.pi
+    return int(round(np.sum(step) / (2.0 * np.pi)))
 
 
 def loop_sensitivity(freqs_hz, cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):

@@ -26,8 +26,8 @@ source is drawn by the worker alone, in chunk order, and numpy releases
 the GIL in the draws and the array arithmetic, so the two threads overlap.
 No full-rate record is held whole, so memory does not grow with the
 full-rate duration, and every output has the bytes of one pass over the
-whole record.  A loop diverges when a correction
-exceeds a limit set by the largest input seen so far (see
+whole record.  A scenario with an unstable loop is refused at load; a loop
+that still diverges in a run is stopped by the engines' rule (see
 ``fiberlink.control``).  Caps on the sample counts a scenario asks for, on
 the Welch work, and what the counting chain and Welch need of the settled
 record, are checked at load.
@@ -53,7 +53,7 @@ from .comb import (BudgetEntry, CombParams, CounterChainConfig,
                    absolute_freq_estimate, as_fraction, count_chain,
                    rep_rate_lock, stability_budget)
 from .control import (RUN_TOPOLOGIES, ControllerConfig, LinkLoopConfig, _peak,
-                      loop_suppression, run_closed_loop)
+                      _unstable_poles, loop_suppression, run_closed_loop)
 from .errors import DivergenceError, InvalidInputError, ScenarioValidationError
 from .link import (ActuatorState, Carrier, CountingChain, DetectorConfig,
                    _decimation, detector_noise)
@@ -477,6 +477,7 @@ def _validate(data, read):
     # Each sample cap is checked when its inputs are valid.
     link_c, comb_c, budget_c = data["link"], data["comb"], data["budget"]
     counts = []
+    servo_work = math.inf
     if ok["run.fullrate_duration_s"] and ok["link.step_s"]:
         samples = run_c["fullrate_duration_s"] / link_c["step_s"]
         counts.append(("full-rate samples (run.fullrate_duration_s / link.step_s)",
@@ -487,8 +488,9 @@ def _validate(data, read):
                 and ok["link.delay_per_km_s"]:
             one_way = link_c["length_km"] * link_c["delay_per_km_s"]
             if 2 * one_way < run_c["fullrate_duration_s"]:
+                servo_work = samples * (2 * _delay_steps(link_c) + 2)
                 counts.append(("servo work (full-rate samples x (2 x one-way delay steps + 2))",
-                               samples * (2 * _delay_steps(link_c) + 2), _MAX_SERVO_WORK))
+                               servo_work, _MAX_SERVO_WORK))
         # What the counting chain and Welch need of the settled record, in
         # samples as _run_fullrate counts them.
         if samples <= _MAX_FULLRATE_SAMPLES and ok["run.transient_discard_s"] \
@@ -524,6 +526,23 @@ def _validate(data, read):
         if not count <= cap:
             shown = f"{count:g}" if isinstance(count, float) else count
             problems.append(f"{what} = {shown} exceeds the cap of {cap}")
+
+    # Each closed loop's stability, once the servo-work cap bounds the delay
+    # steps that the count's cost grows with.
+    ctl, step = data["controllers"], link_c["step_s"]
+    servo_ok = all(ok[f"controllers.{key}"]
+                   for key in ("topology", "unity_gain_hz", "integrator_corner_hz"))
+    if servo_ok and ctl["topology"] != "off" and servo_work <= _MAX_SERVO_WORK \
+            and (m := _delay_steps(link_c)) >= 1:
+        servo = ControllerConfig(ctl["unity_gain_hz"], ctl["integrator_corner_hz"])
+        for name, key in (("near-end", "rf_shifter_bandwidth_hz"),
+                          ("far-end", "piezo_bandwidth_hz")):
+            if poles := ok[f"controllers.{key}"] and _unstable_poles(servo, ctl[key], step, m):
+                problems.append(
+                    f"the {name} loop is unstable, with {poles} closed-loop pole(s) on or outside "
+                    f"the unit circle, at controllers.unity_gain_hz={ctl['unity_gain_hz']:g}, "
+                    f"integrator_corner_hz={ctl['integrator_corner_hz']:g}, {key}={ctl[key]:g} "
+                    f"and {m} one-way delay steps of link.step_s={step:g}")
 
     c = data["comb"]
     if ok["comb.filter_bw_hz"] and ok["comb.if_target_hz"] \
@@ -717,9 +736,12 @@ def _run_decimated(scn, seed, report):
               for j in range(3)]
     walks = [WalkPhase(noise["walk_fm_h"], step, _sub_seed(seed, "dec-walk", j))
              for j in range(3)] if noise["walk_fm_h"] > 0 else None
-    white = [component_rng(seed, "dec-white", j) for j in range(2)]
+    # With no loop closed the closed record is the two fibers' round trip,
+    # and only then is fiber 2's white part drawn, from a source of its own.
+    off = ctl["topology"] == "off"
+    white = [component_rng(seed, "dec-white", j) for j in range(2 + off)]
     opened = np.empty(n)
-    slow = np.zeros(_fast_len(n))
+    slow = np.zeros(n if off else _fast_len(n))
     slow_peak = 0.0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
@@ -731,38 +753,44 @@ def _run_decimated(scn, seed, report):
         if walks is not None:
             _add_pair(slow1, slow2, ratio, lambda j: walks[j].samples(stop - start))
         np.add(slow1, slow2, out=slow[start:stop])
-        (white1,) = fiber_pair(
-            ratio, lambda j: white[j].standard_normal(stop - start) * sigma_fiber, count=1)
-        chunk = np.add(slow1, white1, out=opened[start:stop])
+        whites = fiber_pair(ratio, lambda j: white[j].standard_normal(stop - start)
+                            * sigma_fiber, count=1 + off)
+        chunk = np.add(slow1, whites[0], out=opened[start:stop])
+        if off:
+            slow[start:stop] += whites[0] + whites[1]
         chunk *= 2.0
         slow_peak = max(slow_peak, float(_peak(chunk)) / 2.0)
     open_rt = PhaseSeries(opened, step, label="open_rt_decimated")
 
-    # Closed loop: slow content through the near-end servo's sensitivity,
-    # which is linear, so the round trip's two fibers go through it as one
-    # sum; in-band detector noise is written onto the signal by each servo.
-    # The closed record is the first n samples of that circular map, whose
-    # inverse transform writes over the slow sum (the series gets a view,
-    # since it marks its own array read-only).
-    loop = _loop_config(scn, _delay_steps(link))
-    suppressed = loop_suppression(PhaseSeries(slow[:], step), loop.controller1,
-                                  loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1,
-                                  out=slow).samples
-    del slow
-    s_det_x = (link["detector"]["floor_rad_per_rthz"] ** 2
-               / (2.0 * np.pi * link["carrier_return_hz"]) ** 2)
-    closed = component_rng(seed, "dec-det").standard_normal(out=np.empty(n))
-    closed *= np.sqrt(2.0 * (s_det_x / 4.0) * enbw)          # written round trip
-    closed += suppressed[:n]
-    del suppressed
-    if ctl["closed_floor_walk_fm_h"] > 0:
-        floor = WalkPhase(ctl["closed_floor_walk_fm_h"], step, _sub_seed(seed, "dec-closed-floor"))
-        for start in range(0, n, _CHUNK):
-            closed[start:start + _CHUNK] += floor.samples(min(_CHUNK, n - start))
+    if off:
+        closed = slow
+    else:
+        # Closed loop: slow content through the near-end servo's sensitivity,
+        # which is linear, so the round trip's two fibers go through it as
+        # one sum; in-band detector noise is written onto the signal by each
+        # servo.  The closed record is the first n samples of that circular
+        # map, whose inverse transform writes over the slow sum (the series
+        # gets a view, since it marks its own array read-only).
+        loop = _loop_config(scn, _delay_steps(link))
+        suppressed = loop_suppression(PhaseSeries(slow[:], step), loop.controller1,
+                                      loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1,
+                                      out=slow).samples
+        del slow
+        s_det_x = (link["detector"]["floor_rad_per_rthz"] ** 2
+                   / (2.0 * np.pi * link["carrier_return_hz"]) ** 2)
+        closed = component_rng(seed, "dec-det").standard_normal(out=np.empty(n))
+        closed *= np.sqrt(2.0 * (s_det_x / 4.0) * enbw)          # written round trip
+        closed += suppressed[:n]
+        del suppressed
+        if ctl["closed_floor_walk_fm_h"] > 0:
+            floor = WalkPhase(ctl["closed_floor_walk_fm_h"], step,
+                              _sub_seed(seed, "dec-closed-floor"))
+            for start in range(0, n, _CHUNK):
+                closed[start:start + _CHUNK] += floor.samples(min(_CHUNK, n - start))
     closed_rt = PhaseSeries(closed, step, label="closed_rt_decimated")
 
     # Thermal authority check for the slow correction the loops must absorb.
-    if slow_peak > ctl["thermal_range_s"]:
+    if not off and slow_peak > ctl["thermal_range_s"]:
         report.warnings.append(
             f"slow correction {slow_peak:g} s exceeds thermal range "
             f"{ctl['thermal_range_s']:g} s")

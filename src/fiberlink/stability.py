@@ -54,7 +54,8 @@ def _tau_multiple(tau, tau0):
 def _tau_multiples(taus, tau0):
     """``(taus, m)``: the distinct multiples m of tau0 that the requested
     taus name, in increasing order, each with the smallest tau naming it."""
-    taus = np.unique(np.asarray(taus, dtype=float))
+    # Deduplicated in Python: np.unique without return_index imports numpy.ma.
+    taus = np.array(sorted(set(np.asarray(taus, dtype=float).ravel().tolist())))
     if taus.size == 0:
         raise InvalidInputError("no taus requested")
     m, first = np.unique([_tau_multiple(tau, tau0) for tau in taus], return_index=True)

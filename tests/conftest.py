@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import fiberlink as fl
+from fiberlink.control import _unstable_poles
 from fiberlink.noise import component_rng
 
 
@@ -56,3 +58,36 @@ def power_law_pair():
         return fl.fiber_pair(ratio, lambda j: fl.gen_power_law_phase(
             spec, n, tau0, component_rng(seed, "pair", j).integers(2 ** 63)).samples)
     return pair
+
+
+@pytest.fixture(scope="session")
+def stability_edge():
+    """``stability_edge(actuator_bw_hz, dt=1e-4, m=2, corner_hz=30.0)``: the
+    unity-gain frequency at which the servo ``control._loop_filter_polys``
+    builds turns unstable, bisected to 1e-6 Hz on ``control._unstable_poles``
+    between 200 and 1000 Hz.  The defaults are fig1's servo."""
+    def edge(actuator_bw_hz, dt=1e-4, m=2, corner_hz=30.0):
+        def unstable(f):
+            cfg = fl.ControllerConfig(unity_gain_hz=f, integrator_corner_hz=corner_hz)
+            return _unstable_poles(cfg, actuator_bw_hz, dt, m) > 0
+        lo, hi = 200.0, 1000.0
+        assert not unstable(lo) and unstable(hi)
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if unstable(mid) else (mid, hi)
+        return 0.5 * (lo + hi)
+    return edge
+
+
+@pytest.fixture(scope="session")
+def loop_margins():
+    """``loop_margins(L)``: (unity-gain crossing in Hz, phase margin in deg,
+    gain margin in dB) of the open-loop gain ``L(f)``, for a crossing in
+    100-500 Hz and arg L = -180 deg in 500-1000 Hz, as fig1's loop has."""
+    def margins(L):
+        f_u = brentq(lambda f: abs(L(f)) - 1.0, 100.0, 500.0, xtol=1e-12)
+        # arg L = -180 deg where -L is real and positive.
+        f_180 = brentq(lambda f: np.angle(-L(f)), 500.0, 1000.0, xtol=1e-12)
+        return (f_u, 180.0 + np.degrees(np.angle(L(f_u))),
+                -20.0 * np.log10(abs(L(f_180))))
+    return margins

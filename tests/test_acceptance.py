@@ -13,8 +13,7 @@ import fiberlink as fl
 from fiberlink.comb import (BudgetEntry, CombParams, CounterChainConfig,
                             optical_from_rep_rate, rep_rate_from_optical,
                             stability_budget)
-from fiberlink.control import critical_frequency, find_divergence_onset, \
-    integrator_loop_diverges
+from fiberlink.control import ControllerConfig, _unstable_poles, critical_frequency
 from fiberlink.noise import NoiseSpec, gen_power_law_phase
 from fiberlink.series import FracFreqSeries, PhaseSeries
 from fiberlink.stability import (allan_deviation, allan_deviation_phase,
@@ -116,16 +115,19 @@ def test_06_closed_loop_long_term(fig1_report):
            f"run wall time {rep.wall_time_s:.1f} s (< 300)")
 
 
-def test_07_delay_limited_bandwidth():
+def test_07_delay_limited_bandwidth(stability_edge):
+    # fig1's near-end servo, which the runs simulate: a 0.1 ms step, m = 2
+    # (a 0.4 ms round trip), a 30 Hz integrator corner and the 50 kHz RF
+    # shifter.  Its edge is decided from its own loop polynomial.
     fc = critical_frequency(0.4e-3)
-    converges = not integrator_loop_diverges(300.0, 0.4e-3)
-    diverges = integrator_loop_diverges(700.0, 0.4e-3)
-    onset = find_divergence_onset(0.4e-3)
-    ok = (fc == pytest.approx(625.0) and converges and diverges
-          and abs(onset - fc) <= 0.10 * fc)
+    stable = _unstable_poles(ControllerConfig(unity_gain_hz=300.0), 5e4, 1e-4, 2) == 0
+    unstable = _unstable_poles(ControllerConfig(unity_gain_hz=700.0), 5e4, 1e-4, 2) > 0
+    edge = stability_edge(5e4)
+    ok = (fc == pytest.approx(625.0) and stable and unstable
+          and abs(edge - fc) <= 0.10 * fc)
     report(7, "delay-limited-bandwidth", ok,
-           f"critical = {fc:.0f} Hz, 300 Hz converges = {converges}, "
-           f"700 Hz diverges = {diverges}, onset = {onset:.0f} Hz (625 +/- 10%)")
+           f"critical = {fc:.0f} Hz, 300 Hz stable = {stable}, "
+           f"700 Hz unstable = {unstable}, servo edge = {edge:.2f} Hz (625 +/- 10%)")
 
 
 def test_08_comb_arithmetic():

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
 
 import fiberlink as fl
 from fiberlink import control
 from fiberlink.control import (ControllerConfig, LinkLoopConfig, _loop_filter_polys,
-                               critical_frequency, find_divergence_onset,
-                               integrator_loop_diverges, loop_sensitivity,
+                               _unstable_poles, critical_frequency, loop_sensitivity,
                                loop_suppression, run_closed_loop)
 from fiberlink.errors import DivergenceError, InvalidInputError
-from fiberlink.link import ActuatorState
+from fiberlink.link import ActuatorState, actuator_alpha
 from fiberlink.series import PhaseSeries
 
 ENGINES = ("lfilter", "stepped")
@@ -26,15 +24,6 @@ DT, M, RF_BW = 1e-4, 2, 5e4
 def open_loop(f, cfg=CFG):
     """The simulated near-end loop's open-loop gain L = 1/S - 1 at ``f``."""
     return 1.0 / loop_sensitivity([f], cfg, RF_BW, DT, M)[0] - 1.0
-
-
-def margins(cfg=CFG):
-    """(unity-gain crossing in Hz, phase margin in deg, gain margin in dB)."""
-    f_u = brentq(lambda f: abs(open_loop(f, cfg)) - 1.0, 100.0, 500.0, xtol=1e-12)
-    # arg L = -180 deg where -L is real and positive.
-    f_180 = brentq(lambda f: np.angle(-open_loop(f, cfg)), 500.0, 1000.0, xtol=1e-12)
-    return (f_u, 180.0 + np.degrees(np.angle(open_loop(f_u, cfg))),
-            -20.0 * np.log10(abs(open_loop(f_180, cfg))))
 
 
 def make_link(dt=1e-4, m=2, topology="series", c1=CFG, c2=CFG_OPT,
@@ -53,13 +42,13 @@ class TestCriticalFrequency:
         # 0.4 ms round trip puts the instability boundary at 625 Hz.
         assert critical_frequency(0.4e-3) == pytest.approx(625.0)
 
-    def test_default_margin_from_loop_sensitivity(self):
+    def test_default_margin_from_loop_sensitivity(self, loop_margins):
         # The margins of the loop the servo simulates, from its discrete
         # sensitivity.  The continuous L(s) = (kp/s + ki/s^2) exp(-s tau),
         # with no sampling and no actuator lag, reads a unity-gain crossing
         # of 301.48 Hz, a phase margin of 40.90 deg, f_u/f_crit = 0.482 and
         # a gain margin of 6.09 dB.
-        f_u, phase_margin, gain_margin = margins()
+        f_u, phase_margin, gain_margin = loop_margins(open_loop)
         assert f_u == pytest.approx(304.72, abs=0.005)
         assert phase_margin == pytest.approx(46.05, abs=0.005)
         assert f_u / critical_frequency(2 * M * DT) == pytest.approx(0.4876, abs=1e-4)
@@ -245,38 +234,66 @@ class TestClosedLoopRun:
 
 
 class TestStabilityBoundary:
-    def test_converges_below_diverges_above(self):
-        assert not integrator_loop_diverges(300.0, 0.4e-3)
-        assert integrator_loop_diverges(700.0, 0.4e-3)
+    """fig1's near-end servo, decided from its own loop polynomial."""
 
-    def test_onset_matches_analytic_within_10pct(self):
-        onset = find_divergence_onset(0.4e-3)
-        assert onset == pytest.approx(critical_frequency(0.4e-3), rel=0.10)
+    def test_converges_below_diverges_above(self):
+        assert _unstable_poles(CFG, RF_BW, DT, M) == 0
+        assert _unstable_poles(ControllerConfig(unity_gain_hz=700.0), RF_BW, DT, M) == 2
+
+    def test_onset_matches_analytic_within_10pct(self, stability_edge):
+        onset = stability_edge(RF_BW, DT, M)
+        assert onset == pytest.approx(critical_frequency(2 * M * DT), rel=0.10)
 
 
 class TestLoopPolynomialOracle:
-    """Stability decided from the roots of the discrete loop polynomial,
-    checked against closed forms."""
+    """Stability decided by counting the roots of the discrete loop
+    polynomial, checked against closed forms and against np.roots."""
 
-    # The probe's denominator 1 - z^-1 + g z^-M has a root on the unit
-    # circle, z = exp(j theta), when 2 sin(theta/2) = g and (M - 1/2) theta
-    # = pi/2: theta = pi / (2M - 1), so g = 2 pi f dt crosses 1 at
-    # f = sin(pi / (2 (2M - 1))) / (pi dt).
-    DELAY_S = 0.4e-3
+    # With no integrator corner and no actuator lag, the servo's denominator
+    # less its factor 1 - z^-1 is 1 - z^-1 + g z^-2m, g = 2 pi f dt.  It has
+    # a root on the unit circle, z = exp(j theta), when 2 sin(theta/2) = g
+    # and (2m - 1/2) theta = pi/2: theta = pi / (4m - 1), so the loop turns
+    # unstable at f = sin(pi / (2 (4m - 1))) / (pi dt).
     DT = 1e-5
-    M = 40
-    F_CROSS = np.sin(np.pi / (2 * (2 * M - 1))) / (np.pi * DT)
+    LAGLESS_BW = 1e8
 
-    def test_probe_flips_at_the_crossing(self):
-        f = self.F_CROSS
-        assert f == pytest.approx(632.8697, abs=1e-4)
-        assert not integrator_loop_diverges(f * (1 - 1e-6), self.DELAY_S, self.DT)
-        assert integrator_loop_diverges(f * (1 + 1e-6), self.DELAY_S, self.DT)
+    @pytest.mark.parametrize("m", [1, 2, 5, 20, 40])
+    def test_counter_flips_at_the_crossing(self, m):
+        assert actuator_alpha(self.LAGLESS_BW, self.DT) == 1.0
+        f = np.sin(np.pi / (2 * (4 * m - 1))) / (np.pi * self.DT)
+        if m == 20:
+            assert f == pytest.approx(632.8697, abs=1e-4)
+        for scale, poles in ((1 - 1e-6, 0), (1 + 1e-6, 2)):
+            cfg = ControllerConfig(unity_gain_hz=f * scale, integrator_corner_hz=0.0)
+            assert _unstable_poles(cfg, self.LAGLESS_BW, self.DT, m) == poles
 
-    def test_onset_within_bisection_resolution(self):
-        f_lo, f_hi, iters = 200.0, 1000.0, 14
-        onset = find_divergence_onset(self.DELAY_S, f_lo, f_hi, iters, self.DT)
-        assert abs(onset - self.F_CROSS) <= (f_hi - f_lo) / 2 ** (iters + 1)
+    def test_onset_within_bisection_resolution(self, stability_edge):
+        f = np.sin(np.pi / (2 * 79)) / (np.pi * self.DT)
+        onset = stability_edge(self.LAGLESS_BW, self.DT, 20, corner_hz=0.0)
+        assert abs(onset - f) <= 1e-6
+
+    def test_counter_agrees_with_roots(self):
+        # Seeded loops across delays, steps, gains, corners (0 among them)
+        # and actuator lags, each with no root within 1e-4 of the circle.
+        # When ki = 0, d and a share the factor 1 - z^-1: np.roots puts it
+        # at 1 +/- 4e-16, so it is divided out of the reference, as the
+        # counter divides it out.
+        rng = np.random.default_rng(2026)
+        compared = 0
+        for _ in range(400):
+            m = int(rng.integers(1, 60))
+            corner = float(rng.choice([0.0, 10 ** rng.uniform(-3, 3)]))
+            cfg = ControllerConfig(unity_gain_hz=10 ** rng.uniform(0, 3.5),
+                                   integrator_corner_hz=corner)
+            dt, bw = 10 ** rng.uniform(-6, -2), 10 ** rng.uniform(1, 6)
+            _, a = _loop_filter_polys(cfg, bw, dt, m)
+            if corner == 0.0:
+                a = np.polydiv(a, [1.0, -1.0])[0]
+            radii = np.abs(np.roots(a))
+            if np.min(np.abs(radii - 1.0)) > 1e-4:
+                compared += 1
+                assert _unstable_poles(cfg, bw, dt, m) == np.count_nonzero(radii > 1.0)
+        assert compared >= 250
 
     @pytest.mark.parametrize("unity_gain_hz, radius", [
         (300.0, 0.9794), (650.0, 0.9901), (700.0, 1.0052)])
@@ -288,6 +305,8 @@ class TestLoopPolynomialOracle:
         cfg = make_link(c1=c1)
         _, a = _loop_filter_polys(c1, cfg.rf_shifter.bandwidth_hz, cfg.dt, cfg.m1)
         assert np.max(np.abs(np.roots(a))) == pytest.approx(radius, abs=5e-5)
+        assert (_unstable_poles(c1, cfg.rf_shifter.bandwidth_hz, cfg.dt, cfg.m1) > 0) \
+            == (radius > 1)
         n = 20_000
         n1 = np.random.default_rng(1).standard_normal(n) * 1e-13
         z = np.zeros(n)
@@ -319,16 +338,17 @@ class TestLoopSensitivity:
         want = (loop_sensitivity([f], CFG, RF_BW, DT, M)[0] * W).real
         assert np.max(np.abs(residual - want)) <= 1e-8 * np.max(np.abs(want))
 
-    def test_gain_margin_is_where_the_roots_cross(self):
+    def test_gain_margin_is_where_the_roots_cross(self, loop_margins):
         # L is linear in unity_gain_hz, so raising it by the gain margin
         # puts |L| = 1 at arg L = -180 deg: the spectral radius of the
         # servo's denominator crosses 1 there.
-        edge = CFG.unity_gain_hz * 10 ** (margins()[2] / 20.0)
+        edge = CFG.unity_gain_hz * 10 ** (loop_margins(open_loop)[2] / 20.0)
         assert edge == pytest.approx(682.61, abs=0.005)
         for scale, outside in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
-            _, a = _loop_filter_polys(ControllerConfig(unity_gain_hz=edge * scale),
-                                      RF_BW, DT, M)
+            cfg = ControllerConfig(unity_gain_hz=edge * scale)
+            _, a = _loop_filter_polys(cfg, RF_BW, DT, M)
             assert (np.max(np.abs(np.roots(a))) > 1.0) == outside
+            assert (_unstable_poles(cfg, RF_BW, DT, M) > 0) == outside
 
     @pytest.mark.parametrize("f", [1e-3, 1e-2, 0.1])
     def test_low_frequency_limit_is_the_continuous_loop(self, f):

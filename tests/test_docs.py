@@ -12,6 +12,7 @@ import pytest
 
 import fiberlink as fl
 from fiberlink import io, scenario
+from fiberlink.control import loop_sensitivity
 from fiberlink.noise import _fast_len
 from fiberlink.stability import WelchAccumulator, log_band_average
 
@@ -29,7 +30,6 @@ def test_library_use_block_runs():
     exec(compile(library_use_block(), "README.md (Library use)", "exec"), namespace)
     # The values its comments quote.
     assert namespace["f_crit"] == pytest.approx(625.0)
-    assert namespace["onset"] == pytest.approx(632.89, abs=0.005)
     curve = namespace["curve"]
     assert np.array_equal(namespace["one_way"].sigmas, curve.sigmas / 2)
 
@@ -104,3 +104,39 @@ def test_quoted_floor_caps_and_psd_rows():
     psd = welch.result()
     assert int(bins.replace(",", "")) == psd.freqs.size
     assert int(rows) == log_band_average(psd, io._BANDS_PER_DECADE)[0].size
+
+
+def test_quoted_stability_numbers(stability_edge, loop_margins):
+    # fig1's servo: 0.1 ms step, m = 2, the 50 kHz RF shifter (near end) and
+    # the 5 kHz piezo (far end).  Its margins from S, the continuous loop's
+    # L(s) = (kp/s + ki/s^2) exp(-s tau) at tau = 0.4 ms, and each loop's
+    # edge, bisected on the count of its unstable poles.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    ((*quoted, edge_pct, far),) = re.findall(
+        r"S puts the unity-gain crossing at ([\d.]+) Hz, the phase margin at ([\d.]+)° "
+        r"and the gain margin at ([\d.]+) dB; the continuous .*? reads ([\d.]+) Hz, "
+        r"([\d.]+)° and ([\d.]+) dB\. Raising `unity_gain_hz` by the gain margin, to "
+        r"([\d.]+) Hz, .*?, ([\d.]+)% above 625 Hz, .*? turns unstable at ([\d.]+) Hz",
+        text)
+    cfg = fl.ControllerConfig()
+    kp, ki = cfg.gains()
+
+    def discrete(f):
+        return 1.0 / loop_sensitivity([f], cfg, 5e4, 1e-4, 2)[0] - 1.0
+
+    def continuous(f):
+        s = 2j * np.pi * f
+        return (kp / s + ki / s ** 2) * np.exp(-s * 4e-4)
+
+    near = stability_edge(5e4)
+    computed = (*loop_margins(discrete), *loop_margins(continuous), near)
+    assert [f"{x:.2f}" for x in computed] == quoted
+    assert f"{100 * (near / fl.critical_frequency(4e-4) - 1):.1f}" == edge_pct
+    assert f"{stability_edge(5e3):.2f}" == far
+    # The lagless pure-integrator servo's closed-form crossing, which the
+    # count reproduces.
+    ((crossing, m),) = re.findall(r"sin\(π/\(2\(4m-1\)\)\)/\(π dt\): ([\d.]+) Hz at "
+                                  r"m = (\d+) and 10 µs", text)
+    m = int(m)
+    assert f"{math.sin(math.pi / (2 * (4 * m - 1))) / (math.pi * 1e-5):.2f}" == crossing
+    assert f"{stability_edge(1e8, 1e-5, m, corner_hz=0.0):.2f}" == crossing

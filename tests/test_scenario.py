@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,9 +225,11 @@ class TestLoadScenario:
         assert problems == [
             "round-trip delay 2 x link.length_km x link.delay_per_km_s = 240 s "
             "must be shorter than run.fullrate_duration_s=240"]
-        # Just inside, at a step coarse enough for the servo-work cap.
+        # Just inside, at a step coarse enough for the servo-work cap, with
+        # the gains scaled by 1e-6 to a stable loop at its 239 s round trip.
         load_scenario({"seed": 1, "preset": "fig1",
-                       "link": {"length_km": 2.39e7, "step_s": 1.0}})
+                       "link": {"length_km": 2.39e7, "step_s": 1.0},
+                       "controllers": {"unity_gain_hz": 3e-4, "integrator_corner_hz": 3e-5}})
 
     @pytest.mark.parametrize("override, problem", [
         ({"preset": "fig1", "link": {"step_s": 1e-12}},
@@ -263,10 +268,12 @@ class TestLoadScenario:
 
     def test_servo_work_cap_inclusive(self):
         # Binary-exact steps: 2^26 samples x (2 x 63 + 2) is 2^33 exactly.
+        # The gains are scaled by 1e-2 to a stable loop at m = 63.
         def at(length_km):
             return {"seed": 1, "preset": "fig1",
                     "link": {"length_km": length_km, "delay_per_km_s": 2 ** -13,
                              "step_s": 2 ** -13},
+                    "controllers": {"unity_gain_hz": 3.0, "integrator_corner_hz": 0.3},
                     "run": {"fullrate_duration_s": 8192.0}}
         load_scenario(at(63))
         assert _problems(at(64)) == [
@@ -329,6 +336,28 @@ class TestLoadScenario:
             "controllers.unity_gain_hz must be positive, got 0",
             "controllers.integrator_corner_hz must be non-negative, got -1.0",
             "controllers.piezo_range_s must be positive, got -5e-11"]
+
+    @pytest.mark.parametrize("override, loops", [
+        ({"controllers": {"unity_gain_hz": 700.0}}, ["near-end", "far-end"]),
+        ({"controllers": {"unity_gain_hz": 680.0}}, ["far-end"]),
+        ({"link": {"length_km": 172.0}}, ["near-end", "far-end"]),
+        ({"link": {"length_km": 86.0, "step_s": 5e-5}}, ["near-end", "far-end"]),
+    ])
+    def test_unstable_loop_refused(self, override, loops):
+        # Each loop is decided at load from its own polynomial, with its own
+        # actuator's lag; each of these used to load, then diverge in the run.
+        problems = _problems({"seed": 1, "preset": "fig1", **override})
+        assert [p.split()[1] for p in problems] == loops
+        assert all(" loop is unstable, with 2 closed-loop pole(s) on or outside the unit "
+                   "circle, at " in p for p in problems), problems
+
+    @pytest.mark.parametrize("override", [
+        {"controllers": {"integrator_corner_hz": 0.0}},     # b and a share 1 - z^-1
+        {"link": {"length_km": 86.0}},                       # m = 4 at 0.1 ms
+        {"controllers": {"unity_gain_hz": 700.0, "topology": "off"}},   # no loop closed
+    ])
+    def test_stable_or_open_loops_load(self, override):
+        load_scenario({"seed": 1, "preset": "fig1", **override})
 
     def test_comb_constructor_limits_refused_at_load(self):
         problems = _problems({"seed": 1, "preset": "fig4",
@@ -591,6 +620,31 @@ class TestDeterminism:
         assert ("dec-white", 0) in tags and ("dec-white", 1) in tags
         assert ("dec-white", 2) not in tags
 
+    @pytest.mark.parametrize("ratio", [0.0, 0.1])
+    def test_open_topology_closes_no_decimated_loop(self, ratio, monkeypatch):
+        # With both loops open the decimated closed record is the two
+        # fibers' round trip: no suppression, written detector noise or
+        # closed floor, and fiber 2's white part from a source of its own.
+        # At a differential ratio of 0 the fibers are one record, so it is
+        # the open probe's round trip through fiber 1 twice.
+        tags = []
+
+        def recording_rng(seed, *tag):
+            tags.append(tag)
+            return component_rng(seed, *tag)
+
+        monkeypatch.setattr("fiberlink.scenario.component_rng", recording_rng)
+        scn = load_scenario(dict(SHORT_FIG1, controllers={"topology": "off"},
+                                 link={"noise": {"differential_ratio": ratio}}))
+        out = _run_decimated(scn, 3, SimpleNamespace(warnings=[]))["series"]
+        closed, opened = out["closed_rt"].samples, out["open_rt"].samples
+        assert ("dec-det",) not in tags and ("dec-white", 2) in tags
+        if ratio == 0.0:
+            np.testing.assert_allclose(closed, opened, rtol=0,
+                                       atol=1e-15 * np.max(np.abs(opened)))
+        else:
+            assert 0.0 < np.max(np.abs(closed - opened)) < 0.2 * np.max(np.abs(opened))
+
     def test_seed_override_changes_outputs(self, tmp_path):
         scn = load_scenario(self.SCN)
         rep_a = run(scn, out_dir=tmp_path / "a")
@@ -848,21 +902,49 @@ class TestCli:
         assert proc.returncode == 0
         assert (out / "budget.csv").exists()
 
-    def test_divergence_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unstable_loop_exit_1(self, tmp_path, command):
+        # At 680 Hz only the far-end loop, behind the slower piezo, is
+        # unstable; both commands refuse the scenario at load.
         path = tmp_path / "scn.json"
-        scn = {"seed": 3, "preset": "fig1",
-               "controllers": {"unity_gain_hz": 700.0},
-               "run": {"fullrate_duration_s": 20.0, "transient_discard_s": 5.0,
-                       "decimated_duration_s": 4000.0},
-               "outputs": {"adev_taus_s": [1, 2, 5, 10], "fullrate_taus_s": [1, 2],
-                           "psd_segment_s": 5.0}}
-        path.write_text(json.dumps(scn))
+        path.write_text(json.dumps({"seed": 3, "preset": "fig1",
+                                    "controllers": {"unity_gain_hz": 680.0}}))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out)])
-        assert proc.returncode == 2
-        assert "unstable" in proc.stderr
-        # partial report still written
-        assert (out / "run_report.json").exists()
+        proc = run_cli([command, str(path)] + (["--out", str(out)] if command == "run" else []))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[1:] == [
+            "  - the far-end loop is unstable, with 2 closed-loop pole(s) on or outside the "
+            "unit circle, at controllers.unity_gain_hz=680, integrator_corner_hz=30, "
+            "piezo_bandwidth_hz=5000 and 2 one-way delay steps of link.step_s=0.0001"]
+        assert not out.exists()
+
+    # A 4 s full-rate run and a 400 s decimated one, each a few ms; 200
+    # examples take about 4 s.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(unity_gain_hz=st.floats(1.0, 1000.0),
+           integrator_corner_hz=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 100.0),
+           rf_shifter_bandwidth_hz=st.floats(10.0, 1e6),
+           piezo_bandwidth_hz=st.floats(10.0, 1e6),
+           length_km=st.floats(15.0, 250.0))
+    def test_validate_and_run_agree(self, **controllers):
+        # Whatever load admits runs to the end, and what it refuses, run
+        # refuses too: the same exit code, 0 or 1, and no exception.
+        length_km = controllers.pop("length_km")
+        scn = {"seed": 1, "preset": "fig1", "link": {"length_km": length_km},
+               "controllers": controllers,
+               "run": {"fullrate_duration_s": 4.0, "transient_discard_s": 1.0,
+                       "decimated_duration_s": 400.0},
+               "outputs": {"adev_taus_s": [1, 10, 100], "fullrate_taus_s": [1],
+                           "psd_segment_s": 1.0}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scn.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(scn, fh)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                validated = cli.main(["validate", path])
+                ran = cli.main(["run", path, "--out", os.path.join(tmp, "out")])
+        assert validated == ran in (0, 1), scn
 
     def test_compare_command(self, tmp_path, budget_report):
         c = fl.AdevCurve([1.0, 10.0], [2e-14, 2e-15], [9, 9], "standard")

@@ -168,7 +168,10 @@ def test_worker_calls_no_traced_function(monkeypatch):
 
 
 # Just beyond the stability edge: the far-end loop diverges at step 406.
-DIVERGING = _scenario(controllers={"unity_gain_hz": 40.0})
+# Load refuses an unstable loop, so this one is built unvalidated.
+DIVERGING = dataclasses.replace(CASES["series"],
+                                data=json.loads(json.dumps(CASES["series"].data)))
+DIVERGING["controllers"]["unity_gain_hz"] = 40.0
 
 
 def _divergence(chunk, monkeypatch):
@@ -220,9 +223,12 @@ def test_worker_error_reaches_the_caller(monkeypatch):
 
 
 def test_chunked_divergence_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setattr(scenario, "_CHUNK", 3)
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(DIVERGING.data))
+    assert cli.main(["validate", str(path)]) == 1
+    # The engines' own divergence rule, reached with load's check set aside.
+    monkeypatch.setattr(scenario, "_unstable_poles", lambda *args: 0)
+    monkeypatch.setattr(scenario, "_CHUNK", 3)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert "unstable" in report["error"]
