@@ -11,9 +11,10 @@ at 1 / (4 tau_rt), which is what limits the usable bandwidth, and
 ``critical_frequency`` is that closed form.  A simulated loop is a discrete
 recurrence (``_loop_filter_polys``: sampling at dt, a 2M-step delay and the
 actuator's first-order lag), stable exactly when every root of its
-denominator polynomial in z^-1 lies inside the unit circle (a scenario is
-refused for each root ``_unstable_poles`` counts outside it), and
-``loop_sensitivity`` is the same loop's sensitivity on the unit circle.
+denominator polynomial in z^-1 lies inside the unit circle.  The count of
+roots on or outside it (``_unstable_poles``; a scenario is refused for each)
+and the loop's sensitivity (``loop_sensitivity``) read one product-free form
+of the loop on the unit circle, ``_servo_on_circle``.
 
 The near-end loop corrects fiber 1 with an RF phase shift on the
 transmitted carrier, so only the served carrier is corrected.  The far-end
@@ -33,17 +34,13 @@ every delayed term is a view of one ``[history | chunk]`` line per record.
 The stepped engine ("stepped") walks the recurrence per sample over a whole
 record and clamps each actuator at its range, with anti-windup and the
 piezo-to-thermal offload; it is the nonlinear reference.  Both engines apply
-one divergence rule to their applied corrections: a loop is divergent when a
-correction exceeds ``DIVERGENCE_FLOOR_S`` plus 1e3 x the largest |input| seen
-up to that step, a running maximum, since a chunked run cannot know the inputs
-still to come.  The run topology (``RUN_TOPOLOGIES``) says what the far-end
+one divergence rule (``_check_divergence``) to their applied corrections.
+The run topology (``RUN_TOPOLOGIES``) says what the far-end
 loop sees: "series" feeds it the near-end loop's corrected arrival,
 "independent" only fiber 2's own round trip, and "off" opens both loops.
 ``loop_suppression`` is the decimated-time model: the simulated servo's
 discrete sensitivity applied to slow records in the frequency domain, block by
-block of bins, an exact circular map at its input's length.  Its caller in
-``scenario`` pads the record with zeros to a 5-smooth length, where the
-transforms are fast, and keeps the first n samples of the result.
+block of bins, an exact circular map at its input's length.
 """
 
 from __future__ import annotations
@@ -59,7 +56,8 @@ from .series import PhaseSeries
 RUN_TOPOLOGIES = ("series", "independent", "off")
 DIVERGENCE_FLOOR_S = 1e-6     # floor of the divergence limit on a correction
 # Most bins per block of ``loop_suppression``'s sensitivity work arrays.
-_SENSITIVITY_BLOCK = 2 ** 15
+_SENSITIVITY_BLOCK = 2 ** 13
+_ARC_STEPS = 2 ** 12          # most grid steps per arc of ``_unstable_poles``
 
 
 @dataclass(frozen=True)
@@ -172,66 +170,74 @@ def _loop_filter_polys(cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):
     return b, a
 
 
+def _servo_on_circle(half, cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps,
+                     reduced=False):
+    """d and a of the servo ``_loop_filter_polys`` builds at w = z^-1 =
+    exp(-2j half): d = (1 - w)^2 (1 - lag w), a = d + g w^2M - b1 (1 - w) w^2M
+    with g = b0 + b1.  As 1 - w = 2 sin(half) exp(j (pi/2 - half)), a term
+    c (1 - w)^k w^n is the real c (2 sin half)^k times the phasor exp(j t),
+    t = k pi/2 - (k + 2n) half, made as cos t + j sin t (the bits of complex
+    ``np.exp(1j * t)``, in two thirds of its time): nothing cancels at low
+    frequency, and no complex product is formed, whose rounding numpy varies
+    with the SIMD level and the array's length.  ``reduced`` (for g = 0 only)
+    lowers each k by one: d / (1 - w) and a / (1 - w), -b1 at w = 1."""
+    b, lag = _loop_terms(cfg, actuator_bw_hz, dt)
+    s = 2.0 * np.sin(half)
+
+    def term(c, k, n):
+        k -= int(reduced)
+        angle = k * np.pi / 2 - (k + 2 * n) * half
+        amp, z = c * s ** k, np.empty(half.shape, complex)
+        np.multiply(np.cos(angle), amp, out=z.real)
+        np.multiply(np.sin(angle), amp, out=z.imag)
+        return z
+
+    d = term(1.0, 2, 0) + term(-lag, 2, 1)
+    a = d + term(-b[1], 1, 2 * delay_steps)
+    if not reduced:
+        a += term(b[0] + b[1], 0, 2 * delay_steps)
+    return d, a
+
+
 def _unstable_poles(cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps) -> int:
     """How many poles of the servo ``_loop_filter_polys`` builds lie on or
     outside the unit circle: the turns of its denominator a(w), w = z^-1,
-    round 0 as w goes once round |w| = 1 (the argument principle).  a is
-    (1 - w)((1 - w)(1 - lag w) + h w^2M) + g w^2M with g = b0 + b1 and
-    h = -b1; when ki = 0 makes g 0, the factor 1 - w that b shares is
-    divided out.  A grid step over which arg a turns by more than pi/4 is
-    halved until none does; one that straddles a zero on the circle at a
-    double's resolution still does, and counts that zero inside."""
-    b, lag = _loop_terms(cfg, actuator_bw_hz, dt)
-    g, h = b[0] + b[1], -b[1]
-
-    def denominator(theta):
-        w, w2m = np.exp(1j * theta), np.exp(2j * delay_steps * theta)
-        reduced = (1.0 - w) * (1.0 - lag * w) + h * w2m
-        return reduced if g == 0.0 else (1.0 - w) * reduced + g * w2m
-
-    theta = np.linspace(0.0, 2.0 * np.pi, 8 * (2 * delay_steps + 2) + 1)
-    a = denominator(theta)
-    while True:
-        step = np.angle(a[1:] * a[:-1].conj())
-        wide = np.flatnonzero(np.abs(step) > np.pi / 4)
-        mid = 0.5 * (theta[wide] + theta[wide + 1])
-        split = (theta[wide] < mid) & (mid < theta[wide + 1])
-        if not split.any():
-            break
-        theta = np.insert(theta, wide[split] + 1, mid[split])
-        a = np.insert(a, wide[split] + 1, denominator(mid[split]))
-    step[wide] = np.pi
-    return int(round(np.sum(step) / (2.0 * np.pi)))
+    round 0 as w goes once round |w| = 1 (the argument principle), or of
+    a / (1 - w) when ki = 0 makes g = b0 + b1 zero and a zero at w = 1.
+    The circle is walked ``_ARC_STEPS`` grid steps at a time.  A step over
+    which arg a turns by more than pi/4 is halved until none does; one that
+    straddles a zero on the circle at a double's resolution still does, and
+    counts that zero inside."""
+    reduced = sum(_loop_terms(cfg, actuator_bw_hz, dt)[0]) == 0.0
+    steps = 8 * (2 * delay_steps + 2)
+    turns = 0.0
+    for lo in range(0, steps, _ARC_STEPS):
+        # half from 0 to -pi takes w = exp(-2j half) once round anticlockwise.
+        half = np.arange(lo, min(lo + _ARC_STEPS, steps) + 1) * (-np.pi / steps)
+        a = _servo_on_circle(half, cfg, actuator_bw_hz, dt, delay_steps, reduced)[1]
+        while True:
+            step = np.angle(a[1:] * a[:-1].conj())
+            wide = np.flatnonzero(np.abs(step) > np.pi / 4)
+            mid = 0.5 * (half[wide] + half[wide + 1])
+            split = (half[wide] > mid) & (mid > half[wide + 1])
+            if not split.any():
+                break
+            half = np.insert(half, wide[split] + 1, mid[split])
+            a = np.insert(a, wide[split] + 1, _servo_on_circle(
+                mid[split], cfg, actuator_bw_hz, dt, delay_steps, reduced)[1])
+        step[wide] = np.pi
+        turns += np.sum(step)
+    return int(round(turns / (2.0 * np.pi)))
 
 
 def loop_sensitivity(freqs_hz, cfg: ControllerConfig, actuator_bw_hz, dt, delay_steps):
     """The residual over the input of the servo ``_loop_filter_polys`` builds,
-    S = d / (d + z^-2M (b0 + b1 z^-1)) at z = exp(j 2 pi f dt).  d is kept
-    factored, with 1 - z^-1 = 2j sin(pi f dt) exp(-j pi f dt): expanded, it
-    loses 5e-4 of S to cancellation at 1 mHz.  S(0) = 0, its limit also when
-    ki = 0 makes d and a share a factor 1 - z^-1.  S repeats every 1/dt.
-    """
-    b, lag = _loop_terms(cfg, actuator_bw_hz, dt)
+    S = d / a (``_servo_on_circle``) at z = exp(j 2 pi f dt).  S(0) = 0, its
+    limit also when ki = 0 makes d and a share a factor 1 - z^-1.  S repeats
+    every 1/dt."""
     half = np.pi * dt * np.asarray(freqs_hz, dtype=float)
-    # Built in four complex arrays of the frequencies' length.  No complex
-    # product is written over one of its factors: numpy rounds such an
-    # in-place product differently when the array is short (one element),
-    # so a frequency alone would not give its bits in a whole spectrum.
-    q = np.exp(-1j * half)                         # z^(-1/2)
-    p = np.sin(half) * 2j
-    r = p * q                                      # 1 - z^-1
-    np.multiply(r, r, out=p)                       # (1 - z^-1)^2
-    np.multiply(q, q, out=r)                       # z^-1
-    np.multiply(r, -lag, out=q)
-    q += 1.0
-    d = p * q                                      # (1 - z^-1)^2 (1 - lag z^-1)
-    np.multiply(r, b[1], out=q)
-    q += b[0]                                      # b0 + b1 z^-1
-    np.multiply(half, -4j * delay_steps, out=r)
-    np.multiply(q, np.exp(r, out=r), out=p)        # z^-2M (b0 + b1 z^-1)
-    p += d
-    np.divide(d, p, out=d, where=half != 0.0)
-    return d
+    d, a = _servo_on_circle(half, cfg, actuator_bw_hz, dt, delay_steps)
+    return np.divide(d, a, out=d, where=half != 0.0)
 
 
 def _at_rest(cfg, n1, n2):
@@ -422,27 +428,17 @@ def _run_stepped(cfg, inputs, state, lines):
     dt = cfg.dt
     kp1, ki1 = cfg.controller1.gains()
     kp2, ki2 = cfg.controller2.gains()
-    a_rf = actuator_alpha(cfg.rf_shifter.bandwidth_hz, dt)
-    a_pz = actuator_alpha(cfg.piezo.bandwidth_hz, dt)
-    a_th = actuator_alpha(cfg.thermal.bandwidth_hz, dt)
-    rng_rf = cfg.rf_shifter.range_s
-    rng_pz = cfg.piezo.range_s
-    rng_th = cfg.thermal.range_s
+    actuators = (cfg.rf_shifter, cfg.piezo, cfg.thermal)
+    a_rf, a_pz, a_th = (actuator_alpha(act.bandwidth_hz, dt) for act in actuators)
+    rng_rf, rng_pz, rng_th = (act.range_s for act in actuators)
     k_off = 2.0 * np.pi * cfg.controller2.crossover_hz * dt
     series = cfg.topology == "series"
 
-    n1l = n1.tolist()
-    n2l = n2.tolist()
-    d1l = d1.tolist()
-    d2l = d2.tolist()
-    c1app = [0.0] * n
-    a2app = [0.0] * n
-    arr = [0.0] * n
-    i1 = c1 = c1pos = 0.0
-    i2 = u2 = 0.0
-    pz = th = th_cmd = 0.0
-    sat_rf = sat_pz = False
-    pinned_rf = pinned_pz = False
+    n1l, n2l, d1l, d2l = (r.tolist() for r in inputs)
+    c1app, a2app, arr = ([0.0] * n for _ in range(3))
+    i1 = c1 = c1pos = 0.0                       # near-end loop
+    i2 = u2 = pz = th = th_cmd = 0.0            # far-end loop
+    sat_rf = sat_pz = pinned_rf = pinned_pz = False
 
     for k in range(n):
         k2m1 = k - 2 * m1
@@ -514,8 +510,9 @@ def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
     pads ``x`` with zeros to a 5-smooth length (``noise._fast_len(n)``) and
     keeps the first n samples of the result, as the decimated model in
     ``scenario`` does.  The sensitivity is made and applied in blocks of at
-    most ``_SENSITIVITY_BLOCK`` bins at ``np.fft.rfftfreq``'s frequencies:
-    the whole-spectrum product's bytes, with no record-sized work arrays.
+    most ``_SENSITIVITY_BLOCK`` bins at ``np.fft.rfftfreq``'s frequencies,
+    the product in real arithmetic, so no work array is record-sized and no
+    bit depends on the block or on the host's SIMD level.
 
     The inverse transform writes into ``out`` if given, which may be the
     memory of ``x.samples``: the record is read only by the forward
@@ -527,12 +524,12 @@ def loop_suppression(x: PhaseSeries, cfg: ControllerConfig, actuator_bw_hz,
     n = len(x)
     spec = np.fft.rfft(x.samples)
     df = 1.0 / (n * x.tau0)         # as np.fft.rfftfreq builds its bins
-    # Equal blocks, so none holds a single bin: numpy multiplies a
-    # one-element complex array in place with other rounding than a longer one.
-    blocks = -(-spec.size // _SENSITIVITY_BLOCK)
-    for i in range(blocks):
-        lo, hi = spec.size * i // blocks, spec.size * (i + 1) // blocks
-        spec[lo:hi] *= loop_sensitivity(np.arange(lo, hi) * df, cfg, actuator_bw_hz,
-                                        dt, delay_steps)
+    for lo in range(0, spec.size, _SENSITIVITY_BLOCK):
+        block = spec[lo:lo + _SENSITIVITY_BLOCK]
+        sens = loop_sensitivity(np.arange(lo, lo + block.size) * df, cfg, actuator_bw_hz,
+                                dt, delay_steps)
+        re = block.real * sens.real - block.imag * sens.imag
+        block.imag = block.imag * sens.real + block.real * sens.imag
+        block.real = re
     closed = np.fft.irfft(spec, n=n, out=out)
     return PhaseSeries(closed[:], x.tau0, label=f"{x.label}|closed")

@@ -32,6 +32,7 @@ the bytes they return otherwise.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -304,7 +305,9 @@ class BurstTrain:
             rng = component_rng(seed, "bursts")
             count = rng.poisson(expected)
             starts = np.sort(rng.uniform(0.0, duration, size=count))
-            amps = spec.amp_median_s * np.exp(spec.amp_sigma * rng.standard_normal(count))
+            # math.exp: numpy's SIMD exp rounds differently at each host level.
+            amps = [spec.amp_median_s * math.exp(spec.amp_sigma * z)
+                    for z in rng.standard_normal(count).tolist()]
             self._pulses = [(int(round(t0 / tau0)), amp) for t0, amp in zip(starts, amps)]
 
     def samples(self, start, stop, out=None):

@@ -163,7 +163,6 @@ _SCHEMA = {
         "length_km": _Key(43.0, _POSITIVE),
         "delay_per_km_s": _Key(5e-6, _POSITIVE),
         "step_s": _Key(1e-4, _POSITIVE),
-        "carrier_forward_hz": _Key(1.0e9, _POSITIVE),
         "carrier_return_hz": _Key(1.0e8, _POSITIVE),
         "carrier_probe_hz": _Key(2.7e8, _POSITIVE),
         "noise": {

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,6 +297,18 @@ class TestLoopPolynomialOracle:
                 assert _unstable_poles(cfg, bw, dt, m) == np.count_nonzero(radii > 1.0)
         assert compared >= 250
 
+    def test_counter_memory_does_not_grow_with_the_delay(self):
+        # At the m = 46,200 that the caps admit, the whole circle at once
+        # peaked at 62-65 MB (traced); arc by arc the peak is a few arcs'
+        # arrays, whatever m is.
+        tracemalloc.start()
+        try:
+            _unstable_poles(CFG, RF_BW, DT, 46_200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6, peak
+
     @pytest.mark.parametrize("unity_gain_hz, radius", [
         (300.0, 0.9794), (650.0, 0.9901), (700.0, 1.0052)])
     def test_servo_polynomial_decides_divergence(self, unity_gain_hz, radius):
@@ -366,8 +380,8 @@ class TestLoopSensitivity:
     @pytest.mark.parametrize("corner_hz", [30.0, 0.0])
     def test_frequency_alone_is_its_spectrum_bin(self, corner_hz):
         # S at a frequency alone, or in any short run of frequencies, has the
-        # bits of the same bin of a whole spectrum; numpy rounds an in-place
-        # complex product of a one-element array differently.
+        # bits of the same bin of a whole spectrum: it is made with no
+        # complex product, whose rounding numpy varies with the array's length.
         cfg = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=corner_hz)
         freqs = np.fft.rfftfreq(2000, DT)[:1000]
         whole = loop_sensitivity(freqs, cfg, RF_BW, DT, M)
@@ -416,14 +430,19 @@ class TestLowFreqModel:
     @pytest.mark.parametrize("n, block", [(1000, 100), (1001, 100), (70_000, None),
                                           (70_001, None)])
     def test_blockwise_equals_whole_spectrum(self, n, block, monkeypatch):
-        # 501 and 35,001 bins: neither a multiple of the block, and 501 would
-        # leave one bin over after five blocks of 100.
+        # 501 and 35,001 bins: neither a multiple of the block, and 501
+        # leaves one bin over after five blocks of 100.  The reference is
+        # the whole spectrum's product in the same real arithmetic.
         if block is not None:
             monkeypatch.setattr(control, "_SENSITIVITY_BLOCK", block)
         assert (n // 2 + 1) % control._SENSITIVITY_BLOCK != 0
         x = np.cumsum(np.random.default_rng(n).standard_normal(n)) * 1e-12
-        want = np.fft.irfft(np.fft.rfft(x) * loop_sensitivity(
-            np.fft.rfftfreq(n, 1.0), CFG, RF_BW, DT, M), n)
+        spec = np.fft.rfft(x)
+        sens = loop_sensitivity(np.fft.rfftfreq(n, 1.0), CFG, RF_BW, DT, M)
+        product = np.empty_like(spec)
+        product.real = spec.real * sens.real - spec.imag * sens.imag
+        product.imag = spec.imag * sens.real + spec.real * sens.imag
+        want = np.fft.irfft(product, n)
         got = loop_suppression(PhaseSeries(x, 1.0), CFG, RF_BW, DT, M).samples
         assert got.tobytes() == want.tobytes()
 

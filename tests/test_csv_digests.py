@@ -2,10 +2,15 @@
 sha256 digests (``csv_digests.json``), so a change that moves any output
 byte fails here rather than only in a hand-run ``cmp``.
 
-The bytes depend on the numpy and scipy builds (and may depend on the
-CPU features numpy dispatches on), so the table records the versions it
-was made with and the test skips under any others.  After a
-change that moves bytes on purpose, regenerate the table and say in
+The bytes depend on the numpy and scipy builds, so the table records the
+versions it was made with and the tests skip under any others.  numpy
+also picks its SIMD loops at run time, by the host's CPU features; one
+test reruns the scenarios in a child process with every target above
+numpy's baseline switched off (``NPY_DISABLE_CPU_FEATURES``), as on a
+host without them, and compares the bytes.  It covers the levels from the
+host's down to numpy's baseline, not an aarch64 host nor another numpy
+build, and skips where numpy dispatches nothing above its baseline.
+After a change that moves bytes on purpose, regenerate the table and say in
 ``CHANGES.md`` which files moved and why; the regeneration prints the
 (scenario, file) entries that differ from the committed table:
 
@@ -14,7 +19,10 @@ change that moves bytes on purpose, regenerate the table and say in
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -22,6 +30,8 @@ import pytest
 import scipy
 
 import fiberlink as fl
+from fiberlink.control import ControllerConfig, loop_suppression
+from fiberlink.series import PhaseSeries
 
 TABLE = pathlib.Path(__file__).with_name("csv_digests.json")
 SEED = 1
@@ -55,9 +65,9 @@ def installed_versions():
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def csv_digests(name, out_dir):
+def csv_digests(name, out_dir, seed=SEED):
     """sha256 of every file the run of ``SCENARIOS[name]`` writes to its manifest."""
-    report = fl.run(fl.load_scenario(dict(SCENARIOS[name], seed=SEED)), out_dir=out_dir)
+    report = fl.run(fl.load_scenario(dict(SCENARIOS[name], seed=seed)), out_dir=out_dir)
     out_dir = pathlib.Path(out_dir)
     return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in report.manifest}
 
@@ -69,6 +79,65 @@ def test_csv_bytes_match_table(tmp_path, name):
         pytest.skip(f"digests made with {table['versions']}; "
                     f"installed {installed_versions()}")
     assert csv_digests(name, tmp_path) == table["digests"][name]
+
+
+# Runs beside the table's that the baseline check also makes: fig1's short
+# form at the seeds whose burst amplitudes numpy's AVX-512 exp once rounded
+# otherwise than its baseline loop.
+BASELINE_RUNS = [(name, SEED) for name in SCENARIOS] + [("fig1", 5), ("fig1", 6)]
+
+_CHILD = """
+import json, pathlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_csv_digests import csv_digests, dispatch_targets, suppressed_digest
+out = pathlib.Path(sys.argv[2])
+print(json.dumps({
+    "dispatched": dispatch_targets(), "suppressed": suppressed_digest(),
+    "digests": [csv_digests(name, out / f"{name}-{seed}", seed)
+                for name, seed in json.loads(sys.argv[3])]}))
+"""
+
+
+def dispatch_targets():
+    """The SIMD targets above numpy's baseline that it dispatches to here."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+
+
+def suppressed_digest():
+    """sha256 of a seeded walk through fig1's near-end ``loop_suppression``
+    at its decimated model's padded length, 174,960: the servo's sensitivity
+    and its product with the spectrum, whose last bits a CSV's decimals may
+    not show."""
+    x = np.cumsum(np.random.default_rng(SEED).standard_normal(174_960))
+    closed = loop_suppression(PhaseSeries(x, 1.0), ControllerConfig(300.0, 30.0),
+                              5e4, 1e-4, 2)
+    return hashlib.sha256(closed.samples.tobytes()).hexdigest()
+
+
+def test_baseline_simd_level_gives_the_same_bytes(tmp_path):
+    table = json.loads(TABLE.read_text())
+    if table["versions"] != installed_versions():
+        pytest.skip(f"digests made with {table['versions']}; "
+                    f"installed {installed_versions()}")
+    targets = dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to nothing above its baseline here")
+    src = str(pathlib.Path(fl.__file__).parent.parent)
+    off = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *targets]).strip()
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=off,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(pathlib.Path(__file__).parent), str(tmp_path),
+         json.dumps(BASELINE_RUNS)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["dispatched"] == [], f"the child still dispatched to {child['dispatched']}"
+    assert child["suppressed"] == suppressed_digest(), f"the suppression, with {targets} off"
+    for (name, seed), digests in zip(BASELINE_RUNS, child["digests"], strict=True):
+        want = table["digests"][name] if seed == SEED else \
+            csv_digests(name, tmp_path / f"{name}-{seed}-here", seed)
+        assert digests == want, f"{name} at seed {seed}, with {targets} off"
 
 
 def moved_entries(old, new):

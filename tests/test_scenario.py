@@ -838,6 +838,19 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_forward_carrier_is_an_unknown_key(self, tmp_path, capsys):
+        # No output read link.carrier_forward_hz, so it is no longer a
+        # scenario key, and a scenario that sets it is refused.
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"seed": 1, "preset": "fig1",
+                                    "link": {"carrier_forward_hz": 1e9}}))
+        problem = "  - unknown key 'link.carrier_forward_hz'"
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["invalid scenario:", problem]
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["scenario validation failed:", problem]
+        assert not (tmp_path / "out").exists()
+
     def test_run_refuses_decimated_step_finer_than_servo(self, tmp_path):
         # This ran at load and to the end, but its decimated bins reach
         # 10 kHz, past the 0.1 ms servo's 5 kHz Nyquist: the servo's

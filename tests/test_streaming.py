@@ -297,9 +297,10 @@ def test_decimated_chunked_equals_one_chunk(chunk, monkeypatch):
 def test_decimated_memory_in_records(monkeypatch):
     """A 10-day decimated model peaks at no more than 3.5 records of its
     864,001 samples (tracemalloc), where its arrays were once 8.1.  Its
-    loop suppression call peaks at 3.47 records, counting the open record
+    loop suppression call peaks at 3.22 records, counting the open record
     and the padded slow sum it finds live: its inverse transform writes over
-    that sum instead of a new array (4.22 records when it did not).  The
+    that sum instead of a new array (4.22 records when it did not), and its
+    sensitivity's work arrays are a few blocks of 2^13 bins.  The
     Allan stage, which once held each record's frequency record and its
     integrated phase (5.06 records), now holds the open and closed records
     and one work buffer (3.06).  The traced peak is reset when the
