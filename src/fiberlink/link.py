@@ -12,6 +12,7 @@ detection carrier: phi = 2 pi f_c x.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,8 @@ class ActuatorState:
 
 def actuator_alpha(bandwidth_hz, dt):
     """Per-step first-order smoothing coefficient for a given corner."""
-    return 1.0 - np.exp(-2.0 * np.pi * bandwidth_hz * dt)
+    # math.exp: numpy's SIMD exp rounds differently at each host level.
+    return 1.0 - math.exp(-2.0 * np.pi * bandwidth_hz * dt)
 
 
 def to_radians(x: PhaseSeries, carrier: Carrier) -> PhaseSeries:

@@ -89,8 +89,8 @@ _MAX_WELCH_WORK = 4 * _MAX_FULLRATE_SAMPLES
 # fig1-based run took 54 s at 2^26 samples and m = 63 (the slowest measured),
 # 39 s at 2^25 and m = 127; 86 km (m = 4) at 2^26 samples is 2^29.3.
 _MAX_SERVO_WORK = 2 ** 33
-# The decimated model peaks near 41 B a sample, in its loop suppression
-# (VmHWM above a warm run, 10 and 40 days): ~0.35 GB; 97 days at 1 s.
+# The decimated model peaks near 34 B a sample, in its loop suppression
+# (VmHWM above a warm run, 10 and 40 days): ~0.29 GB; 97 days at 1 s.
 _MAX_DECIMATED_SAMPLES = 2 ** 23
 # Comb gates: exact arithmetic and the gate CSV, ~0.4 us and ~60 B a gate
 # (2^22 gates: 1.6 s and 0.24 GB above a warm run).
@@ -246,6 +246,8 @@ _SCHEMA = {
         "fullrate_taus_s": _Key([1, 2, 4, 8, 16, 32], _TAUS),
         "psd_segment_s": _Key(60.0, _POSITIVE),
         "psd_overlap": _Key(0.5, ((lambda v: _is_real(v) and 0 <= v < 1, "in [0, 1)"),)),
+        # The series keep the decimated open record through the suppression,
+        # so a run that asks for them peaks ~6 MB higher at 10 days.
         "write_decimated_series": _Key(False, _FLAG),
     },
 }
@@ -588,12 +590,24 @@ def _add_pair(x1, x2, ratio, draw, out=None):
     x2 += p2
 
 
+def _mapped(shape):
+    """A float array of ``shape`` in pages mapped from the system, not taken
+    from the malloc heap, so they go back when the array and its last view
+    are freed.  glibc raises its mmap threshold to the size of each large
+    block freed, so a later block of a few MB comes from the heap, and once
+    freed it stays resident: as heap blocks the full-rate slots left a hole
+    that raised longterm_10d's peak RSS by 3 MB, and a warm run's released
+    open record was still resident when the next run's suppression ran."""
+    import mmap
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(np.atleast_1d(shape))),
+                         dtype=float).reshape(shape)
+
+
 def _run_fullrate(scn, seed, report):
     """The full-rate link: noise, both servo loops, the counting chain and
     Welch, run together over consecutive chunks of ``_CHUNK`` samples.  A
     worker thread writes the coming chunks' noise into two slots, in turn,
     while this thread runs the current chunk."""
-    import mmap
     from concurrent.futures import ThreadPoolExecutor
 
     link = scn["link"]
@@ -627,13 +641,9 @@ def _run_fullrate(scn, seed, report):
     # slot i % 2.  The servo copies its inputs and no output keeps a view of
     # a slot, so once chunk i has been through the servo its slot takes
     # chunk i + 2, which the worker draws while this thread finishes chunk
-    # i and runs chunk i + 1.  The slots are mapped from the system, not
-    # taken from the malloc heap, so their pages go back when the run ends:
-    # a freed 5.2 MB heap block stays resident as a hole that the decimated
-    # model's larger blocks do not fit, and raised longterm_10d's peak RSS
-    # by 3 MB.
-    width = min(_CHUNK, n)
-    slots = np.frombuffer(mmap.mmap(-1, 2 * 5 * width * 8), dtype=float).reshape(2, 5, width)
+    # i and runs chunk i + 1.  The slots are mapped, so their pages go back
+    # when the run ends.
+    slots = _mapped((2, 5, min(_CHUNK, n)))
     starts = range(0, n, _CHUNK)
 
     def fill(i):
@@ -713,7 +723,13 @@ def _loop_config(scn, m):
 
 def _run_decimated(scn, seed, report):
     """Day-scale model: slow perturbations through the loop suppression
-    function, plus the measurement-band white noise each 1 s sample carries."""
+    function, plus the measurement-band white noise each 1 s sample carries.
+
+    The open record's curve is taken as soon as the record is drawn, and the
+    record is then released, unless ``outputs.write_decimated_series`` keeps
+    it for its CSV: the suppression, where the run's resident peak falls,
+    then finds only the padded slow sum live.  The closed record is built in
+    place over the suppressed sum."""
     link = scn["link"]
     ctl = scn["controllers"]
     step = scn["run"]["decimated_step_s"]
@@ -739,7 +755,7 @@ def _run_decimated(scn, seed, report):
     # and only then is fiber 2's white part drawn, from a source of its own.
     off = ctl["topology"] == "off"
     white = [component_rng(seed, "dec-white", j) for j in range(2 + off)]
-    opened = np.empty(n)
+    opened = _mapped(n)
     slow = np.zeros(n if off else _fast_len(n))
     slow_peak = 0.0
     for start in range(0, n, _CHUNK):
@@ -759,34 +775,40 @@ def _run_decimated(scn, seed, report):
             slow[start:stop] += whites[0] + whites[1]
         chunk *= 2.0
         slow_peak = max(slow_peak, float(_peak(chunk)) / 2.0)
+    taus = scn["outputs"]["adev_taus_s"]
     open_rt = PhaseSeries(opened, step, label="open_rt_decimated")
+    curves = {"open_rt": allan_deviation_phase(open_rt, taus, estimator="overlapping")}
+    series = {"open_rt": open_rt} if scn["outputs"]["write_decimated_series"] else {}
+    del opened, chunk, open_rt     # the open record's pages go back here
 
-    if off:
-        closed = slow
-    else:
+    closed = slow[:n]
+    if not off:
         # Closed loop: slow content through the near-end servo's sensitivity,
         # which is linear, so the round trip's two fibers go through it as
         # one sum; in-band detector noise is written onto the signal by each
         # servo.  The closed record is the first n samples of that circular
         # map, whose inverse transform writes over the slow sum (the series
-        # gets a view, since it marks its own array read-only).
+        # gets a view, since it marks its own array read-only).  The written
+        # detector noise and the closed floor are added onto it a chunk at a
+        # time, in one chunk buffer.
         loop = _loop_config(scn, _delay_steps(link))
-        suppressed = loop_suppression(PhaseSeries(slow[:], step), loop.controller1,
-                                      loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1,
-                                      out=slow).samples
-        del slow
+        loop_suppression(PhaseSeries(slow[:], step), loop.controller1,
+                         loop.rf_shifter.bandwidth_hz, loop.dt, loop.m1, out=slow)
         s_det_x = (link["detector"]["floor_rad_per_rthz"] ** 2
                    / (2.0 * np.pi * link["carrier_return_hz"]) ** 2)
-        closed = component_rng(seed, "dec-det").standard_normal(out=np.empty(n))
-        closed *= np.sqrt(2.0 * (s_det_x / 4.0) * enbw)          # written round trip
-        closed += suppressed[:n]
-        del suppressed
-        if ctl["closed_floor_walk_fm_h"] > 0:
-            floor = WalkPhase(ctl["closed_floor_walk_fm_h"], step,
-                              _sub_seed(seed, "dec-closed-floor"))
-            for start in range(0, n, _CHUNK):
-                closed[start:start + _CHUNK] += floor.samples(min(_CHUNK, n - start))
-    closed_rt = PhaseSeries(closed, step, label="closed_rt_decimated")
+        det_sigma = np.sqrt(2.0 * (s_det_x / 4.0) * enbw)        # written round trip
+        det = component_rng(seed, "dec-det")
+        floor = WalkPhase(ctl["closed_floor_walk_fm_h"], step, _sub_seed(
+            seed, "dec-closed-floor")) if ctl["closed_floor_walk_fm_h"] > 0 else None
+        buffer = np.empty(min(_CHUNK, n))
+        for start in range(0, n, _CHUNK):
+            part = closed[start:start + _CHUNK]
+            drawn = det.standard_normal(out=buffer[:part.size])
+            drawn *= det_sigma
+            part += drawn
+            if floor is not None:
+                part += floor.samples(part.size, out=drawn)
+    series["closed_rt"] = PhaseSeries(closed, step, label="closed_rt_decimated")
 
     # Thermal authority check for the slow correction the loops must absorb.
     if not off and slow_peak > ctl["thermal_range_s"]:
@@ -794,13 +816,9 @@ def _run_decimated(scn, seed, report):
             f"slow correction {slow_peak:g} s exceeds thermal range "
             f"{ctl['thermal_range_s']:g} s")
 
-    taus = scn["outputs"]["adev_taus_s"]
-    curves = {
-        "open_rt": allan_deviation_phase(open_rt, taus, estimator="overlapping"),
-        "closed_rt": allan_deviation_phase(closed_rt, taus, estimator="overlapping"),
-    }
-    return {"curves": curves,
-            "series": {"open_rt": open_rt, "closed_rt": closed_rt}}
+    curves["closed_rt"] = allan_deviation_phase(series["closed_rt"], taus,
+                                                estimator="overlapping")
+    return {"curves": curves, "series": series}
 
 
 def _reference_model_curves(scn):

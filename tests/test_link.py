@@ -152,6 +152,35 @@ class TestActuatorAlpha:
     def test_wideband_shifter_tracks_immediately(self):
         assert actuator_alpha(1e6, 1e-4) == pytest.approx(1.0, rel=1e-6)
 
+    # The coefficient at each actuator and measurement bandwidth and servo
+    # step the presets and tests use, as numpy's exp gave it at x86-64-v2
+    # and v4 (1 s: the decimated step); math.exp gives the same bits, so no
+    # CSV moved when actuator_alpha took it.
+    STEPS = (1e-4, 5e-5, 2 ** -13, 1.0)
+    PINNED = {
+        50000.0: ('0x1.fffffffffff33p-1', '0x1.fffffaf17b658p-1', '0x1.0000000000000p+0',
+                  '0x1.0000000000000p+0'),
+        5000.0: ('0x1.e9dfdd84a6711p-1', '0x1.9590cee422608p-1', '0x1.f4f0888b0303ap-1',
+                 '0x1.0000000000000p+0'),
+        0.3: ('0x1.8b443ee74c000p-13', '0x1.8b49039c18000p-14', '0x1.e27e3d116c000p-13',
+              '0x1.b24293e8432a2p-1'),
+        1.0: ('0x1.4950ff6831400p-11', '0x1.495e3d8317800p-12', '0x1.91f83d6006800p-11',
+              '0x1.ff0b3b0514900p-1'),
+        10.0: ('0x1.9a7be16f7c080p-8', '0x1.9b20f222ea700p-9', '0x1.f4bb6a02ba900p-8',
+               '0x1.0000000000000p+0'),
+        30.0: ('0x1.31f04c2457360p-6', '0x1.33615ed2cdd00p-7', '0x1.74afdcf9dc260p-6',
+               '0x1.0000000000000p+0'),
+        100.0: ('0x1.f2e1b06914c10p-5', '0x1.fab7a56430a20p-6', '0x1.2e69e26f1e9d8p-4',
+                '0x1.0000000000000p+0'),
+        1000.0: ('0x1.ddb54c3fd53d8p-2', '0x1.1411512424880p-2', '0x1.12390763d2360p-1',
+                 '0x1.0000000000000p+0'),
+    }
+
+    @pytest.mark.parametrize("bandwidth_hz", sorted(PINNED))
+    def test_pinned_bits(self, bandwidth_hz):
+        got = [float(actuator_alpha(bandwidth_hz, dt)).hex() for dt in self.STEPS]
+        assert got == list(self.PINNED[bandwidth_hz])
+
 
 class TestInvariantsAndChain:
     @settings(max_examples=30, deadline=None, derandomize=True)

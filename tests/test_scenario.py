@@ -626,7 +626,8 @@ class TestDeterminism:
         # fibers' round trip: no suppression, written detector noise or
         # closed floor, and fiber 2's white part from a source of its own.
         # At a differential ratio of 0 the fibers are one record, so it is
-        # the open probe's round trip through fiber 1 twice.
+        # the open probe's round trip through fiber 1 twice.  The run asks
+        # for the series, so the open record is returned.
         tags = []
 
         def recording_rng(seed, *tag):
@@ -635,7 +636,9 @@ class TestDeterminism:
 
         monkeypatch.setattr("fiberlink.scenario.component_rng", recording_rng)
         scn = load_scenario(dict(SHORT_FIG1, controllers={"topology": "off"},
-                                 link={"noise": {"differential_ratio": ratio}}))
+                                 link={"noise": {"differential_ratio": ratio}},
+                                 outputs=dict(SHORT_FIG1["outputs"],
+                                              write_decimated_series=True)))
         out = _run_decimated(scn, 3, SimpleNamespace(warnings=[]))["series"]
         closed, opened = out["closed_rt"].samples, out["open_rt"].samples
         assert ("dec-det",) not in tags and ("dec-white", 2) in tags
@@ -665,7 +668,7 @@ class TestDecimatedSuppressionLength:
 
         def spy(x, *args, **kwargs):
             assert np.shares_memory(kwargs["out"], x.samples)
-            calls.append((x.samples.copy(), args))
+            calls.append((x.samples.copy(), args, kwargs["out"]))
             return loop_suppression(x, *args, **kwargs)
 
         monkeypatch.setattr("fiberlink.scenario.loop_suppression", spy)
@@ -673,29 +676,38 @@ class TestDecimatedSuppressionLength:
             SHORT_FIG1["run"], decimated_duration_s=duration_s), **override))
         out = _run_decimated(scn, 3, SimpleNamespace(warnings=[]))
         (call,) = calls
-        return call, out["series"]["closed_rt"].samples
+        return call, out["series"]
 
     def test_padded_to_a_fast_length(self, monkeypatch):
         # n = 20,001 = 3 x 59 x 113 is not 5-smooth.
         n = 20_001
-        (x, _), closed = self._run(20_000.0, monkeypatch)
+        (x, _, _), series = self._run(20_000.0, monkeypatch)
         assert len(x) == next_fast_len(n, real=True) == 20_250
         assert np.any(x[:n] != 0.0)
         assert np.all(x[n:] == 0.0)
-        assert len(closed) == n
+        assert len(series["closed_rt"]) == n
+
+    def test_closed_record_is_built_over_the_sum(self, monkeypatch):
+        # Unless outputs.write_decimated_series asks for the series, the
+        # open record is released before the suppression and not returned,
+        # and the detector noise and the closed floor are added onto the
+        # suppressed sum itself, the suppression's out=.
+        (_, _, out), series = self._run(4000.0, monkeypatch)
+        assert set(series) == {"closed_rt"}
+        assert np.shares_memory(series["closed_rt"].samples, out)
 
     def test_a_fast_length_is_not_padded(self, monkeypatch):
         # n = 4,050 = 2 x 3^4 x 5^2.  With no detector noise and no closed
         # floor the closed record is the suppressed sum alone, so it is bit
         # for bit the circular map at n.
         n = 4050
-        (x, args), closed = self._run(
+        (x, args, _), series = self._run(
             4049.0, monkeypatch,
             link={"detector": {"floor_rad_per_rthz": 0.0}},
             controllers={"closed_floor_walk_fm_h": 0.0})
         assert len(x) == n
         want = loop_suppression(PhaseSeries(x, 1.0), *args).samples
-        assert np.array_equal(closed, want)
+        assert np.array_equal(series["closed_rt"].samples, want)
 
 
 class TestCompareCurves:
