@@ -31,9 +31,10 @@ class Carrier:
         if not self.frequency_hz > 0:
             raise InvalidInputError("carrier frequency must be positive")
 
-    def radians(self, seconds):
-        """Phase-time samples as radians of phase at this carrier."""
-        return seconds * (2.0 * np.pi * self.frequency_hz)
+    def radians(self, seconds, out=None):
+        """Phase-time samples as radians of phase at this carrier, written
+        into ``out`` if given (``seconds`` itself converts in place)."""
+        return np.multiply(seconds, 2.0 * np.pi * self.frequency_hz, out=out)
 
 
 @dataclass(frozen=True)

@@ -685,14 +685,20 @@ def _run_fullrate(scn, seed, report):
             result = run_closed_loop(cfg, n1, n2, d1, d2, probe_det=dp, state=state)
             if i + 2 < len(starts):
                 ahead.append(worker.submit(fill, i + 2))
-            state = result.state
+            state, warnings = result.state, result.warnings
+            records = (result.round_trip, result.one_way, result.probe_rt)
+            del result      # the applied corrections and their delay lines
             settled = max(skip - start, 0)
             if settled < n1.size:
-                for name, rec in zip(labels, (result.round_trip, result.one_way,
-                                              result.probe_rt)):
+                for name, rec in zip(labels, records):
                     chains[name].push(rec[settled:])
-                welch.add(f_ret.radians(result.round_trip[settled:]))
-    report.warnings.extend(result.warnings)
+                # Once counted, the records go but the round trip, which
+                # Welch takes in radians in its own memory: no other servo
+                # record is live at a segment's transform.
+                round_trip = records[0][settled:]
+                del records, rec
+                welch.add(f_ret.radians(round_trip, out=round_trip))
+    report.warnings.extend(warnings)
 
     taus = scn["outputs"]["fullrate_taus_s"]
     counted = {name: chain.series(labels[name]) for name, chain in chains.items()}

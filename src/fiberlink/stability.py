@@ -138,15 +138,17 @@ class WelchAccumulator:
     """One-sided Welch PSD (Welch, IEEE Trans. Audio Electroacoust. 15, 70,
     1967) of an ``n``-sample record fed in consecutive chunks of any size.
 
-    It holds one segment, its window, one complex spectrum and one running
-    sum: 3.5 segments of float64.  Each complete segment has its mean and
-    least-squares line removed, is multiplied by the periodic Hann window,
-    and adds its ``|rfft|^2`` to the sum in segment order, all in its own
-    buffer once the samples the next segment shares are copied out, so every
-    chunking gives the same bytes.  The line's direction is not kept: it is
-    remade in the spectrum's memory, ``_LINE_BLOCK`` samples at a time, for
-    the projection and again for the subtraction, with the bytes of the
-    whole-array form.
+    It holds one segment, half its window, one complex spectrum and one
+    running sum: 3 segments of float64.  Each complete segment has its mean
+    and least-squares line removed, is multiplied by the periodic Hann
+    window, and adds its ``|rfft|^2`` to the sum in segment order, all in
+    its own buffer once the samples the next segment shares are copied out,
+    so every chunking gives the same bytes.  The window is symmetric,
+    w[N - i] = w[i], so only w[0..N/2] is kept and the rest is applied as a
+    reversed view of it.  The line's direction is not kept: it is remade in
+    the spectrum's memory, ``_LINE_BLOCK`` samples at a time from one
+    block-sized template, for the projection and again for the subtraction,
+    with the bytes of the whole-array form.
     Trailing samples that do not fill a segment are ignored.  It agrees with
     ``scipy.signal.welch`` (Hann, linear detrend) to rounding, not bit for bit.
     """
@@ -160,21 +162,42 @@ class WelchAccumulator:
         self._fs = 1.0 / tau0
         self._hop = _welch_hop(segment, overlap)
         self._count = welch_segments(n, segment, overlap)
-        # Periodic Hann, as scipy.signal.get_window("hann", segment) builds it.
-        self._window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment + 1)[:-1])
+        # Periodic Hann, as scipy.signal.get_window("hann", segment) builds
+        # it, up to w[N/2]: these angles are the bits of the first half of
+        # np.linspace(-pi, pi, N + 1).
+        half = np.cos(np.arange(segment // 2 + 1) * (2 * np.pi / segment) - np.pi)
+        half *= 0.5
+        half += 0.5
+        self._half = half
         self._buffer = np.empty(segment)
         self._filled = 0
         self._done = 0
         self._sum = np.zeros(segment // 2 + 1)
         self._spectrum = np.empty(segment // 2 + 1, dtype=complex)
+        # The line's t_i = i - (N - 1) / 2 for the first block; a later block
+        # is this plus its start, which is exact, so every block has the
+        # bits of np.arange(lo, hi) - (N - 1) / 2.
+        self._line = np.arange(min(_LINE_BLOCK, segment), dtype=float) - (segment - 1) / 2.0
         # The dot products are ``np.add.reduce`` sums, not BLAS ones: a BLAS
         # sum's order, so its last bit, depends on the thread count and the
         # CPU kernel.  t / |t| is the line's direction, orthogonal to 1; t**2
-        # is summed in the spectrum's memory.
-        squares = self._spectrum.view(float)[:segment]
-        for t, _, _ in _line_blocks(squares, 1.0):
+        # and the window's squares are summed in the spectrum's memory.
+        scratch = self._spectrum.view(float)
+        squares = scratch[:segment]
+        for t, _, _ in self._line_blocks(squares, 1.0):
             t *= t
         self._norm = np.sqrt(np.add.reduce(squares))
+        mirror = half[1: segment - segment // 2]     # w[N - i] = w[i], i >= 1
+        squares = np.multiply(half, half, out=scratch[: half.size])
+        self._window_sums = (np.add.reduce(half) + np.add.reduce(mirror),
+                             np.add.reduce(squares) + np.add.reduce(squares[1: mirror.size + 1]))
+
+    def _windowed(self, x):
+        """Multiply the ``segment``-sample ``x`` by the window, in place."""
+        half = self._half
+        x[: half.size] *= half
+        x[half.size:] *= half[x.size - half.size: 0: -1]
+        return x
 
     def add(self, samples):
         """Feed the record's next samples."""
@@ -191,13 +214,13 @@ class WelchAccumulator:
                 shared = x[self._hop:].copy()
                 x -= x.mean()
                 scratch = self._spectrum.view(float)[:seg]
-                for u, lo, hi in _line_blocks(scratch, self._norm):
+                for u, lo, hi in self._line_blocks(scratch, self._norm):
                     u *= x[lo:hi]
                 coef = np.add.reduce(scratch)
-                for u, lo, hi in _line_blocks(scratch, self._norm):
+                for u, lo, hi in self._line_blocks(scratch, self._norm):
                     u *= coef
                     x[lo:hi] -= u
-                x *= self._window
+                self._windowed(x)
                 spectrum = np.fft.rfft(x, out=self._spectrum)
                 power = np.multiply(spectrum.real, spectrum.real, out=x[: spectrum.size])
                 power += np.multiply(spectrum.imag, spectrum.imag, out=spectrum.imag)
@@ -211,24 +234,22 @@ class WelchAccumulator:
             raise InvalidInputError(
                 f"Welch PSD has {self._done} of its {self._count} segments")
         seg = self._buffer.size
-        power = np.sum(self._window ** 2)
+        total, power = self._window_sums
         values = self._sum / (self._count * self._fs * power)
         values[1:-1 if seg % 2 == 0 else None] *= 2    # one-sided: fold negative bins
         return PsdEstimate(np.fft.rfftfreq(seg, 1 / self._fs), values,
-                           rbw_hz=float(self._fs * power / np.sum(self._window) ** 2))
+                           rbw_hz=float(self._fs * power / total ** 2))
 
-
-def _line_blocks(out, norm):
-    """Fill ``out`` with t / ``norm``, t_i = i - (len(out) - 1) / 2 (exact),
-    ``_LINE_BLOCK`` samples at a time, yielding each block with its bounds
-    ``(block, lo, hi)`` once it is filled."""
-    seg = out.size
-    for lo in range(0, seg, _LINE_BLOCK):
-        hi = min(lo + _LINE_BLOCK, seg)
-        block = np.subtract(np.arange(lo, hi, dtype=float), (seg - 1) / 2.0,
-                            out=out[lo:hi])
-        block /= norm
-        yield block, lo, hi
+    def _line_blocks(self, out, norm):
+        """Fill ``out`` with t / ``norm``, t_i = i - (len(out) - 1) / 2
+        (exact), ``_LINE_BLOCK`` samples at a time, yielding each block with
+        its bounds ``(block, lo, hi)`` once it is filled."""
+        seg = out.size
+        for lo in range(0, seg, _LINE_BLOCK):
+            hi = min(lo + _LINE_BLOCK, seg)
+            block = np.add(self._line[: hi - lo], lo, out=out[lo:hi])
+            block /= norm
+            yield block, lo, hi
 
 
 def psd_welch(x: PhaseSeries, segment: int, overlap=0.5) -> PsdEstimate:

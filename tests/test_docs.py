@@ -6,6 +6,7 @@ import importlib.util
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ def test_quoted_floor_caps_and_psd_rows():
     psd = welch.result()
     assert int(bins.replace(",", "")) == psd.freqs.size
     assert int(rows) == log_band_average(psd, io._BANDS_PER_DECADE)[0].size
+
+
+def test_quoted_welch_memory():
+    # The bytes fig1's accumulator holds for its 600,000-sample segments,
+    # as tracemalloc counts them when it is made.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    ((segment, quoted),) = re.findall(r"For `fig1`'s ([\d,]+)-sample segments the "
+                                      r"accumulator holds ([\d.]+) MB", text)
+    fig1 = fl.load_scenario({"seed": 1, "preset": "fig1"}).data
+    step = fig1["link"]["step_s"]
+    samples = round(fig1["outputs"]["psd_segment_s"] / step)
+    assert f"{samples:,}" == segment
+    tracemalloc.start()
+    try:
+        acc = WelchAccumulator(samples, step, samples)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert acc._buffer.size == samples
+    assert f"{held / 1e6:.1f}" == quoted
 
 
 def test_quoted_stability_numbers(stability_edge, loop_margins):

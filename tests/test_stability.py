@@ -338,12 +338,12 @@ class TestPsdWelch:
         assert digest(setting) == digest("OPENBLAS_NUM_THREADS=1")
 
     @staticmethod
-    def _whole_line_sum(x, segment, overlap=0.5):
+    def _whole_line_sum(x, segment, window, overlap=0.5):
         """The running sum of the accumulator's former form, which kept the
-        line's direction t / |t| as one segment-sized array."""
+        line's direction t / |t| as one segment-sized array, with
+        ``window`` as a whole array."""
         t = np.arange(segment) - (segment - 1) / 2.0
         unit_t = t / np.sqrt(np.add.reduce(t * t))
-        window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment + 1)[:-1])
         hop = stability._welch_hop(segment, overlap)
         total = np.zeros(segment // 2 + 1)
         for i in range(stability.welch_segments(x.size, segment, overlap)):
@@ -357,23 +357,55 @@ class TestPsdWelch:
 
     # Segment lengths that split the line's blocks unevenly: less than one
     # block, one block plus one sample, and many blocks plus a remainder.
+    # The reference takes the accumulator's own window, mirrored from its
+    # half: numpy's whole window differs from it in the last bit of some
+    # samples of its second half, which moves the sum at 3, 16,385 and
+    # 100,001.
     @pytest.mark.parametrize("segment", [2, 3, 16_385, 100_001])
     def test_line_blocks_give_the_whole_line_bytes(self, segment):
         assert segment % stability._LINE_BLOCK
         n = 2 * segment + segment // 2 + 1
         x = np.cumsum(np.random.default_rng(segment).standard_normal(n)) * 1e-12
         acc = WelchAccumulator(n, 1e-4, segment)
+        window = acc._windowed(np.ones(segment))
         for start in range(0, n, 7919):
             acc.add(x[start:start + 7919])
         assert acc.result().values.size == segment // 2 + 1
-        assert acc._sum.tobytes() == self._whole_line_sum(x, segment).tobytes()
+        assert acc._sum.tobytes() == self._whole_line_sum(x, segment, window).tobytes()
+
+    # Each block of the line is the template plus the block's start, with
+    # the bits of np.arange(lo, hi) - (N - 1) / 2.
+    @pytest.mark.parametrize("segment", [2, 3, 16_385, 100_001, 600_000])
+    def test_line_template_gives_arange_bytes(self, segment):
+        acc = WelchAccumulator(segment, 1e-4, segment)
+        out = np.empty(segment)
+        starts = [lo for _, lo, _ in acc._line_blocks(out, 3.0)]
+        assert starts == list(range(0, segment, stability._LINE_BLOCK))
+        line = (np.arange(segment, dtype=float) - (segment - 1) / 2.0) / 3.0
+        assert out.tobytes() == line.tobytes()
+
+    # The window the segments take is the periodic Hann window: exactly
+    # symmetric, w[N - i] = w[i], its first half numpy's bits and its
+    # second half within one rounding of them.
+    @pytest.mark.parametrize("segment", [2, 3, 1001, 100_000, 600_000, 600_001])
+    def test_applied_window_is_symmetric_hann(self, segment):
+        acc = WelchAccumulator(segment, 1e-4, segment)
+        window = acc._windowed(np.ones(segment))
+        numpy_hann = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment + 1)[:-1])
+        assert np.array_equal(window[1:], window[:0:-1])
+        half = segment // 2 + 1
+        assert window[:half].tobytes() == numpy_hann[:half].tobytes()
+        assert np.max(np.abs(window - numpy_hann)) <= 1e-15
+        total, power = acc._window_sums
+        assert total == pytest.approx(np.sum(numpy_hann), rel=1e-15, abs=0)
+        assert power == pytest.approx(np.sum(numpy_hann ** 2), rel=1e-15, abs=0)
 
     def test_memory_held_and_per_segment(self):
         # One 2.2 M-sample accumulation, fed in fig1's 65,536-sample chunks,
         # with three 600,000-sample segments.  The accumulator holds its
-        # buffer, window, complex spectrum and running sum (3.5 segments);
-        # the line's direction is remade block by block in the spectrum's
-        # memory.  Adding a segment sets aside only the samples the next
+        # buffer, half its window, complex spectrum and running sum (3
+        # segments; 3.5 with the whole window); the line's direction is
+        # remade block by block in the spectrum's memory.  Adding a segment sets aside only the samples the next
         # segment shares (half a segment at 50% overlap).  Detrending and
         # windowing into new records took three segments more.
         n, segment = 2_200_000, 600_000
@@ -389,7 +421,7 @@ class TestPsdWelch:
         finally:
             tracemalloc.stop()
         seg_bytes = 8 * segment
-        assert held <= 3.6 * seg_bytes, held / seg_bytes
+        assert held <= 3.1 * seg_bytes, held / seg_bytes
         assert peak - held <= 1.5 * seg_bytes, (peak - held) / seg_bytes
         assert acc.result().values.size == segment // 2 + 1
 

@@ -262,6 +262,39 @@ def test_memory_flat_in_fullrate_duration(walk_fm_h):
     assert long <= 1.1 * short, (short, long)
 
 
+def test_memory_at_the_first_welch_transform(monkeypatch):
+    """A 90 s ``fig1`` full-rate run holds at most 3.75 of its 600,000-sample
+    PSD segments (tracemalloc) when its first segment is transformed.
+
+    Welch holds 3 segments: its buffer, half its symmetric window, its
+    complex spectrum and its running sum; the samples the next segment
+    shares are set aside (half a segment).  The chunk's counted servo
+    records are released once counted, except the round trip, which Welch
+    takes in radians in its own memory.  It read 4.67 segments with the
+    whole window, the chunk's loop result and a radians copy live."""
+    scn = fl.load_scenario({"seed": 1, "preset": "fig1",
+                            "run": {"fullrate_duration_s": 90.0},
+                            "outputs": {"fullrate_taus_s": [1, 2, 4]}})
+    segment = round(scn["outputs"]["psd_segment_s"] / scn["link"]["step_s"])
+    assert segment == 600_000
+    rfft, live = np.fft.rfft, []
+
+    def traced(x, *args, **kwargs):
+        if x.size == segment and not live:
+            live.append(tracemalloc.get_traced_memory()[0])
+        return rfft(x, *args, **kwargs)
+
+    _run_fullrate(CASES["series"], 1, RunReport({}, (), 1))    # imports
+    monkeypatch.setattr(np.fft, "rfft", traced)
+    tracemalloc.start()
+    try:
+        _run_fullrate(scn, 1, RunReport({}, (), 1))
+    finally:
+        tracemalloc.stop()
+    (held,) = live
+    assert held <= 3.75 * 8 * segment, held / (8 * segment)
+
+
 # The decimated model over 1,001 samples at 1 s: walk FM and the closed
 # floor on, about 20 bursts of 31 samples for each of the three streams,
 # and a thermal range small enough that the slow correction warns.  It
