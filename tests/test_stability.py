@@ -405,9 +405,10 @@ class TestPsdWelch:
         # with three 600,000-sample segments.  The accumulator holds its
         # buffer, half its window, complex spectrum and running sum (3
         # segments; 3.5 with the whole window); the line's direction is
-        # remade block by block in the spectrum's memory.  Adding a segment sets aside only the samples the next
-        # segment shares (half a segment at 50% overlap).  Detrending and
-        # windowing into new records took three segments more.
+        # remade block by block in the spectrum's memory.  Adding a segment
+        # sets aside only the samples the next segment shares (half a
+        # segment at 50% overlap).  Detrending and windowing into new
+        # records took three segments more.
         n, segment = 2_200_000, 600_000
         x = np.random.default_rng(10).standard_normal(n)
         tracemalloc.start()
