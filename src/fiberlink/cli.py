@@ -17,7 +17,7 @@ import sys
 from .errors import (DivergenceError, FiberLinkError, InvalidInputError,
                      ScenarioValidationError)
 from .io import read_adev_csv
-from .scenario import compare_curves, load_scenario, resolve_out_dir, run
+from .scenario import _load, compare_curves, load_scenario, resolve_out_dir, run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -48,7 +48,7 @@ def build_parser():
 
 def _cmd_run(args):
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = _load(args.scenario, args.seed)
     except ScenarioValidationError as exc:
         print("scenario validation failed:", file=sys.stderr)
         for problem in exc.problems:
@@ -56,7 +56,7 @@ def _cmd_run(args):
         return EXIT_VALIDATION
     out_dir = resolve_out_dir(args.out)
     try:
-        report = run(scenario, out_dir=out_dir, seed=args.seed)
+        report = run(scenario, out_dir=out_dir)
     except DivergenceError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         print(f"partial report written to {out_dir}", file=sys.stderr)

@@ -23,11 +23,11 @@ deterministic for a given 64-bit seed; components draw from sub-streams
 keyed by (seed, component tag), so a spec of several power-law terms is
 exactly the sum of its terms generated one at a time.
 Diurnal drift and bursts have their own generators, and ``fiber_pair``
-mixes any per-fiber draw into two correlated fiber records; the scenario
-sums these parts for each fiber itself.  The chunked sources
-(``WalkPhase.samples``, ``diurnal_samples``, ``BurstTrain.samples``) and
-``fiber_pair`` take ``out=`` to write into records the caller reuses, with
-the bytes they return otherwise.
+mixes any per-fiber draw into two correlated fiber records in place; the
+scenario's one table of parts sums them for each fiber.  The chunked
+sources (``WalkPhase.samples``, ``diurnal_samples``, ``BurstTrain.samples``)
+take ``out=`` to write into records the caller reuses, with the bytes they
+return otherwise.
 """
 
 from __future__ import annotations
@@ -335,8 +335,9 @@ def gen_bursts(spec: BurstSpec, n, tau0, seed) -> PhaseSeries:
     return PhaseSeries(BurstTrain(spec, n, tau0, seed).samples(0, n), tau0, label="bursts")
 
 
-def fiber_pair(ratio, draw, count=2, out=None):
-    """Two fiber records sharing a common mode, from unit realizations.
+def fiber_pair(ratio, draw, out):
+    """Two fiber records sharing a common mode, written from unit
+    realizations into ``out``.
 
     ``draw(j)`` returns realization j: 0 is the common mode, 1 and 2 the
     fibers' own parts.  They are combined as
@@ -350,28 +351,18 @@ def fiber_pair(ratio, draw, count=2, out=None):
     require r = sqrt(2), outside the accepted [0, 1] range, so the residual
     inter-fiber correlation at r = 1 is 0.5.
 
-    ``count=1`` returns a one-tuple of fiber 1 alone, the same bytes as
-    the pair's first record, and never draws u_2.
-
-    ``out``, ``count`` records of the draws' length, takes the fibers in
-    place of new arrays, and then each draw is scaled where it lies, so
-    nothing is allocated: ``draw`` must return a record its caller no
-    longer needs.  Without ``out`` the draws are left as they came.
+    ``out`` holds one record per fiber, of the draws' length: one record
+    is fiber 1 alone, and u_2 is never drawn.  Each draw is scaled where it
+    lies, so nothing is allocated: ``draw`` must return a record its caller
+    no longer needs.
     """
     c = np.sqrt(1.0 - 0.5 * ratio * ratio)
-    fresh = out is None
-    if fresh:
-        x1 = c * draw(0)
-        out = (x1,) + tuple(np.empty_like(x1) for _ in range(1, count))
-    else:
-        np.multiply(draw(0), c, out=out[0])
+    np.multiply(draw(0), c, out=out[0])
     for x in out[1:]:
         np.copyto(x, out[0])
     if ratio > 0.0:
         d = ratio / np.sqrt(2.0)
-        # Without ``out``, one scratch holds each d * u_i.
-        scratch = np.empty_like(out[0]) if fresh else None
         for j, x in enumerate(out, 1):
             u = draw(j)
-            x += np.multiply(u, d, out=u if scratch is None else scratch)
+            x += np.multiply(u, d, out=u)
     return tuple(out)

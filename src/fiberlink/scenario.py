@@ -10,9 +10,10 @@ measured quantity is listed under ``assumed`` in the resolved echo.
 Long runs use a dual-rate scheme: a full-rate simulation resolves the servo
 band (default 0.1 ms step), while day-scale statistics come from a 1 s step
 model in which the loops act through the simulated servo's sensitivity
-(``control.loop_sensitivity``), its records drawn in chunks like the full-rate
-ones.  The decimated model is validated against the full-rate one over their
-overlap in the test suite.
+(``control.loop_sensitivity``).  Both draw their fiber records chunk by
+chunk from one table of per-fiber noise parts (``_fiber_parts``).  The
+decimated model is validated against the full-rate one over their overlap
+in the test suite.
 
 The full-rate simulation is one pipeline over chunks of ``_CHUNK`` samples:
 each chunk's noise is drawn, run through both servo loops (which carry
@@ -345,6 +346,11 @@ def load_scenario(path_or_dict) -> Scenario:
     Validation is exhaustive: every detected problem is listed in the raised
     ``ScenarioValidationError``, not just the first.
     """
+    return _load(path_or_dict, None)
+
+
+def _load(path_or_dict, seed):
+    """``load_scenario`` with ``seed``, if not None, as the scenario's seed."""
     if isinstance(path_or_dict, dict):
         raw = copy.deepcopy(path_or_dict)
         source = "<dict>"
@@ -362,6 +368,8 @@ def load_scenario(path_or_dict) -> Scenario:
             raise ScenarioValidationError([f"{source}: {exc}"])
     if not isinstance(raw, dict):
         raise ScenarioValidationError([f"{source}: scenario must be a JSON object"])
+    if seed is not None:
+        raw["seed"] = seed
 
     problems = []
     preset = raw.get("preset")
@@ -578,16 +586,43 @@ def _sub_seed(seed, *tags):
     return int(component_rng(seed, *tags).integers(2 ** 63))
 
 
-def _burst_spec(noise):
-    return BurstSpec(noise["burst_rate_per_s"], noise["burst_amp_median_s"],
+def _fiber_parts(noise, seed, tag, n, dt, white_sigma, fibers=2):
+    """A model's per-fiber noise parts by name, each ``(ratio, draw)`` for
+    ``fiber_pair``: ``draw(j, start, stop, out)`` writes samples ``start``
+    to ``stop - 1`` of realization j into ``out``.  The diurnal is common
+    (ratio 0), walk FM is left out at h = 0, and white PM has sources for
+    ``fibers`` fibers.  Each stream is tagged ``tag``-part and j."""
+    ratio = noise["differential_ratio"]
+    spec = BurstSpec(noise["burst_rate_per_s"], noise["burst_amp_median_s"],
                      noise["burst_amp_sigma"], noise["burst_duration_s"])
+    white = [component_rng(seed, f"{tag}-white", j) for j in range(1 + fibers)]
+    bursts = [BurstTrain(spec, n, dt, _sub_seed(seed, f"{tag}-bursts", j)) for j in range(3)]
+    parts = {
+        "white": (ratio, lambda j, start, stop, out: np.multiply(
+            white[j].standard_normal(out=out), white_sigma, out=out)),
+        "diurnal": (0.0, lambda j, start, stop, out: diurnal_samples(
+            noise["diurnal_amplitude_s"], noise["diurnal_period_s"],
+            noise["diurnal_phase_rad"], start, stop, dt, out=out)),
+        "bursts": (ratio, lambda j, start, stop, out: bursts[j].samples(start, stop, out=out)),
+    }
+    if noise["walk_fm_h"] > 0:
+        walks = [WalkPhase(noise["walk_fm_h"], dt, _sub_seed(seed, f"{tag}-walk", j))
+                 for j in range(3)]
+        parts["walk"] = (ratio, lambda j, start, stop, out: walks[j].samples(stop - start, out))
+    return parts
 
 
-def _add_pair(x1, x2, ratio, draw, out=None):
-    """Add a ``fiber_pair`` onto two fiber records in place."""
-    p1, p2 = fiber_pair(ratio, draw, out=out)
-    x1 += p1
-    x2 += p2
+def _sum_parts(parts, names, start, stop, fibers, scratch):
+    """Write the named parts' sum, in their order (float addition is not
+    associative), into ``fibers`` in place: later parts are mixed into
+    ``scratch``'s first records and added, and ``scratch[-1]`` takes draws."""
+    (ratio, draw), *rest = [parts[name] for name in names if name in parts]
+    fiber_pair(ratio, lambda j: draw(j, start, stop, scratch[-1]), out=fibers)
+    for ratio, draw in rest:
+        pair = fiber_pair(ratio, lambda j: draw(j, start, stop, scratch[-1]),
+                          out=scratch[:len(fibers)])
+        for x, p in zip(fibers, pair):
+            x += p
 
 
 def _mapped(shape):
@@ -618,18 +653,9 @@ def _run_fullrate(scn, seed, report):
 
     m = _delay_steps(link)
 
-    # Per-fiber noise: white PM (flat S_x) + common diurnal + walk + bursts,
-    # each stream drawn chunk by chunk from its own source.
-    noise = link["noise"]
-    ratio = noise["differential_ratio"]
-    sigma_w = np.sqrt(noise["white_pm_sx_s2_per_hz"] * fs / 2.0)
-    white = [component_rng(seed, "fullrate-white", j) for j in range(3)]
-    walks = None
-    if noise["walk_fm_h"] > 0:
-        walks = [WalkPhase(noise["walk_fm_h"], dt, _sub_seed(seed, "fullrate-walk", j))
-                 for j in range(3)]
-    bursts = [BurstTrain(_burst_spec(noise), n, dt, _sub_seed(seed, "fullrate-bursts", j))
-              for j in range(3)]
+    # Per-fiber noise: white PM (flat S_x) + common diurnal + walk + bursts.
+    parts = _fiber_parts(link["noise"], seed, "fullrate", n, dt,
+                         np.sqrt(link["noise"]["white_pm_sx_s2_per_hz"] * fs / 2.0))
 
     detector = DetectorConfig(link["detector"]["floor_rad_per_rthz"],
                               link["detector"]["measurement_bw_hz"])
@@ -649,21 +675,13 @@ def _run_fullrate(scn, seed, report):
     def fill(i):
         """Chunk i's noise records n1, n2, d1, d2 and dp, written into slot
         i % 2 with nothing chunk-sized allocated.  d1, d2 and dp hold the
-        draws and the walk and burst pairs until the detector noise is
-        drawn into them last."""
+        draws and the later parts' pairs until the detector noise is drawn
+        into them last."""
         start, stop = starts[i], min(starts[i] + _CHUNK, n)
         k = stop - start
         n1, n2, d1, d2, dp = (r[:k] for r in slots[i % 2])
-        fiber_pair(ratio, lambda j: np.multiply(white[j].standard_normal(out=dp), sigma_w,
-                                                out=dp), out=(n1, n2))
-        diurnal = diurnal_samples(noise["diurnal_amplitude_s"], noise["diurnal_period_s"],
-                                  noise["diurnal_phase_rad"], start, stop, dt, out=dp)
-        n1 += diurnal
-        n2 += diurnal
-        if walks is not None:
-            _add_pair(n1, n2, ratio, lambda j: walks[j].samples(k, out=dp), out=(d1, d2))
-        _add_pair(n1, n2, ratio, lambda j: bursts[j].samples(start, stop, out=dp),
-                  out=(d1, d2))
+        _sum_parts(parts, ("white", "diurnal", "walk", "bursts"), start, stop,
+                   (n1, n2), (d1, d2, dp))
         for carrier, rng, x in zip((f_ret, f_ret, f_probe), det, (d1, d2, dp)):
             detector_noise(detector, carrier, k, dt, rng, out=x)
         return n1, n2, d1, d2, dp
@@ -744,43 +762,33 @@ def _run_decimated(scn, seed, report):
     n = int(round(scn["run"]["decimated_duration_s"] / step)) + 1
     enbw = _chain_enbw_hz(link["detector"]["measurement_bw_hz"])
 
-    # Slow per-fiber records (diurnal common; bursts and walk split) and the
-    # white content of each 1 s sample, drawn chunk by chunk as in the
-    # full-rate loop, make the open record.  The closed loop takes the two
-    # fibers' slow parts as one sum, zero-padded to a 5-smooth length, where
-    # the suppression's transforms are fast (864,001 = 31*47*593 points take
-    # 6x as long as 874,800).
-    noise = link["noise"]
-    ratio = noise["differential_ratio"]
-    sigma_fiber = np.sqrt(noise["white_pm_sx_s2_per_hz"] * enbw)
-    bursts = [BurstTrain(_burst_spec(noise), n, step, _sub_seed(seed, "dec-bursts", j))
-              for j in range(3)]
-    walks = [WalkPhase(noise["walk_fm_h"], step, _sub_seed(seed, "dec-walk", j))
-             for j in range(3)] if noise["walk_fm_h"] > 0 else None
-    # With no loop closed the closed record is the two fibers' round trip,
-    # and only then is fiber 2's white part drawn, from a source of its own.
+    # The slow parts (bursts, diurnal, walk) and the white content of each
+    # 1 s sample make the open record.  The closed loop takes the two fibers'
+    # slow parts as one sum, zero-padded to a 5-smooth length, where the
+    # suppression's transforms are fast (864,001 = 31*47*593 points take 6x
+    # as long as 874,800).  With no loop closed the closed record is the two
+    # fibers' round trip, and only then is fiber 2's white part drawn.
     off = ctl["topology"] == "off"
-    white = [component_rng(seed, "dec-white", j) for j in range(2 + off)]
+    parts = _fiber_parts(link["noise"], seed, "dec", n, step,
+                         np.sqrt(link["noise"]["white_pm_sx_s2_per_hz"] * enbw), 1 + off)
+    # Chunks of the slow fibers, of two pairs (then the whites) and a draw.
+    chunks = _mapped((5, min(_CHUNK, n)))
     opened = _mapped(n)
     slow = np.zeros(n if off else _fast_len(n))
     slow_peak = 0.0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        slow1, slow2 = fiber_pair(ratio, lambda j: bursts[j].samples(start, stop))
-        diurnal = diurnal_samples(noise["diurnal_amplitude_s"], noise["diurnal_period_s"],
-                                  noise["diurnal_phase_rad"], start, stop, step)
-        slow1 += diurnal
-        slow2 += diurnal
-        if walks is not None:
-            _add_pair(slow1, slow2, ratio, lambda j: walks[j].samples(stop - start))
+        slow1, slow2, white1, white2, u = (r[:stop - start] for r in chunks)
+        _sum_parts(parts, ("bursts", "diurnal", "walk"), start, stop,
+                   (slow1, slow2), (white1, white2, u))
         np.add(slow1, slow2, out=slow[start:stop])
-        whites = fiber_pair(ratio, lambda j: white[j].standard_normal(stop - start)
-                            * sigma_fiber, count=1 + off)
-        chunk = np.add(slow1, whites[0], out=opened[start:stop])
+        _sum_parts(parts, ("white",), start, stop, (white1, white2)[:1 + off], (u,))
+        chunk = np.add(slow1, white1, out=opened[start:stop])
         if off:
-            slow[start:stop] += whites[0] + whites[1]
+            slow[start:stop] += np.add(white1, white2, out=white2)
         chunk *= 2.0
         slow_peak = max(slow_peak, float(_peak(chunk)) / 2.0)
+    del chunks, slow1, slow2, white1, white2, u     # before the open record's Allan stage
     taus = scn["outputs"]["adev_taus_s"]
     open_rt = PhaseSeries(opened, step, label="open_rt_decimated")
     curves = {"open_rt": allan_deviation_phase(open_rt, taus, estimator="overlapping")}

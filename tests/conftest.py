@@ -53,10 +53,12 @@ def open_passes():
 def power_law_pair():
     """``power_law_pair(spec, ratio, n, tau0, seed)``: the two fiber records
     ``fiber_pair`` mixes from ``gen_power_law_phase`` draws, draw j from
-    its own sub-seed of ``seed``."""
+    its own sub-seed of ``seed``.  The mix scales each draw where it lies,
+    and a series' samples are read-only, so it is given a copy."""
     def pair(spec, ratio, n, tau0, seed):
         return fl.fiber_pair(ratio, lambda j: fl.gen_power_law_phase(
-            spec, n, tau0, component_rng(seed, "pair", j).integers(2 ** 63)).samples)
+            spec, n, tau0, component_rng(seed, "pair", j).integers(2 ** 63)).samples.copy(),
+            out=(np.empty(n), np.empty(n)))
     return pair
 
 

@@ -322,54 +322,51 @@ class TestBursts:
 class TestCorrelatedPair:
     spec = NoiseSpec(powerlaw=((2, 1.9e-28),))
 
+    U = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-4.0, 0.25])]
+
+    @classmethod
+    def _mix(cls, r, fibers=2):
+        """``fiber_pair`` of the draws ``U`` into ``fibers`` new records,
+        and the draws it took."""
+        drawn = []
+        out = tuple(np.full(2, np.nan) for _ in range(fibers))
+        got = fiber_pair(r, lambda j: drawn.append(j) or cls.U[j].copy(), out=out)
+        assert all(g is o for g, o in zip(got, out))
+        return got, drawn
+
     def test_fiber_pair_into_out(self):
-        # out= holds the bytes of the fresh records; the draws it is given
-        # may be scaled where they lie.
-        u = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-4.0, 0.25])]
+        # out holds c u_0 + d u_i, bit for bit, whether it has one record or two.
+        u = self.U
         for r in (0.0, 0.3, 1.0):
-            for count in (1, 2):
-                want = fiber_pair(r, lambda j: u[j], count=count)
-                out = tuple(np.full(2, np.nan) for _ in range(count))
-                got = fiber_pair(r, lambda j: u[j].copy(), count=count, out=out)
-                assert all(g is o for g, o in zip(got, out))
+            c, d = np.sqrt(1.0 - 0.5 * r * r), r / np.sqrt(2.0)
+            for fibers in (1, 2):
+                got, _ = self._mix(r, fibers)
+                want = [c * u[0] + d * u[i] if r > 0 else u[0] for i in (1, 2)][:fibers]
                 assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_fiber_pair_mix(self):
+        # fiber_i = c u_0 + d u_i exactly; r = 0 never draws u_1 or u_2.
+        u = self.U
+        r = 0.3
+        c, d = np.sqrt(1.0 - 0.5 * r * r), r / np.sqrt(2.0)
+        (x1, x2), drawn = self._mix(r)
+        assert drawn == [0, 1, 2]
+        assert np.array_equal(x1, c * u[0] + d * u[1])
+        assert np.array_equal(x2, c * u[0] + d * u[2])
+        (x1, x2), drawn = self._mix(0.0)
+        assert drawn == [0]
+        assert np.array_equal(x1, u[0]) and np.array_equal(x2, u[0])
 
     def test_ratio_zero_identical(self, power_law_pair):
         f1, f2 = power_law_pair(self.spec, 0.0, 2000, 1.0, 7)
         assert np.array_equal(f1, f2)
 
-    def test_fiber_pair_mix(self):
-        # fiber_i = c u_0 + d u_i exactly; r = 0 never draws u_1 or u_2.
-        u = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-4.0, 0.25])]
-        r = 0.3
-        c, d = np.sqrt(1.0 - 0.5 * r * r), r / np.sqrt(2.0)
-        x1, x2 = fiber_pair(r, lambda j: u[j])
-        assert np.array_equal(x1, c * u[0] + d * u[1])
-        assert np.array_equal(x2, c * u[0] + d * u[2])
-        drawn = []
-        x1, x2 = fiber_pair(0.0, lambda j: drawn.append(j) or u[j])
-        assert drawn == [0]
-        assert np.array_equal(x1, u[0]) and np.array_equal(x2, u[0])
-
-    def test_fiber_pair_leaves_draws_unchanged(self):
-        # A caller may keep the arrays its draw returns: the mix writes
-        # neither into them nor into records that share their memory.
-        u = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-4.0, 0.25])]
-        kept = [x.copy() for x in u]
-        for r in (0.0, 0.3, 1.0):
-            for count in (1, 2):
-                fibers = fiber_pair(r, lambda j: u[j], count=count)
-                assert all(np.array_equal(a, b) for a, b in zip(u, kept))
-                assert not any(np.shares_memory(x, a) for x in fibers for a in u)
-
     def test_fiber_pair_first_fiber_alone(self):
-        # count=1 is the pair's first record, bit for bit, without u_2.
-        u = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-4.0, 0.25])]
+        # One record in out is the pair's first record, bit for bit, without u_2.
         for r in (0.0, 0.3, 1.0):
-            drawn = []
-            (x1,) = fiber_pair(r, lambda j: drawn.append(j) or u[j], count=1)
+            (x1,), drawn = self._mix(r, fibers=1)
             assert drawn == ([0, 1] if r > 0 else [0])
-            assert x1.tobytes() == fiber_pair(r, lambda j: u[j])[0].tobytes()
+            assert x1.tobytes() == self._mix(r)[0][0].tobytes()
 
     def test_ratio_sets_difference_allan(self, power_law_pair):
         # ratio 0.1: the fiber difference sits 10x below a single fiber.

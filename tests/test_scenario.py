@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -19,8 +20,8 @@ from fiberlink.errors import InvalidInputError, ScenarioValidationError
 from fiberlink.io import read_adev_csv, write_adev_csv
 from fiberlink.noise import component_rng
 from fiberlink.scenario import (PRESETS, Scenario, _comb_objects, _loop_config,
-                                _reference_model_curves, _run_decimated, compare_curves,
-                                load_scenario, run)
+                                _reference_model_curves, _run_decimated, _run_fullrate,
+                                compare_curves, load_scenario, run)
 from fiberlink.series import PhaseSeries
 from fiberlink.stability import welch_segments
 
@@ -605,6 +606,39 @@ class TestDeterminism:
         assert data.count(b"\n") > 4000
         assert data == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("walk", [0.0, 1e-30])
+    @pytest.mark.parametrize("topology", ["series", "off"])
+    def test_rng_tags_are_pinned(self, walk, topology, monkeypatch):
+        # Each stream's rng tag sets its draws, so a changed or added tag
+        # would re-seed it and move every output.  Walk FM has no streams at
+        # h = 0, and fiber 2's decimated white part has one only when both
+        # loops are open.
+        def tags(model):
+            made = []
+
+            def recording_rng(seed, *tag):
+                made.append(tag)
+                return component_rng(seed, *tag)
+
+            monkeypatch.setattr("fiberlink.scenario.component_rng", recording_rng)
+            model(scn, 3, SimpleNamespace(warnings=[]))
+            return collections.Counter(made)
+
+        scn = load_scenario(dict(SHORT_FIG1, link={"noise": {"walk_fm_h": walk}},
+                                 controllers={"topology": topology}))
+        fibers = range(3)
+        walks = [(tag, j) for tag in ("fullrate-walk", "dec-walk") for j in fibers]
+        fullrate = [("fullrate-white", j) for j in fibers] + [
+            ("fullrate-bursts", j) for j in fibers] + [("det", 1), ("det", 2), ("det", "probe")]
+        decimated = [("dec-bursts", j) for j in fibers] + [("dec-white", 0), ("dec-white", 1)]
+        decimated += [("dec-white", 2)] if topology == "off" else [
+            ("dec-det",), ("dec-closed-floor",)]
+        if walk > 0:
+            fullrate += walks[:3]
+            decimated += walks[3:]
+        assert tags(_run_fullrate) == collections.Counter(fullrate)
+        assert tags(_run_decimated) == collections.Counter(decimated)
+
     def test_decimated_model_draws_no_second_white_fiber(self, monkeypatch):
         # Only fiber 1's measurement-band white noise is used, so fiber 2's
         # own part is never drawn.
@@ -849,6 +883,37 @@ class TestCli:
         assert proc.stderr.startswith("scenario validation failed:\n  - ")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_run_seed_fills_a_missing_seed(self, tmp_path, capsys):
+        # --seed stands in for the scenario's seed: a file without one runs,
+        # with the bytes of a file that holds that seed.
+        outputs = {}
+        for name, data, extra in (("held", dict(self.FAST, seed=3), []),
+                                  ("filled", {"preset": "budget"}, ["--seed", "3"]),
+                                  ("overridden", self.FAST, ["--seed", "3"])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            out = tmp_path / name
+            assert cli.main(["run", str(path), "--out", str(out), *extra]) == 0
+            assert "(seed 3)" in capsys.readouterr().out
+            report = json.loads((out / "run_report.json").read_text())
+            assert report["seed"] == report["scenario"]["seed"] == 3
+            outputs[name] = [(out / f).read_bytes() for f in report["manifest"]]
+        assert outputs["filled"] == outputs["overridden"] == outputs["held"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("held", [True, False])
+    def test_run_refuses_out_of_range_seed_at_load(self, tmp_path, capsys, seed, held):
+        # Once this passed load and failed in the run, leaving an empty
+        # output directory and no run report.
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(self.FAST if held else {"preset": "budget"}))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--seed", seed, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "scenario validation failed:",
+            f"  - seed must be a 64-bit non-negative integer, got {seed}"]
+        assert not out.exists()
 
     def test_forward_carrier_is_an_unknown_key(self, tmp_path, capsys):
         # No output read link.carrier_forward_hz, so it is no longer a

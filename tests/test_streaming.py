@@ -308,24 +308,36 @@ DECIMATED = fl.load_scenario({
     "outputs": {"adev_taus_s": [1, 10, 100, 250], "write_decimated_series": True}})
 
 
-def _decimated(chunk, monkeypatch):
+# Both loops open: the closed record is the two fibers' round trip, white
+# parts and all, and nothing warns.
+DECIMATED_OFF = fl.load_scenario(dict(DECIMATED.data, controllers=dict(
+    DECIMATED["controllers"], topology="off")))
+
+
+def _decimated(chunk, monkeypatch, scn=DECIMATED):
     monkeypatch.setattr(scenario, "_CHUNK", chunk)
     report = RunReport({}, (), 0)
-    return _run_decimated(DECIMATED, 6, report), report.warnings
+    return _run_decimated(scn, 6, report), report.warnings
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 777])
-def test_decimated_chunked_equals_one_chunk(chunk, monkeypatch):
+@pytest.mark.parametrize("chunk, scn", [
+    (1, DECIMATED), (7, DECIMATED), (777, DECIMATED),
+    (1, DECIMATED_OFF), (7, DECIMATED_OFF), (777, DECIMATED_OFF),
+], ids=["1", "7", "777", "off-1", "off-7", "off-777"])
+def test_decimated_chunked_equals_one_chunk(chunk, scn, monkeypatch):
     assert DECIMATED["controllers"]["closed_floor_walk_fm_h"] > 0
-    whole, whole_warnings = _decimated(1001, monkeypatch)
-    part, part_warnings = _decimated(chunk, monkeypatch)
+    whole, whole_warnings = _decimated(1001, monkeypatch, scn)
+    part, part_warnings = _decimated(chunk, monkeypatch, scn)
     for name in ("open_rt", "closed_rt"):
         assert whole["series"][name].samples.tobytes() == part["series"][name].samples.tobytes()
         for field in ("taus", "sigmas", "n_pairs"):
             assert np.array_equal(getattr(whole["curves"][name], field),
                                   getattr(part["curves"][name], field))
-    assert part_warnings == whole_warnings == [part_warnings[0]]
-    assert "thermal range" in part_warnings[0]
+    assert part_warnings == whole_warnings
+    if scn is DECIMATED_OFF:
+        assert part_warnings == []
+    else:
+        assert len(part_warnings) == 1 and "thermal range" in part_warnings[0]
 
 
 def test_decimated_memory_in_records(monkeypatch):
