@@ -902,7 +902,7 @@ class TestCli:
         assert outputs["filled"] == outputs["overridden"] == outputs["held"]
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
-    @pytest.mark.parametrize("held", [True, False])
+    @pytest.mark.parametrize("held", [True, False], ids=["file_seed", "no_file_seed"])
     def test_run_refuses_out_of_range_seed_at_load(self, tmp_path, capsys, seed, held):
         # Once this passed load and failed in the run, leaving an empty
         # output directory and no run report.
