@@ -141,8 +141,6 @@ class MeasurementRecord:
     optical_nominal_hz: Fraction
     optical_offsets_hz: np.ndarray     # f_opt per gate minus nominal
     gate_s: float
-    params: CombParams
-    config: CounterChainConfig
 
     def __post_init__(self):
         for name in ("counted_hz", "optical_offsets_hz"):
@@ -226,8 +224,6 @@ def count_chain(f_rep: FreqSeries, reference_fractional: FracFreqSeries,
         optical_nominal_hz=params.optical_nominal_hz,
         optical_offsets_hz=opt_offsets,
         gate_s=cfg.gate_s,
-        params=params,
-        config=cfg,
     )
 
 

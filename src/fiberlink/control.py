@@ -64,14 +64,12 @@ _ARC_STEPS = 2 ** 12          # most grid steps per arc of ``_unstable_poles``
 class ControllerConfig:
     unity_gain_hz: float = 300.0
     integrator_corner_hz: float = 30.0
-    crossover_hz: float = 0.1          # piezo-to-thermal offload (far-end loop)
 
     def __post_init__(self):
         if not self.unity_gain_hz > 0:
             raise InvalidInputError("unity-gain target must be positive")
-        for name in ("integrator_corner_hz", "crossover_hz"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be non-negative")
+        if self.integrator_corner_hz < 0:
+            raise InvalidInputError("integrator_corner_hz must be non-negative")
 
     def gains(self):
         """(kp, ki) in 1/s and 1/s^2, from the frequency targets."""
@@ -105,6 +103,7 @@ class LinkLoopConfig:
     rf_shifter: ActuatorState
     piezo: ActuatorState
     thermal: ActuatorState
+    crossover_hz: float = 0.1     # piezo-to-thermal offload (far-end loop)
     topology: str = "series"
 
     def __post_init__(self):
@@ -112,6 +111,8 @@ class LinkLoopConfig:
             raise InvalidInputError("dt must be positive")
         if self.m1 < 1 or self.m2 < 1:
             raise InvalidInputError("loop delays must be at least one step")
+        if self.crossover_hz < 0:
+            raise InvalidInputError("crossover_hz must be non-negative")
         if self.topology not in RUN_TOPOLOGIES:
             raise InvalidInputError(f"run topology must be one of {RUN_TOPOLOGIES}")
 
@@ -136,7 +137,6 @@ class LoopRunResult:
 
     ``state`` continues the run with the next chunk (linear engine only).
     """
-    dt: float
     one_way: np.ndarray           # corrected arrival at the far end
     round_trip: np.ndarray        # evaluation comparison after both fibers
     probe_rt: np.ndarray          # uncorrected round-trip probe (fiber 1)
@@ -376,7 +376,7 @@ def run_closed_loop(cfg: LinkLoopConfig, n1, n2, d1, d2, probe_det=None,
             state.start + n,
             max(state.input_peak, *(float(_peak(r)) for r in inputs)),
             {name: line[n:].copy() for name, line in lines.items()}, zi, beyond)
-    return LoopRunResult(cfg.dt, arr, round_trip, probe_rt,
+    return LoopRunResult(arr, round_trip, probe_rt,
                          c1app, a2app, warnings=tuple(warnings), state=next_state)
 
 
@@ -431,7 +431,7 @@ def _run_stepped(cfg, inputs, state, lines):
     actuators = (cfg.rf_shifter, cfg.piezo, cfg.thermal)
     a_rf, a_pz, a_th = (actuator_alpha(act.bandwidth_hz, dt) for act in actuators)
     rng_rf, rng_pz, rng_th = (act.range_s for act in actuators)
-    k_off = 2.0 * np.pi * cfg.controller2.crossover_hz * dt
+    k_off = 2.0 * np.pi * cfg.crossover_hz * dt
     series = cfg.topology == "series"
 
     n1l, n2l, d1l, d2l = (r.tolist() for r in inputs)

@@ -162,8 +162,8 @@ def metadata_lines(seed=None, **extra):
     return [f"# metadata: {body}"]
 
 
-def write_adev_csv(path, curve: AdevCurve, seed=None, **extra):
-    lines = metadata_lines(seed, estimator=curve.estimator, **extra)
+def write_adev_csv(path, curve: AdevCurve, seed=None):
+    lines = metadata_lines(seed, estimator=curve.estimator)
     for note in curve.notes:
         lines.append(f"# note: {note}")
     for tau in curve.omitted_taus:
@@ -225,10 +225,10 @@ def write_psd_csv(path, psd: PsdEstimate, seed=None, **extra):
                 _row_chunks(*log_band_average(psd, _BANDS_PER_DECADE)))
 
 
-def write_phase_csv(path, series: PhaseSeries, seed=None, **extra):
+def write_phase_csv(path, series: PhaseSeries, seed=None):
     """Phase record: t_s,x_s.  The times are ``series.times()``, made one
     chunk of rows at a time."""
-    lines = metadata_lines(seed, label=series.label or "phase", **extra)
+    lines = metadata_lines(seed, label=series.label or "phase")
     lines.append("t_s,x_s")
     x = series.samples
 
@@ -281,7 +281,7 @@ def _decimal_uhz_columns(nominal_uhz, offsets_hz):
     return np.where(neg, "-", ""), whole, frac
 
 
-def write_measurement_csv(path, record, seed=None, **extra):
+def write_measurement_csv(path, record, seed=None):
     """Counting-chain record: gate_index,counted_hz,f_opt_hz.
 
     Optical frequencies are written as exact microhertz decimals (the
@@ -291,7 +291,7 @@ def write_measurement_csv(path, record, seed=None, **extra):
     """
     offsets = np.asarray(record.optical_offsets_hz, dtype=float)
     nominal_uhz = _nominal_uhz(record.optical_nominal_hz, offsets)
-    lines = metadata_lines(seed, gate_s=_fmt(record.gate_s), **extra)
+    lines = metadata_lines(seed, gate_s=_fmt(record.gate_s))
     lines.append("gate_index,counted_hz,f_opt_hz")
     counted = np.asarray(record.counted_hz)
 

@@ -1,12 +1,13 @@
-"""Dual-fiber link model: the whole-step delay line, carrier scaling, the
-detector noise floor, actuators, and the counting-style measurement chain.
+"""Dual-fiber link model: carrier scaling, the detector noise floor,
+actuators, and the counting-style measurement chain.
 
 Signals travel as phase-time (seconds).  A fiber pass delays what it
 carries by the one-way delay, a whole number of simulation steps (the
 scenario rounds the delay to the step and refuses one under a step), and
 adds the fiber's delay-fluctuation record; ``fiberlink.control.run_closed_loop``
-composes the passes of both fibers.  Radian phase only appears at a
-detection carrier: phi = 2 pi f_c x.
+composes the passes of both fibers, each delayed term a view
+(``control._lag``) of one ``[history | chunk]`` line per record.  Radian
+phase only appears at a detection carrier: phi = 2 pi f_c x.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .series import PhaseSeries
-
-ACTUATOR_KINDS = ("rf_phase_shifter", "piezo_stretcher", "thermal_spool")
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,10 @@ class DetectorConfig:
 @dataclass(frozen=True)
 class ActuatorState:
     """A delay actuator with first-order response and finite authority."""
-    kind: str
     range_s: float
     bandwidth_hz: float
 
     def __post_init__(self):
-        if self.kind not in ACTUATOR_KINDS:
-            raise InvalidInputError(f"unknown actuator kind {self.kind!r}")
         if not (self.range_s > 0 and self.bandwidth_hz > 0):
             raise InvalidInputError("actuator range and bandwidth must be positive")
 

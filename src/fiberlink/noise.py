@@ -3,7 +3,7 @@ noise bursts, and the correlated dual-fiber pair.
 
 All noise is expressed as delay fluctuation in seconds (phase-time); it is
 carrier independent, and conversion to radians happens at the detection
-carrier (see ``fiberlink.link.to_radians``).  Power-law levels parameterize
+carrier (see ``fiberlink.link.Carrier.radians``).  Power-law levels parameterize
 the one-sided fractional-frequency PSD
 
     S_y(f) = sum_alpha  h_alpha * f**alpha,      alpha in {-2,-1,0,1,2}

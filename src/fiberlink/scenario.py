@@ -63,8 +63,10 @@ from .noise import (BurstSpec, BurstTrain, WalkPhase, _fast_len, component_rng,
 from .series import AdevCurve, FracFreqSeries, PhaseSeries
 from .stability import (WelchAccumulator, _tau_multiple, _tau_multiples, allan_deviation,
                         allan_deviation_phase, welch_segments)
-# Names perfbench's tracer wraps that no run calls: the one-chunk forms of
-# the streamed stages, and the power-law synthesis.
+# Names perfbench's tracer wraps that no run calls, seven in all: the
+# one-chunk forms of the streamed stages, and the power-law synthesis.  They
+# stay as public API: fiberlink exports them, and tests use them as
+# whole-record references for the chunked sources.
 from .link import measurement_lowpass, sample_every, to_radians  # noqa: F401
 from .noise import gen_bursts, gen_diurnal, gen_power_law_phase  # noqa: F401
 from .stability import psd_welch  # noqa: F401
@@ -651,8 +653,6 @@ def _run_fullrate(scn, seed, report):
     n = int(round(runc["fullrate_duration_s"] / dt))
     fs = 1.0 / dt
 
-    m = _delay_steps(link)
-
     # Per-fiber noise: white PM (flat S_x) + common diurnal + walk + bursts.
     parts = _fiber_parts(link["noise"], seed, "fullrate", n, dt,
                          np.sqrt(link["noise"]["white_pm_sx_s2_per_hz"] * fs / 2.0))
@@ -686,10 +686,9 @@ def _run_fullrate(scn, seed, report):
             detector_noise(detector, carrier, k, dt, rng, out=x)
         return n1, n2, d1, d2, dp
 
-    cfg = _loop_config(scn, m)
+    cfg = _loop_config(scn, _delay_steps(link))
     skip = int(round(runc["transient_discard_s"] / dt))
-    labels = {"closed_rt": "closed_rt", "closed_one_way": "closed_one_way",
-              "open_rt": "open_probe_rt"}
+    labels = {"closed_rt": "closed_rt", "open_rt": "open_probe_rt"}
     chains = {name: CountingChain(n - skip, dt, detector.measurement_bw_hz, _GATE_S)
               for name in labels}
     welch = WelchAccumulator(n - skip, dt, round(scn["outputs"]["psd_segment_s"] / dt),
@@ -704,7 +703,7 @@ def _run_fullrate(scn, seed, report):
             if i + 2 < len(starts):
                 ahead.append(worker.submit(fill, i + 2))
             state, warnings = result.state, result.warnings
-            records = (result.round_trip, result.one_way, result.probe_rt)
+            records = (result.round_trip, result.probe_rt)
             del result      # the applied corrections and their delay lines
             settled = max(skip - start, 0)
             if settled < n1.size:
@@ -722,26 +721,20 @@ def _run_fullrate(scn, seed, report):
     counted = {name: chain.series(labels[name]) for name, chain in chains.items()}
     curves = {name: allan_deviation_phase(series, taus, estimator="overlapping")
               for name, series in counted.items()}
-    return {"curves": curves, "counted": counted, "psd_rt": welch.result(),
-            "m": m, "dt": dt}
+    return {"curves": curves, "counted": counted, "psd_rt": welch.result()}
 
 
 def _loop_config(scn, m):
     ctl = scn["controllers"]
-    # Both loops share the gains; only the far-end loop reads the crossover.
     controller = ControllerConfig(unity_gain_hz=ctl["unity_gain_hz"],
-                                  integrator_corner_hz=ctl["integrator_corner_hz"],
-                                  crossover_hz=ctl["crossover_hz"])
+                                  integrator_corner_hz=ctl["integrator_corner_hz"])
     return LinkLoopConfig(
         dt=scn["link"]["step_s"], m1=m, m2=m,
         controller1=controller, controller2=controller,
-        rf_shifter=ActuatorState("rf_phase_shifter", ctl["rf_shifter_range_s"],
-                                 ctl["rf_shifter_bandwidth_hz"]),
-        piezo=ActuatorState("piezo_stretcher", ctl["piezo_range_s"],
-                            ctl["piezo_bandwidth_hz"]),
-        thermal=ActuatorState("thermal_spool", ctl["thermal_range_s"],
-                              ctl["thermal_bandwidth_hz"]),
-        topology=ctl["topology"],
+        rf_shifter=ActuatorState(ctl["rf_shifter_range_s"], ctl["rf_shifter_bandwidth_hz"]),
+        piezo=ActuatorState(ctl["piezo_range_s"], ctl["piezo_bandwidth_hz"]),
+        thermal=ActuatorState(ctl["thermal_range_s"], ctl["thermal_bandwidth_hz"]),
+        crossover_hz=ctl["crossover_hz"], topology=ctl["topology"],
     )
 
 
@@ -880,24 +873,25 @@ def _run_comb(scn, seed, report):
     n = c["n_gates"]
     gate = c["gate_s"]
 
-    # Each input goes once its last reader is done: the chain runs beside
-    # f_rep, the reference and y_link, which stays for its curve.
+    # Each input goes once its last reader is done: y_link after its curve,
+    # so the chain runs beside f_rep and the reference alone.
+    taus = [t for t in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
+            if 4 * t <= n * gate]
     y_link = _white_fm_series(c["link_sigma_1s"], n, gate,
                               component_rng(seed, "comb-link"))
     y_ref = _white_fm_series(c["reference_sigma_1s"], n, gate,
                              component_rng(seed, "comb-reference"))
     reference_at_lpl = FracFreqSeries(y_ref.samples + y_link.samples, gate)
     del y_ref
+    link_residual = allan_deviation(y_link, taus, estimator="overlapping")
+    del y_link
     f_rep = rep_rate_lock(_white_fm_series(c["optical_sigma_1s"], n, gate,
                                            component_rng(seed, "comb-optical")), params)
     record = count_chain(f_rep, reference_at_lpl, cfg, params)
     del reference_at_lpl, f_rep
 
-    taus = [t for t in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
-            if 4 * t <= n * gate]
     recovered = allan_deviation(record.optical_fractional(), taus,
                                 estimator="overlapping")
-    link_residual = allan_deviation(y_link, taus, estimator="overlapping")
     return {"record": record, "curves": {"comb_recovered": recovered,
                                          "link_residual": link_residual}}
 
@@ -929,18 +923,19 @@ def _run_budget(scn, seed, report):
             "estimate": (mean_offset, sigma)}
 
 
-def run(scenario: Scenario, out_dir=None, seed=None) -> RunReport:
+def run(scenario: Scenario, out_dir=None) -> RunReport:
     """Execute a scenario: noise generation, link/loop simulation, comb chain
     and analysis, writing plot-ready CSVs into ``out_dir``.
 
-    Deterministic for a given (scenario, seed): repeated runs produce
-    byte-identical CSVs.  On loop divergence the partial manifest is written
-    before the error propagates.
+    The scenario's ``seed`` is the run's seed (``fiberlink run --seed``
+    fills it at load).  Deterministic for a given scenario: repeated runs
+    produce byte-identical CSVs.  On loop divergence the partial manifest is
+    written before the error propagates.
     """
     t0 = time.perf_counter()
     out_dir = resolve_out_dir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    run_seed = scenario.seed() if seed is None else int(seed)
+    run_seed = scenario.seed()
     report = RunReport(scenario_echo=scenario.data, assumed=scenario.assumed,
                        seed=run_seed)
 

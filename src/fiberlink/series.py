@@ -48,10 +48,6 @@ class PhaseSeries:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def duration(self):
-        return self.samples.size * self.tau0
-
     def times(self):
         return np.arange(self.samples.size) * self.tau0
 

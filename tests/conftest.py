@@ -36,9 +36,9 @@ def open_passes():
     two fiber passes alone: fiber 1 (``m1`` steps, record ``n1``), then
     fiber 2 (``m2`` steps, record ``n2``), with silent loop detectors."""
     ctl = fl.ControllerConfig()
-    actuators = dict(rf_shifter=fl.ActuatorState("rf_phase_shifter", 1e-6, 5e4),
-                     piezo=fl.ActuatorState("piezo_stretcher", 1e-6, 5e3),
-                     thermal=fl.ActuatorState("thermal_spool", 1e-5, 0.3))
+    actuators = dict(rf_shifter=fl.ActuatorState(1e-6, 5e4),
+                     piezo=fl.ActuatorState(1e-6, 5e3),
+                     thermal=fl.ActuatorState(1e-5, 0.3))
 
     def passes(n1, n2, dt, m1, m2=None, probe_det=None):
         cfg = fl.LinkLoopConfig(dt=dt, m1=m1, m2=m1 if m2 is None else m2,

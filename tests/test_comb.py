@@ -196,7 +196,7 @@ class TestAbsoluteFreqEstimate:
             counted_hz=np.full(n_gates, 68.0 - offset_hz / PARAMS.q),
             optical_nominal_hz=PARAMS.optical_nominal_hz,
             optical_offsets_hz=np.full(n_gates, float(offset_hz)),
-            gate_s=1.0, params=PARAMS, config=CounterChainConfig())
+            gate_s=1.0)
 
     @staticmethod
     def _chain_record(offset_hz, n_gates=8):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,8 +16,6 @@ from fiberlink.series import PhaseSeries
 
 ENGINES = ("lfilter", "stepped")
 CFG = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0)
-CFG_OPT = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0,
-                           crossover_hz=0.1)
 
 
 # The fig1 servo: 0.1 ms step, m = 2 one-way delay steps, 50 kHz RF shifter.
@@ -28,15 +27,33 @@ def open_loop(f, cfg=CFG):
     return 1.0 / loop_sensitivity([f], cfg, RF_BW, DT, M)[0] - 1.0
 
 
-def make_link(dt=1e-4, m=2, topology="series", c1=CFG, c2=CFG_OPT,
+def make_link(dt=1e-4, m=2, topology="series", c1=CFG, c2=CFG,
               rf_range=1e-6, pz_range=1e-6, th_range=1e-5,
-              pz_bw=5e3, th_bw=0.3):
+              pz_bw=5e3, th_bw=0.3, crossover_hz=0.1):
     return LinkLoopConfig(
         dt=dt, m1=m, m2=m, controller1=c1, controller2=c2,
-        rf_shifter=ActuatorState("rf_phase_shifter", rf_range, 5e4),
-        piezo=ActuatorState("piezo_stretcher", pz_range, pz_bw),
-        thermal=ActuatorState("thermal_spool", th_range, th_bw),
-        topology=topology)
+        rf_shifter=ActuatorState(rf_range, 5e4),
+        piezo=ActuatorState(pz_range, pz_bw),
+        thermal=ActuatorState(th_range, th_bw),
+        crossover_hz=crossover_hz, topology=topology)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ControllerConfig(unity_gain_hz=0.0),
+    lambda: ControllerConfig(unity_gain_hz=-1.0),
+    lambda: ControllerConfig(integrator_corner_hz=-1e-3),
+    lambda: make_link(dt=0.0),
+    lambda: dataclasses.replace(make_link(), m1=0),
+    lambda: dataclasses.replace(make_link(), m2=0),
+    lambda: make_link(topology="ring"),
+    lambda: make_link(crossover_hz=-1e-3),
+    lambda: ActuatorState(0.0, 5e4),
+    lambda: ActuatorState(1e-6, -5e4),
+], ids=["unity_zero", "unity_negative", "corner_negative", "dt_zero", "m1_zero",
+        "m2_zero", "topology", "crossover_negative", "range_zero", "bandwidth_negative"])
+def test_constructor_refuses(build):
+    with pytest.raises(InvalidInputError):
+        build()
 
 
 class TestCriticalFrequency:
@@ -114,10 +131,10 @@ class TestStepControllers:
         for crossover_hz, settled, warning in (
                 (0.01, -8e-11, "piezo_stretcher saturated (offload engaged)"),
                 (0.0, -3e-11, "piezo_stretcher saturated")):
-            c2 = ControllerConfig(unity_gain_hz=3.0, integrator_corner_hz=0.3,
-                                  crossover_hz=crossover_hz)
+            c2 = ControllerConfig(unity_gain_hz=3.0, integrator_corner_hz=0.3)
             cfg = make_link(dt=dt, m=1, topology="independent", c2=c2,
-                            pz_range=3e-11, th_range=1e-8, pz_bw=50.0, th_bw=0.2)
+                            pz_range=3e-11, th_range=1e-8, pz_bw=50.0, th_bw=0.2,
+                            crossover_hz=crossover_hz)
             res = run_closed_loop(cfg, z, drift, z, z, engine="stepped")
             assert res.warnings == (warning,)
             assert res.a2_applied[-1] == pytest.approx(settled, rel=0.05)
@@ -165,9 +182,7 @@ class TestClosedLoopRun:
         n2 = rng.standard_normal(n) * 1.5e-13
         d1 = rng.standard_normal(n) * 1.7e-13
         d2 = rng.standard_normal(n) * 1.7e-13
-        c2 = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0,
-                              crossover_hz=0.0)
-        cfg = make_link(c2=c2)
+        cfg = make_link(crossover_hz=0.0)
         ra = run_closed_loop(cfg, n1, n2, d1, d2, engine="lfilter")
         rb = run_closed_loop(cfg, n1, n2, d1, d2, engine="stepped")
         scale = np.max(np.abs(ra.a2_applied))
@@ -209,10 +224,10 @@ class TestClosedLoopRun:
         z = np.zeros(n)
         hot = ControllerConfig(unity_gain_hz=700.0, integrator_corner_hz=30.0)
         cfg = LinkLoopConfig(
-            dt=1e-4, m1=2, m2=2, controller1=hot, controller2=CFG_OPT,
-            rf_shifter=ActuatorState("rf_phase_shifter", 1e-6, 5e4),
-            piezo=ActuatorState("piezo_stretcher", 1e-6, 5e3),
-            thermal=ActuatorState("thermal_spool", 1e-5, 0.3))
+            dt=1e-4, m1=2, m2=2, controller1=hot, controller2=CFG,
+            rf_shifter=ActuatorState(1e-6, 5e4),
+            piezo=ActuatorState(1e-6, 5e3),
+            thermal=ActuatorState(1e-5, 0.3))
         with pytest.raises(DivergenceError):
             run_closed_loop(cfg, n1, z, z, z)
 

@@ -40,8 +40,8 @@ def _decimal_uhz(nominal_fraction, offset_hz):
     return f"{sign}{total_uhz // 10 ** 6}.{total_uhz % 10 ** 6:06d}"
 
 
-def ref_write_adev_csv(path, curve, seed=None, **extra):
-    lines = fio.metadata_lines(seed, estimator=curve.estimator, **extra)
+def ref_write_adev_csv(path, curve, seed=None):
+    lines = fio.metadata_lines(seed, estimator=curve.estimator)
     for note in curve.notes:
         lines.append(f"# note: {note}")
     for tau in curve.omitted_taus:
@@ -72,16 +72,16 @@ def ref_write_psd_csv(path, psd, seed=None, **extra):
     _ref_write(path, lines)
 
 
-def ref_write_phase_csv(path, series, seed=None, **extra):
-    lines = fio.metadata_lines(seed, label=series.label or "phase", **extra)
+def ref_write_phase_csv(path, series, seed=None):
+    lines = fio.metadata_lines(seed, label=series.label or "phase")
     lines.append("t_s,x_s")
     for ti, xi in zip(series.times(), series.samples):
         lines.append(f"{_ref_fmt(ti)},{_ref_fmt(xi)}")
     _ref_write(path, lines)
 
 
-def ref_write_measurement_csv(path, record, seed=None, **extra):
-    lines = fio.metadata_lines(seed, gate_s=_ref_fmt(record.gate_s), **extra)
+def ref_write_measurement_csv(path, record, seed=None):
+    lines = fio.metadata_lines(seed, gate_s=_ref_fmt(record.gate_s))
     lines.append("gate_index,counted_hz,f_opt_hz")
     for i, (c, off) in enumerate(zip(record.counted_hz, record.optical_offsets_hz)):
         lines.append(f"{i},{_ref_fmt(c)},{_decimal_uhz(record.optical_nominal_hz, off)}")
@@ -154,7 +154,7 @@ class TestStreamedWritersMatchReference:
         rec = _record(Fraction(291_000_000_000_000_123, 10_000), rng.standard_normal(n) * 3.0,
                       counted=20e6 + rng.standard_normal(n))
         _assert_same_file(tmp_path, fio.write_measurement_csv,
-                          ref_write_measurement_csv, rec, comb="fig4")
+                          ref_write_measurement_csv, rec)
 
     # A counter at 1 uHz resolution near 68 Hz repeats its readings, so these
     # files take the keyed form, across chunk boundaries.
@@ -162,7 +162,7 @@ class TestStreamedWritersMatchReference:
     def test_measurement_counter_quantized(self, tmp_path, n):
         rec = _quantized_record(n)
         _assert_same_file(tmp_path, fio.write_measurement_csv,
-                          ref_write_measurement_csv, rec, comb="fig4")
+                          ref_write_measurement_csv, rec)
 
 
 class TestMicrohertzDecimals:

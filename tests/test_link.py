@@ -125,14 +125,13 @@ class TestApplyActuator:
     def test_rest_stays_at_zero(self):
         # Zero error everywhere: every actuator stays at rest, even with a
         # small range, and none is flagged as saturated.
-        cfg = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0,
-                               crossover_hz=0.1)
+        cfg = ControllerConfig(unity_gain_hz=300.0, integrator_corner_hz=30.0)
         link = LinkLoopConfig(
             dt=1e-4, m1=2, m2=2, controller1=cfg, controller2=cfg,
-            rf_shifter=ActuatorState("rf_phase_shifter", 1e-11, 5e4),
-            piezo=ActuatorState("piezo_stretcher", 1e-11, 1000.0),
-            thermal=ActuatorState("thermal_spool", 1e-11, 0.3),
-            topology="series")
+            rf_shifter=ActuatorState(1e-11, 5e4),
+            piezo=ActuatorState(1e-11, 1000.0),
+            thermal=ActuatorState(1e-11, 0.3),
+            crossover_hz=0.1, topology="series")
         z = np.zeros(2000)
         res = run_closed_loop(link, z, z, z, z, engine="stepped")
         assert np.all(res.c1_applied == 0.0)

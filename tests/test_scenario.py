@@ -683,12 +683,19 @@ class TestDeterminism:
             assert 0.0 < np.max(np.abs(closed - opened)) < 0.2 * np.max(np.abs(opened))
 
     def test_seed_override_changes_outputs(self, tmp_path):
-        scn = load_scenario(self.SCN)
-        rep_a = run(scn, out_dir=tmp_path / "a")
-        rep_b = run(scn, out_dir=tmp_path / "b", seed=1)
+        run(load_scenario(self.SCN), out_dir=tmp_path / "a")
+        run(load_scenario({**self.SCN, "seed": 1}), out_dir=tmp_path / "b")
         name = "closed_loop.csv"
         assert (tmp_path / "a" / name).read_bytes() \
             != (tmp_path / "b" / name).read_bytes()
+
+    def test_run_takes_its_seed_from_the_scenario(self, tmp_path):
+        # The scenario's seed is the run's one seed: run has no seed of its
+        # own, so a call that passes one is refused before anything is made.
+        out = tmp_path / "out"
+        with pytest.raises(TypeError):
+            run(load_scenario(self.SCN), out_dir=out, seed=-1)
+        assert not out.exists()
 
 
 class TestDecimatedSuppressionLength:
